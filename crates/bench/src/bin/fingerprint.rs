@@ -1,11 +1,13 @@
 //! Bit-identity fingerprint of the translated corpus.
 //!
-//! For every Figure 5 variant, translates the full corpus through the serial
-//! batch engine and prints an FNV-1a hash of the printed form of every
-//! translated function together with the behavioural counters (interference
-//! queries, remaining copies). Two builds producing the same fingerprints
-//! make exactly the same coalescing decisions on the whole corpus — the
-//! cheap way to prove a performance change is behaviour-preserving.
+//! For every Figure 5 variant, and for the two fallback rungs of the retry
+//! ladder (`conservative_fallback()` and `minimal_coalescing()` of the
+//! default options), translates the full corpus through the serial batch
+//! engine and prints an FNV-1a hash of the printed form of every translated
+//! function together with the behavioural counters (interference queries,
+//! remaining copies). Two builds producing the same fingerprints make
+//! exactly the same coalescing decisions on the whole corpus — the cheap way
+//! to prove a performance change is behaviour-preserving.
 //!
 //! Usage:
 //!
@@ -72,7 +74,11 @@ fn main() -> ExitCode {
     let mut text = String::new();
     let mut report = String::new();
     let mut per_workload: Vec<(&str, Vec<u64>)> = Vec::new();
-    for (name, options) in OutOfSsaOptions::figure5_variants() {
+    let rungs = [
+        ("Conservative", OutOfSsaOptions::default().conservative_fallback()),
+        ("Minimal", OutOfSsaOptions::default().minimal_coalescing()),
+    ];
+    for (name, options) in OutOfSsaOptions::figure5_variants().into_iter().chain(rungs) {
         let mut work = functions.clone();
         let stats = translate_corpus_serial(&mut work, &options);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
