@@ -31,9 +31,8 @@ use std::time::Instant;
 
 use ossa_bench::alloc::allocation_count;
 use ossa_destruct::{
-    insertion, set_coalesce_probe, translate_corpus_isolated_policy, translate_corpus_serial,
-    translate_out_of_ssa_scratch, CoalesceStage, EnginePolicy, Limits, OutOfSsaOptions,
-    TranslateScratch, ValidationMode,
+    insertion, set_coalesce_probe, translate_out_of_ssa_scratch, CoalesceStage, Engine, Ladder,
+    OutOfSsaOptions, TranslateScratch, ValidationMode,
 };
 use ossa_liveness::FunctionAnalyses;
 
@@ -132,6 +131,7 @@ fn main() {
         }
     }
     let options = OutOfSsaOptions::default();
+    let engine = Engine::new(options.clone()).with_threads(1);
     if streaming {
         streaming_report(scale, &options, json_path.as_deref());
         return;
@@ -140,7 +140,7 @@ fn main() {
     let functions: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
 
     if phase.is_some() {
-        coalesce_drilldown(&functions, &options, scale, json_path.as_deref());
+        coalesce_drilldown(&functions, &engine, scale, json_path.as_deref());
         return;
     }
 
@@ -148,14 +148,14 @@ fn main() {
     // caches are out of the way (the steady-state numbers are the gated ones).
     {
         let mut work = functions.clone();
-        let _ = translate_corpus_serial(&mut work, &options);
+        let _ = engine.run(&mut work);
     }
 
     // Whole batch-serial translation.
     let total = {
         let mut work = functions.clone();
         let before = allocation_count();
-        let _ = translate_corpus_serial(&mut work, &options);
+        let _ = engine.run(&mut work);
         allocation_count() - before
     };
 
@@ -320,40 +320,14 @@ fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&st
     let (validation_failures, recovered_functions, liveness_fallbacks) = {
         let corpus = ossa_cfggen::spec_like_corpus(scale, true);
         let mut work: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
-        let stats = translate_corpus_isolated_policy(
-            &mut work,
-            options,
-            &Limits::UNBOUNDED,
-            &EnginePolicy::validating(ValidationMode::Structural),
-            1,
-        );
+        let ladder = Ladder::retrying(options.clone(), ValidationMode::Structural, 0);
+        let stats =
+            Engine::new(options.clone()).with_threads(1).with_ladder(ladder).try_run(&mut work);
         (stats.validation_failures(), stats.recovered_functions(), stats.total().liveness_fallbacks)
     };
     println!(
         "  self-checking pass: {validation_failures} validation failures, \
          {recovered_functions} recovered, {liveness_fallbacks} liveness fallbacks"
-    );
-
-    // Scripted overload through the translation service: deterministic
-    // shed / queue-expiry / degradation counters (the workers are paused
-    // while the queue is loaded), reported next to the pool traffic so the
-    // CI artifact carries the overload-model fingerprint too. Allocation
-    // counting is thread-local, so the service's worker threads do not
-    // perturb the streaming numbers above.
-    let overload = {
-        let corpus = ossa_cfggen::spec_like_corpus(scale, true);
-        let segment: Vec<_> =
-            corpus.iter().flat_map(|w| w.functions.iter().cloned()).take(16).collect();
-        ossa_bench::service_load::scripted_overload_stats(&segment)
-    };
-    println!(
-        "  scripted service overload: {} shed, {} expired in queue, {} deadline expiries, \
-         {} degraded / {} recovered transitions",
-        overload.shed,
-        overload.expired_in_queue,
-        overload.deadline_exceeded,
-        overload.degraded_transitions,
-        overload.recovered_transitions
     );
 
     if let Some(path) = json_path {
@@ -381,24 +355,7 @@ fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&st
         json.push_str("  },\n");
         json.push_str(&format!("  \"validation_failures\": {validation_failures},\n"));
         json.push_str(&format!("  \"recovered_functions\": {recovered_functions},\n"));
-        json.push_str(&format!("  \"liveness_fallbacks\": {liveness_fallbacks},\n"));
-        json.push_str(&format!("  \"service_overload_shed\": {},\n", overload.shed));
-        json.push_str(&format!(
-            "  \"service_overload_expired_in_queue\": {},\n",
-            overload.expired_in_queue
-        ));
-        json.push_str(&format!(
-            "  \"service_overload_deadline_exceeded\": {},\n",
-            overload.deadline_exceeded
-        ));
-        json.push_str(&format!(
-            "  \"service_overload_degraded_transitions\": {},\n",
-            overload.degraded_transitions
-        ));
-        json.push_str(&format!(
-            "  \"service_overload_recovered_transitions\": {}\n",
-            overload.recovered_transitions
-        ));
+        json.push_str(&format!("  \"liveness_fallbacks\": {liveness_fallbacks}\n"));
         json.push_str("}\n");
         std::fs::write(path, json).expect("write streaming profile JSON");
         println!("wrote {path}");
@@ -410,19 +367,19 @@ fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&st
 /// coalesce sub-stage, optionally as JSON.
 fn coalesce_drilldown(
     functions: &[ossa_ir::Function],
-    options: &OutOfSsaOptions,
+    engine: &Engine,
     scale: f64,
     json_path: Option<&str>,
 ) {
     // Warm-up pass (no probe) so recycled caches reach steady state.
     {
         let mut work = functions.to_vec();
-        let _ = translate_corpus_serial(&mut work, options);
+        let _ = engine.run(&mut work);
     }
     let mut work = functions.to_vec();
     set_coalesce_probe(Some(coalesce_stage_probe));
     let before = allocation_count();
-    let _ = translate_corpus_serial(&mut work, options);
+    let _ = engine.run(&mut work);
     let total_allocs = allocation_count() - before;
     set_coalesce_probe(None);
     let (allocs, nanos) = PROBE_STATE.with(|state| (state.borrow().allocs, state.borrow().nanos));

@@ -5,23 +5,18 @@
 //! non-zero when the current numbers regress beyond a tolerance, failing the
 //! CI job. Checked:
 //!
-//! 1. `batch_serial_seconds`, `seed_style_serial_seconds`,
-//!    `streaming_serial_seconds` and `batch_serial_validated_seconds` (the
-//!    self-checking engine: serial batch under Structural output validation)
-//!    each within `(1 + tolerance)` of the committed baseline (absolute
-//!    trajectory);
+//! 1. `batch_serial_seconds`, `seed_style_serial_seconds` and
+//!    `batch_serial_validated_seconds` (the self-checking engine: serial
+//!    batch under Structural output validation) each within
+//!    `(1 + tolerance)` of the committed baseline (absolute trajectory);
 //! 2. `batch_serial_seconds ≤ seed_style_serial_seconds × 1.10` (the batch
 //!    engine must not fall behind the naive per-function loop — the
 //!    regression an earlier PR fixed);
-//! 3. `streaming_serial_seconds ≤ batch_serial_seconds × 1.10` (draining an
-//!    iterator must stay within noise of draining a slice — the streaming
-//!    front end adds a queue pull and an output move per function, nothing
-//!    that may grow with function size);
-//! 4. the per-phase seconds (`liveness`/`coalesce`/`sequentialize`) each
+//! 3. the per-phase seconds (`liveness`/`coalesce`/`sequentialize`) each
 //!    within tolerance of the baseline, with a 1 ms absolute floor so the
 //!    sub-millisecond phases do not flap on scheduler jitter — a phase-local
 //!    regression can no longer hide behind an improvement elsewhere;
-//! 5. the serial allocation counts (`seed_style`/`batch`/`streaming`) and
+//! 4. the serial allocation counts (`seed_style`/`batch`) and
 //!    the serial interference-query count
 //!    (`batch_serial_interference_queries`) within their own tight
 //!    tolerance (`BENCH_GATE_ALLOC_TOLERANCE`, default 2%) of the baseline
@@ -29,7 +24,7 @@
 //!    wide timing tolerance of hosted runners must not apply: steady-state
 //!    allocation-freedom and the coalescer's batched-query reduction cannot
 //!    silently regress even when timing jitter masks them;
-//! 6. the pooled streaming engine's steady-state allocations per translated
+//! 5. the pooled streaming engine's steady-state allocations per translated
 //!    function (`streaming_steady_state_allocations`) within the allocation
 //!    tolerance of the baseline, and — machine-independently, within the
 //!    current report alone — *flat across corpus scale*: the per-function
@@ -39,11 +34,11 @@
 //!    steady-state cost that grows with how many functions have already
 //!    streamed through (a leaked cache, storage that is not recycled)
 //!    fails here even on a noisy runner;
-//! 7. the per-phase timing, allocation-count and Figure 5 static-copy
+//! 6. the per-phase timing, allocation-count and Figure 5 static-copy
 //!    fields are present, so the perf trajectory never silently loses
 //!    instrumentation.
 //!
-//! 8. the translation *service* report (`service_bench --json`):
+//! 7. the translation *service* report (`service_bench --json`):
 //!    `service_throughput_fns_per_sec` as a **lower** bound (the saturated
 //!    service must not lose throughput) and `service_p99_seconds` as an
 //!    upper bound (per-request translate tail latency stays bounded), both
@@ -202,7 +197,6 @@ fn main() -> ExitCode {
     };
     check_vs_baseline("batch_serial_seconds", "s", tolerance, 0.0);
     check_vs_baseline("seed_style_serial_seconds", "s", tolerance, 0.0);
-    check_vs_baseline("streaming_serial_seconds", "s", tolerance, 0.0);
     // The self-checking engine (serial batch under Structural output
     // validation): tracked against the baseline so the cost of "always
     // validate" stays on the trajectory — a validator that quietly turns
@@ -215,7 +209,6 @@ fn main() -> ExitCode {
     check_vs_baseline("sequentialize", "s", tolerance, 0.001);
     check_vs_baseline("seed_style_serial_allocations", "", alloc_tolerance, 0.0);
     check_vs_baseline("batch_serial_allocations", "", alloc_tolerance, 0.0);
-    check_vs_baseline("streaming_serial_allocations", "", alloc_tolerance, 0.0);
     // Interference queries are as deterministic as allocation counts: the
     // decide() loop issues them in a fixed order, so the 2% tolerance only
     // absorbs deliberate, reviewed churn — a lost batching optimisation
@@ -286,12 +279,8 @@ fn main() -> ExitCode {
         }
     };
     // The batch engine must not fall behind the seed-style per-function loop
-    // (the regression an earlier PR fixed), and the streaming front end must
-    // not fall behind the batch engine (pulling the corpus from an iterator
-    // adds a queue pull and an output move per function, nothing that may
-    // grow with function size).
+    // (the regression an earlier PR fixed).
     check_relative("batch_serial_seconds", "seed_style_serial_seconds", 1.10);
-    check_relative("streaming_serial_seconds", "batch_serial_seconds", 1.10);
 
     // Instrumentation presence: the Figure 5 static-copy counts (the
     // ROADMAP quality check tracks the Sreedhar III vs Sharing ordering

@@ -7,10 +7,9 @@ use std::fmt::Write as _;
 
 use ossa_bench::alloc::allocation_count;
 use ossa_bench::{
-    corpus, format_normalized, quality_report, run_variant_seed_style, run_variant_streaming,
-    speed_report, DEFAULT_SCALE,
+    corpus, format_normalized, quality_report, run_variant_seed_style, speed_report, DEFAULT_SCALE,
 };
-use ossa_destruct::{EnginePolicy, Limits, OutOfSsaOptions, PhaseSeconds, ValidationMode};
+use ossa_destruct::{Engine, Ladder, OutOfSsaOptions, PhaseSeconds, ValidationMode};
 
 /// Counting allocator: the JSON reports how many heap allocations each
 /// serial engine performs over the corpus, so allocation regressions on the
@@ -42,11 +41,12 @@ fn main() {
     // Batch corpus engine: the seed-style serial loop (per-function API,
     // fresh analyses per call; clones excluded from all timed regions so the
     // comparison measures the engine, not the harness) vs the batch engine,
-    // serial and parallel, over the *flattened* corpus — one translate_corpus
+    // serial and parallel, over the *flattened* corpus — one `Engine::run`
     // call, so the worker pool is spawned once and sized by the whole corpus
     // rather than per workload. Three samples each, minimum taken, to damp
     // scheduler noise.
     let options = OutOfSsaOptions::default();
+    let serial_engine = Engine::new(options.clone()).with_threads(1);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let flat: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
     let min3 = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
@@ -64,15 +64,9 @@ fn main() {
     let (batch_allocs, phase, batch_queries) = {
         let mut work = flat.clone();
         let before = allocation_count();
-        let stats = ossa_destruct::translate_corpus_serial(&mut work, &options);
+        let stats = serial_engine.run(&mut work);
         let total = stats.total();
         (allocation_count() - before, total.phase_seconds, total.interference_queries)
-    };
-    let streaming_allocs = {
-        let work = flat.clone();
-        let before = allocation_count();
-        let _ = ossa_destruct::translate_stream_with(work, &options, 1);
-        allocation_count() - before
     };
     // Pooled streaming engine: three passes over the corpus through one
     // persistent worker and source. Pass 0 warms every pool and cache;
@@ -89,24 +83,22 @@ fn main() {
     let time_batch = |threads: usize| -> f64 {
         let mut work = flat.clone();
         let start = std::time::Instant::now();
-        let _ = ossa_destruct::translate_corpus_with(&mut work, &options, threads);
+        let _ = Engine::new(options.clone()).with_threads(threads).run(&mut work);
         start.elapsed().as_secs_f64()
     };
     // Self-checking engine: the same serial batch run under Structural
     // output validation (CFG re-verification + translation postconditions on
     // every function). The gated trajectory number tracks what "always
     // validate" would cost a JIT.
-    let validation_policy = EnginePolicy::validating(ValidationMode::Structural);
+    let validating = serial_engine.clone().with_ladder(Ladder::retrying(
+        options.clone(),
+        ValidationMode::Structural,
+        0,
+    ));
     let time_batch_validated = || -> f64 {
         let mut work = flat.clone();
         let start = std::time::Instant::now();
-        let _ = ossa_destruct::translate_corpus_isolated_policy(
-            &mut work,
-            &options,
-            &Limits::UNBOUNDED,
-            &validation_policy,
-            1,
-        );
+        let _ = validating.try_run(&mut work);
         start.elapsed().as_secs_f64()
     };
     // Recovery counters of one validated run: all zero on a healthy corpus
@@ -114,13 +106,7 @@ fn main() {
     // reports how many functions demoted the fast liveness checker.
     let (validation_failures, recovered_functions, liveness_fallbacks) = {
         let mut work = flat.clone();
-        let stats = ossa_destruct::translate_corpus_isolated_policy(
-            &mut work,
-            &options,
-            &Limits::UNBOUNDED,
-            &validation_policy,
-            1,
-        );
+        let stats = validating.try_run(&mut work);
         (stats.validation_failures(), stats.recovered_functions(), stats.total().liveness_fallbacks)
     };
     // Seed-style and batch-serial are sampled interleaved (five rounds,
@@ -131,14 +117,11 @@ fn main() {
     // scratch reused across functions versus rebuilt for every function.
     let mut seed_style = f64::INFINITY;
     let mut serial = f64::INFINITY;
-    let mut streaming = f64::INFINITY;
     for _ in 0..5 {
         let s: f64 = corpus.iter().map(|w| run_variant_seed_style(w, &options).1).sum();
         seed_style = seed_style.min(s);
         let b: f64 = corpus.iter().map(|w| ossa_bench::run_variant(w, &options).1).sum();
         serial = serial.min(b);
-        let t: f64 = corpus.iter().map(|w| run_variant_streaming(w, &options).1).sum();
-        streaming = streaming.min(t);
     }
     let parallel: f64 = min3(&|| time_batch(0));
     let validated: f64 = min3(&time_batch_validated);
@@ -146,7 +129,6 @@ fn main() {
     println!("\nbatch engine over the corpus (default options):");
     println!("  seed-style serial loop  {seed_style:.4}s  ({seed_style_allocs} allocations)");
     println!("  batch engine (serial)   {serial:.4}s  ({batch_allocs} allocations)");
-    println!("  streaming engine (serial) {streaming:.4}s  ({streaming_allocs} allocations)");
     println!("  batch engine (parallel) {parallel:.4}s  ({threads} threads, {speedup:.2}x vs seed style)");
     let PhaseSeconds { liveness, coalesce, sequentialize } = phase;
     println!("  batch serial phases     liveness {liveness:.4}s, coalesce {coalesce:.4}s, sequentialize {sequentialize:.4}s");
@@ -161,27 +143,6 @@ fn main() {
          {stream_steady_1x:.3} allocations/function at 1x, {stream_steady_2x:.3} at 2x \
          ({} functions/pass)",
         stream_profile.functions_per_pass
-    );
-
-    // Scripted overload through the translation service: the shed /
-    // queue-expiry / degradation counters are deterministic functions of
-    // the corpus scale (the workers are paused while the queue is loaded),
-    // so they ride in the trajectory JSON as a behaviour fingerprint of the
-    // overload model next to the timing fields. The full service report
-    // (throughput, tail latency) lives in `service_bench`'s own JSON.
-    let overload = {
-        let segment: Vec<_> = flat.iter().take(16).cloned().collect();
-        ossa_bench::service_load::scripted_overload_stats(&segment)
-    };
-    println!(
-        "\nscripted service overload: {} accepted, {} shed, {} expired in queue, \
-         {} deadline expiries, {} degraded / {} recovered transitions",
-        overload.accepted,
-        overload.shed,
-        overload.expired_in_queue,
-        overload.deadline_exceeded,
-        overload.degraded_transitions,
-        overload.recovered_transitions
     );
 
     // Figure 5 static-copy counts per coalescing variant: the ROADMAP's
@@ -220,7 +181,6 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"seed_style_serial_seconds\": {seed_style:.6},");
     let _ = writeln!(json, "  \"batch_serial_seconds\": {serial:.6},");
-    let _ = writeln!(json, "  \"streaming_serial_seconds\": {streaming:.6},");
     let _ = writeln!(json, "  \"batch_parallel_seconds\": {parallel:.6},");
     let _ = writeln!(json, "  \"batch_threads\": {threads},");
     let _ = writeln!(json, "  \"batch_speedup_vs_seed_style\": {speedup:.3},");
@@ -231,7 +191,6 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"seed_style_serial_allocations\": {seed_style_allocs},");
     let _ = writeln!(json, "  \"batch_serial_allocations\": {batch_allocs},");
-    let _ = writeln!(json, "  \"streaming_serial_allocations\": {streaming_allocs},");
     let _ = writeln!(
         json,
         "  \"streaming_functions_per_pass\": {},",
@@ -245,21 +204,6 @@ fn main() {
     let _ = writeln!(json, "  \"validation_failures\": {validation_failures},");
     let _ = writeln!(json, "  \"recovered_functions\": {recovered_functions},");
     let _ = writeln!(json, "  \"liveness_fallbacks\": {liveness_fallbacks},");
-    let _ = writeln!(json, "  \"service_overload_shed\": {},", overload.shed);
-    let _ =
-        writeln!(json, "  \"service_overload_expired_in_queue\": {},", overload.expired_in_queue);
-    let _ =
-        writeln!(json, "  \"service_overload_deadline_exceeded\": {},", overload.deadline_exceeded);
-    let _ = writeln!(
-        json,
-        "  \"service_overload_degraded_transitions\": {},",
-        overload.degraded_transitions
-    );
-    let _ = writeln!(
-        json,
-        "  \"service_overload_recovered_transitions\": {},",
-        overload.recovered_transitions
-    );
     let pool = &stream_profile.pool;
     let _ = writeln!(json, "  \"pool\": {{");
     let _ = writeln!(json, "    \"checkouts\": {},", pool.checkouts);

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use ossa_destruct::{translate_corpus_serial, OutOfSsaOptions};
+use ossa_destruct::{Engine, OutOfSsaOptions};
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
     ];
     for (name, options) in OutOfSsaOptions::figure5_variants().into_iter().chain(rungs) {
         let mut work = functions.clone();
-        let stats = translate_corpus_serial(&mut work, &options);
+        let stats = Engine::new(options).with_threads(1).run(&mut work);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for func in &work {
             text.clear();

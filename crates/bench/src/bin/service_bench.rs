@@ -20,7 +20,7 @@
 //!
 //! `--smoke` instead runs a small corpus with assertions on: every
 //! submission admitted, every accepted request resolved exactly once with a
-//! typed outcome, every output bit-identical to the direct isolated engine,
+//! typed outcome, every output bit-identical to the direct checked engine,
 //! and the scripted overload producing exactly its predicted counters. Any
 //! violation exits non-zero (the CI `service` job runs this).
 //!
@@ -31,12 +31,8 @@ use std::time::Instant;
 
 use ossa_bench::service_load::scripted_overload_stats;
 use ossa_bench::{corpus, DEFAULT_SCALE};
-use ossa_destruct::{
-    translate_corpus_serial, translate_function_isolated_policy, EnginePolicy, Limits,
-    OutOfSsaOptions, TranslateScratch, ValidationMode,
-};
+use ossa_destruct::{Engine, EngineWorker, Ladder, OutOfSsaOptions, ValidationMode};
 use ossa_ir::Function;
-use ossa_liveness::FunctionAnalyses;
 use ossa_service::{ServiceConfig, ServiceResponse, ServiceStats, TranslationService};
 
 fn flatten(scale: f64) -> Vec<Function> {
@@ -51,11 +47,12 @@ const WARMUP_PER_WORKER: usize = 4;
 /// Minimum serial batch-engine seconds over `samples` runs (after one
 /// warm-up), the capacity calibration.
 fn serial_seconds(functions: &[Function], options: &OutOfSsaOptions, samples: usize) -> f64 {
+    let engine = Engine::new(options.clone()).with_threads(1);
     let mut best = f64::INFINITY;
     for i in 0..=samples.max(1) {
         let mut work = functions.to_vec();
         let start = Instant::now();
-        let _ = translate_corpus_serial(&mut work, options);
+        let _ = engine.run(&mut work);
         let elapsed = start.elapsed().as_secs_f64();
         if i > 0 {
             best = best.min(elapsed);
@@ -112,27 +109,17 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// The direct isolated-engine reference outputs (rung-0 configuration) the
+/// The direct checked-engine reference outputs (rung-0 configuration) the
 /// smoke check holds the service to, bit for bit.
 fn references(functions: &[Function], validation: ValidationMode) -> Vec<Function> {
     let options = OutOfSsaOptions::default();
-    let policy = EnginePolicy::validating(validation);
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
+    let engine = Engine::new(options.clone()).with_ladder(Ladder::retrying(options, validation, 0));
+    let mut worker = EngineWorker::new();
     functions
         .iter()
         .map(|func| {
             let mut func = func.clone();
-            analyses.invalidate_cfg();
-            translate_function_isolated_policy(
-                &mut func,
-                &options,
-                &Limits::default(),
-                &policy,
-                &mut analyses,
-                &mut scratch,
-            )
-            .expect("healthy corpus function translates");
+            worker.try_translate(&mut func, &engine).expect("healthy corpus function translates");
             func
         })
         .collect()

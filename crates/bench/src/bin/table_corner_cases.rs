@@ -3,7 +3,7 @@
 //! translated and verified against the interpreter.
 
 use ossa_bench::quality_variants;
-use ossa_destruct::translate_corpus;
+use ossa_destruct::Engine;
 use ossa_interp::{same_behaviour, Interpreter};
 use ossa_ir::builder::FunctionBuilder;
 use ossa_ir::{BinaryOp, CmpOp, Function, InstData};
@@ -139,7 +139,7 @@ fn main() {
     // variant, and are then checked against the interpreter oracle.
     for (variant, options) in quality_variants() {
         let mut translated: Vec<Function> = cases.iter().map(|(_, f, _)| f.clone()).collect();
-        let corpus_stats = translate_corpus(&mut translated, &options);
+        let corpus_stats = Engine::new(options.clone()).run(&mut translated);
         for (((case, func, inputs), work), stats) in
             cases.iter().zip(&translated).zip(&corpus_stats.per_function)
         {

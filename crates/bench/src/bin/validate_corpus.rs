@@ -1,5 +1,5 @@
 //! Full-corpus self-check: translate the benchmark corpus under
-//! *Differential* validation and a one-retry recovery policy, and fail the
+//! *Differential* validation with one conservative retry, and fail the
 //! process if any function comes out of the engine with an error.
 //!
 //! This is the CI end of the self-checking-translation design: every
@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use ossa_destruct::{EnginePolicy, Limits, OutOfSsaOptions, ValidationMode};
+use ossa_destruct::{Engine, Ladder, OutOfSsaOptions, ValidationMode};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,21 +49,17 @@ fn main() -> ExitCode {
     let mut work: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
     let total_functions = work.len();
     let options = OutOfSsaOptions::default();
-    let policy = EnginePolicy::validating(ValidationMode::Differential).with_retries(1);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let engine = Engine::new(options.clone())
+        .with_ladder(Ladder::retrying(options, ValidationMode::Differential, 1))
+        .with_threads(threads);
 
     println!(
         "validate_corpus: {total_functions} functions at scale {scale}, differential \
          validation, 1 conservative retry, {threads} threads"
     );
     let start = std::time::Instant::now();
-    let stats = ossa_destruct::translate_corpus_isolated_policy(
-        &mut work,
-        &options,
-        &Limits::UNBOUNDED,
-        &policy,
-        threads,
-    );
+    let stats = engine.try_run(&mut work);
     let seconds = start.elapsed().as_secs_f64();
 
     let errors: Vec<(usize, String)> = stats

@@ -10,8 +10,7 @@
 //!   footprints of the interference/liveness structures.
 //!
 //! The binaries `fig5_quality`, `fig6_speed`, `fig7_memory` and
-//! `table_corner_cases` print the rows; the Criterion benches wrap the same
-//! code for statistically meaningful timings.
+//! `table_corner_cases` print the rows.
 
 #![warn(missing_docs)]
 // `deny` instead of `forbid`: the counting allocator is the one audited
@@ -29,8 +28,7 @@ use ossa_cfggen::{
     spec_num_functions, GenScratch, Workload, SPEC_BENCHMARKS,
 };
 use ossa_destruct::{
-    translate_corpus_serial, translate_corpus_with, translate_out_of_ssa,
-    translate_stream_pooled_serial, translate_stream_with, ClassCheck, EngineWorker,
+    translate_out_of_ssa, translate_stream_pooled_serial, ClassCheck, Engine, EngineWorker,
     InterferenceMode, OutOfSsaOptions, OutOfSsaStats, PooledSource,
 };
 use ossa_ir::{Function, FunctionPool, PoolStats};
@@ -233,36 +231,9 @@ pub fn streaming_allocation_passes(
 /// harness included it, which diluted the engine comparison).
 pub fn run_variant(workload: &Workload, options: &OutOfSsaOptions) -> (OutOfSsaStats, f64) {
     let mut funcs = workload.functions.clone();
+    let engine = Engine::new(options.clone()).with_threads(1);
     let start = Instant::now();
-    let stats = translate_corpus_serial(&mut funcs, options);
-    (stats.total(), start.elapsed().as_secs_f64())
-}
-
-/// Runs one translation variant over one workload through the parallel batch
-/// engine (`threads == 0` selects one worker per core).
-pub fn run_variant_parallel(
-    workload: &Workload,
-    options: &OutOfSsaOptions,
-    threads: usize,
-) -> (OutOfSsaStats, f64) {
-    let mut funcs = workload.functions.clone();
-    let start = Instant::now();
-    let stats = translate_corpus_with(&mut funcs, options, threads);
-    (stats.total(), start.elapsed().as_secs_f64())
-}
-
-/// Runs one translation variant over one workload through the serial
-/// *streaming* engine (`translate_stream_with`, one worker). The input
-/// functions are cloned into a queue before the timer starts, so the timed
-/// region is exactly the engine draining an iterator — comparable with
-/// [`run_variant`]'s batch-serial timing.
-pub fn run_variant_streaming(
-    workload: &Workload,
-    options: &OutOfSsaOptions,
-) -> (OutOfSsaStats, f64) {
-    let queue = workload.functions.clone();
-    let start = Instant::now();
-    let (_funcs, stats) = translate_stream_with(queue, options, 1);
+    let stats = engine.run(&mut funcs);
     (stats.total(), start.elapsed().as_secs_f64())
 }
 
@@ -283,21 +254,6 @@ pub fn run_variant_seed_style(
         total.absorb(&stats);
     }
     (total, start.elapsed().as_secs_f64())
-}
-
-/// Minimal timing harness used by the `harness = false` benches (no
-/// Criterion in the offline build environment): runs `f` once for warm-up,
-/// then `samples` times, and returns the minimum wall-clock seconds together
-/// with the last result.
-pub fn time_min<R>(samples: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut result = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        result = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, result)
 }
 
 /// One row of the Figure 5 report: remaining copies per benchmark and the

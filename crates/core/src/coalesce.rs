@@ -17,7 +17,7 @@
 //! * **class interference checks**: quadratic or linear (Section IV-B).
 //!
 //! Analyses are obtained through a shared [`FunctionAnalyses`] cache:
-//! [`translate_out_of_ssa_cached`] reuses whatever the caller already
+//! [`translate_out_of_ssa_scratch`] reuses whatever the caller already
 //! computed and invalidates exactly what each phase clobbers, which is what
 //! makes the translation cheap enough for a JIT (the paper's Figure 6
 //! argument). [`translate_out_of_ssa`] is the convenience entry point that
@@ -363,17 +363,9 @@ pub struct OutOfSsaOptions {
     pub weighted: bool,
     /// Sequentialize the remaining parallel copies at the end.
     pub sequentialize: bool,
-    /// Early-exit threshold of the profitability-ordered affinity loop. The
-    /// global affinity list is processed in decreasing block-frequency
-    /// order, so once the weight of the next affinity drops below this
-    /// value the entire remaining cold tail is abandoned without
-    /// interference tests — everything skipped is at most this profitable.
-    /// `0.0` (the default) keeps every affinity and is bit-identical to the
-    /// exhaustive loop. Raising it trades static copies in cold blocks for
-    /// decision time; the Figure 5 evaluation found no positive threshold
-    /// that is equal-or-better on every variant (skipping an affinity can
-    /// only leave more copies), so the knob ships disabled by default.
-    pub abort_threshold: f64,
+    /// Skip the profitability-ordered affinity loop entirely; set only by
+    /// [`OutOfSsaOptions::minimal_coalescing`].
+    minimal: bool,
 }
 
 impl Default for OutOfSsaOptions {
@@ -386,7 +378,7 @@ impl Default for OutOfSsaOptions {
             class_check: ClassCheck::Linear,
             weighted: true,
             sequentialize: true,
-            abort_threshold: 0.0,
+            minimal: false,
         }
     }
 }
@@ -503,21 +495,13 @@ impl OutOfSsaOptions {
         self.sequentialize = sequentialize;
         self
     }
-    /// Sets the cold-tail abort threshold of the affinity loop (see
-    /// [`OutOfSsaOptions::abort_threshold`]).
-    pub fn with_abort_threshold(mut self, threshold: f64) -> Self {
-        self.abort_threshold = threshold;
-        self
-    }
-
-    /// The conservative configuration the recovery ladder retries failed
-    /// functions on: the coalescing-minimal `Intersect` variant on the
-    /// sets-based [`InterferenceMode::InterCheck`] backend with the
-    /// quadratic class check — the simplest, most battle-tested path
-    /// through the engine, avoiding the fast liveness checker, the value
-    /// table, copy sharing and the cold-tail abort. Sequentialization and
-    /// weighting are preserved from `self` so the retry produces output of
-    /// the shape the caller asked for.
+    /// The conservative configuration the retry ladder falls back to: the
+    /// coalescing-minimal `Intersect` variant on the sets-based
+    /// [`InterferenceMode::InterCheck`] backend with the quadratic class
+    /// check — the simplest, most battle-tested path through the engine,
+    /// avoiding the fast liveness checker, the value table and copy
+    /// sharing. Sequentialization and weighting are preserved from `self` so
+    /// the retry produces output of the shape the caller asked for.
     pub fn conservative_fallback(&self) -> Self {
         Self {
             strategy: Strategy::Intersect,
@@ -527,19 +511,18 @@ impl OutOfSsaOptions {
             class_check: ClassCheck::Quadratic,
             weighted: self.weighted,
             sequentialize: self.sequentialize,
-            abort_threshold: 0.0,
+            minimal: false,
         }
     }
 
     /// The last rung of the service degradation ladder: the
     /// [`OutOfSsaOptions::conservative_fallback`] configuration with the
-    /// cold-tail abort threshold set to `+inf`, so *every* affinity is
-    /// abandoned — no coalescing beyond the mandatory φ-isolation, the
-    /// least work the translation can do while still emitting correct
-    /// (copy-heavy) output. Used when a shedding service values latency
-    /// over copy quality.
+    /// affinity loop skipped — no coalescing beyond the mandatory
+    /// φ-isolation, the least work the translation can do while still
+    /// emitting correct (copy-heavy) output. Used when a shedding service
+    /// values latency over copy quality.
     pub fn minimal_coalescing(&self) -> Self {
-        Self { abort_threshold: f64::INFINITY, ..self.conservative_fallback() }
+        Self { minimal: true, ..self.conservative_fallback() }
     }
 }
 
@@ -636,11 +619,11 @@ pub struct OutOfSsaStats {
     /// Corpus aggregation sums it into a fallback count.
     pub liveness_fallbacks: usize,
     /// Validation failures observed while translating this function: 0 on a
-    /// clean run, and with a recovery policy the number of attempts whose
+    /// clean run, and under a retry ladder the number of attempts whose
     /// output the validator rejected before one succeeded.
     pub validation_failures: usize,
-    /// How this function fared under the recovery ladder (always
-    /// [`RecoveryOutcome::Clean`] without a policy).
+    /// How this function fared under the retry ladder (always
+    /// [`RecoveryOutcome::Clean`] for an unchecked translation).
     pub recovery: RecoveryOutcome,
     /// Memory accounting.
     pub memory: MemoryStats,
@@ -648,23 +631,19 @@ pub struct OutOfSsaStats {
     pub phase_seconds: PhaseSeconds,
 }
 
-/// Per-function verdict of the tiered recovery ladder (see
-/// `RecoveryPolicy` in the engine module).
+/// Per-function verdict of the retry ladder (see [`Ladder`](crate::Ladder)).
+/// A function that exhausts the ladder has no stats: it reports its final
+/// error instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryOutcome {
     /// The first attempt succeeded — no recovery was needed (also the value
-    /// for every function of engines run without a recovery policy).
+    /// of every unchecked translation).
     #[default]
     Clean,
-    /// A retry on the conservative configuration succeeded.
+    /// A retry on a fallback rung succeeded.
     Recovered {
         /// The 1-based attempt the function finally translated on.
         attempt: u32,
-    },
-    /// Every attempt failed; the function's final error was reported.
-    GaveUp {
-        /// Total attempts made (1 + `max_retries`).
-        attempts: u32,
     },
 }
 
@@ -716,29 +695,23 @@ impl OutOfSsaStats {
 /// Panics if `func` fails SSA verification in debug builds (the translation
 /// itself assumes a well-formed input).
 pub fn translate_out_of_ssa(func: &mut Function, options: &OutOfSsaOptions) -> OutOfSsaStats {
-    let mut analyses = FunctionAnalyses::new();
-    translate_out_of_ssa_cached(func, options, &mut analyses)
+    translate_out_of_ssa_scratch(
+        func,
+        options,
+        &mut FunctionAnalyses::new(),
+        &mut TranslateScratch::new(),
+    )
 }
 
 /// Runs the out-of-SSA translation on `func` in place, sharing the analyses
-/// in `analyses`.
+/// in `analyses` and reusing the caller's [`TranslateScratch`] — the step
+/// the engine drives, with one cache and one scratch per worker hoisted out
+/// of the per-function loop.
 ///
 /// Whatever the caller already computed (CFG, dominators, liveness) is
 /// reused where still valid; on return the cache holds analyses of the
 /// *translated* function with only the instruction-dependent parts dropped,
 /// so a downstream consumer (e.g. the register allocator) can keep using it.
-pub fn translate_out_of_ssa_cached(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    analyses: &mut FunctionAnalyses,
-) -> OutOfSsaStats {
-    let mut scratch = TranslateScratch::new();
-    translate_out_of_ssa_scratch(func, options, analyses, &mut scratch)
-}
-
-/// Like [`translate_out_of_ssa_cached`], additionally reusing the caller's
-/// [`TranslateScratch`] — the entry point the corpus engine drives, with one
-/// scratch per worker hoisted out of the per-function loop.
 pub fn translate_out_of_ssa_scratch(
     func: &mut Function,
     options: &OutOfSsaOptions,
@@ -1122,14 +1095,10 @@ fn decide<L: BlockLiveness>(
     affinities.extend_from_slice(plain_copies);
     sort_moves_by_weight_desc(affinities, sort_buf, &weight);
     coalesce_probe(CoalesceStage::Decide);
-    for &m in affinities.iter() {
-        // Profitability early exit: the list is sorted by decreasing
-        // weight, so once one affinity falls below the abort threshold the
-        // whole remaining tail does too — everything skipped is at most
-        // `abort_threshold` profitable. Disabled (bit-identical) at 0.0.
-        if options.abort_threshold > 0.0 && weight(m.block) < options.abort_threshold {
-            break;
-        }
+    // Minimal coalescing abandons the whole loop: only the φ-isolation
+    // merges above happen.
+    let tried = if options.minimal { 0 } else { affinities.len() };
+    for &m in &affinities[..tried] {
         if classes.same_class(m.dst, m.src) {
             moves_coalesced += 1;
             continue;
@@ -1850,7 +1819,12 @@ mod tests {
             // Pre-warm the cache as an upstream phase would.
             let _ = analyses.liveness_sets(&cached);
             let _ = analyses.fast_liveness(&cached);
-            let cached_stats = translate_out_of_ssa_cached(&mut cached, &options, &mut analyses);
+            let cached_stats = translate_out_of_ssa_scratch(
+                &mut cached,
+                &options,
+                &mut analyses,
+                &mut TranslateScratch::new(),
+            );
 
             assert_eq!(fresh, cached, "{name}: translated code differs");
             assert_eq!(fresh_stats, cached_stats, "{name}: stats differ");

@@ -1,36 +1,13 @@
-//! Batch and streaming out-of-SSA translation over a corpus of functions.
+//! Batch and streaming out-of-SSA translation over many functions.
 //!
-//! A JIT (or an AOT compiler doing whole-program work) does not translate
-//! one function: it drains a queue of them. [`translate_corpus`] is the
-//! batch entry point — each function gets its own [`FunctionAnalyses`]
-//! cache, shared across the phases of its translation, and independent
-//! functions run in parallel on a scoped-thread worker pool (the standard
-//! library only; the build environment has no external crates).
-//!
-//! [`translate_stream`] is the streaming front end: it drains an *iterator*
-//! of functions, so a JIT queue (or a channel's receiver) can feed the
-//! engine without materializing the whole corpus first. Items are pulled
-//! from the iterator one at a time as workers free up; each worker owns one
-//! [`FunctionAnalyses`] and one [`TranslateScratch`] whose storage is
-//! *recycled* across the functions it translates (the caches are
-//! invalidated, not reallocated), so steady-state translation performs
-//! almost no per-function allocation.
-//!
-//! [`translate_stream_pooled`] closes the remaining allocation loop: the
-//! input is a [`PooledSource`] that builds each incoming function *into*
-//! recycled storage checked out of the worker's [`FunctionPool`], and the
-//! engine retires each translated function's storage back to that pool once
-//! the consumer has seen it. After warm-up, translating one more function
-//! touches the heap a bounded number of times regardless of how many
-//! functions have already streamed through — O(1) steady-state heap traffic
-//! for an unbounded stream.
-//!
-//! Parallel, serial, batch and streaming execution all produce bit-identical
-//! functions and statistics: per-function work is deterministic and results
-//! are collected by input index, so [`CorpusStats::per_function`] lines up
-//! with the input order regardless of scheduling.
+//! An [`Engine`] — a [`Ladder`], [`Limits`] and a worker count — translates
+//! a slice in place on one or more threads, or drains a [`PooledSource`] on a
+//! caller-owned [`EngineWorker`]. The `run*` entry points use the unchecked
+//! step; `try_run*` use the checked one, [`EngineWorker::try_translate`],
+//! which costs a release-mode SSA verification per function. Results are
+//! bit-identical at any thread count and kept in input order.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use ossa_ir::{Function, FunctionPool};
 use ossa_liveness::FunctionAnalyses;
@@ -39,108 +16,111 @@ use crate::coalesce::{
     translate_out_of_ssa_scratch, OutOfSsaOptions, OutOfSsaStats, RecoveryOutcome, TranslateScratch,
 };
 use crate::fault::{self, Limits, TranslateError, TranslatePhase};
+use crate::ladder::{Ladder, Rung};
 use crate::validate::{validate_translation, ValidationMode};
 
-/// How many times an isolated engine retries a failed function on the
-/// conservative configuration before giving up.
-///
-/// The recovery ladder (attempt 0 = the caller's options; attempts 1.. =
-/// [`OutOfSsaOptions::conservative_fallback`] on a fresh, quarantined
-/// worker) fires on *any* [`TranslateError`] — panic, resource blowup or
-/// validation failure alike — restoring the function from a pristine
-/// pre-translation snapshot between attempts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Retries after the first failed attempt (`0`, the default, reports
-    /// the first error as today).
-    pub max_retries: u32,
-}
-
-impl RecoveryPolicy {
-    /// A policy that retries `max_retries` times.
-    pub fn retries(max_retries: u32) -> Self {
-        Self { max_retries }
-    }
-}
-
-/// Self-checking configuration of an isolated engine: what to validate on
-/// each translated function and how hard to try to recover failures. The
-/// default (`Off`, no retries) is a pure pass-through — the engine behaves
-/// byte-for-byte like the policy-free entry points.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EnginePolicy {
-    /// Post-translation output validation mode.
-    pub validation: ValidationMode,
-    /// Retry ladder for failed functions.
-    pub recovery: RecoveryPolicy,
-}
-
-impl EnginePolicy {
-    /// A policy that validates at `mode` without retrying.
-    pub fn validating(mode: ValidationMode) -> Self {
-        Self { validation: mode, ..Self::default() }
-    }
-
-    /// Adds a recovery ladder of `max_retries` conservative retries.
-    pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.recovery = RecoveryPolicy::retries(max_retries);
-        self
-    }
-
-    /// `true` when the policy changes nothing — no validation, no retries —
-    /// letting the per-function driver skip the pristine snapshot entirely.
-    pub fn is_passthrough(&self) -> bool {
-        self.validation == ValidationMode::Off && self.recovery.max_retries == 0
-    }
-}
-
-/// The complete recycled state of one engine worker: the analysis caches and
-/// translation scratch hoisted out of the per-function loop, plus the
-/// [`FunctionPool`] free list that recycles *function storage itself* for
-/// pool-aware streaming sources.
-///
-/// A worker is the unit of steady-state allocation freedom: once every
-/// buffer in it has grown to the high-water mark of the functions it has
-/// seen, translating one more function of comparable size allocates nothing.
-/// The serial pooled entry points take the worker by `&mut` so a caller
-/// (e.g. the benchmark harness) can keep it warm across multiple passes and
-/// observe warm-up versus steady-state behaviour directly.
+/// The recycled state of one engine worker: once every buffer has grown to
+/// the high-water mark of the functions seen, translating one more function
+/// of comparable size allocates nothing.
 #[derive(Debug, Default)]
 pub struct EngineWorker {
-    /// Cached per-function analyses; invalidated, never reallocated, between
-    /// functions.
+    /// Cached analyses, invalidated (never reallocated) between functions.
     pub analyses: FunctionAnalyses,
     /// Translation scratch buffers, reused as-is between functions.
     pub scratch: TranslateScratch,
-    /// Free list of retired `Function` storage handed to the stream source.
+    /// Retired `Function` storage, for pooled sources and pristine snapshots.
     pub pool: FunctionPool,
 }
 
 impl EngineWorker {
-    /// Creates a cold worker; every buffer grows on first use and is
-    /// recycled afterwards.
+    /// Creates a cold worker.
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The unchecked step.
+    fn translate(&mut self, func: &mut Function, options: &OutOfSsaOptions) -> OutOfSsaStats {
+        self.analyses.invalidate_cfg();
+        translate_out_of_ssa_scratch(func, options, &mut self.analyses, &mut self.scratch)
+    }
+
+    /// The checked step: walks `engine`'s ladder under its limits until a
+    /// rung succeeds, with one pristine snapshot from [`EngineWorker::pool`]
+    /// when the ladder validates or retries. On `Err`, `func` may be
+    /// partially rewritten and must not be used; the worker stays usable.
+    pub fn try_translate(
+        &mut self,
+        func: &mut Function,
+        engine: &Engine,
+    ) -> Result<OutOfSsaStats, TranslateError> {
+        let pristine = engine.ladder.needs_snapshot().then(|| self.pool.checkout_clone_of(func));
+        let walk = engine.ladder.walk(0, func, pristine.as_ref(), |func, rung, _| {
+            self.try_rung(func, rung, &engine.limits, pristine.as_ref())
+        });
+        if let Some(pristine) = pristine {
+            self.pool.retire(pristine);
+        }
+        walk.result
+    }
+
+    /// One attempt of the checked step on one rung, for callers that walk
+    /// their own [`Ladder`] (the translation service).
+    pub fn try_rung(
+        &mut self,
+        func: &mut Function,
+        rung: &Rung,
+        limits: &Limits,
+        pristine: Option<&Function>,
+    ) -> Result<OutOfSsaStats, TranslateError> {
+        self.attempt(func, rung, limits, pristine, |worker, func| {
+            ossa_ir::verify_ssa(func).map_err(|errors| TranslateError::Malformed {
+                phase: TranslatePhase::Verify,
+                detail: errors.to_string(),
+            })?;
+            Ok(worker.translate(func, &rung.options))
+        })
+    }
+
+    /// The fault boundary of one attempt: checks `limits`, runs `translate`
+    /// under the fixpoint fuel, validates against `pristine` at the rung's
+    /// [`ValidationMode`], and types any panic. On `Err` the worker is
+    /// quarantined: its caches may be mid-mutation, so they are rebuilt.
+    pub fn attempt<R>(
+        &mut self,
+        func: &mut Function,
+        rung: &Rung,
+        limits: &Limits,
+        pristine: Option<&Function>,
+        translate: impl FnOnce(&mut Self, &mut Function) -> Result<R, TranslateError>,
+    ) -> Result<R, TranslateError> {
+        ossa_liveness::fuel::set_fixpoint_fuel(limits.max_fixpoint_iters);
+        let result = fault::catch_translate(|| {
+            fault::enter_phase(&func.name, TranslatePhase::Verify);
+            limits.check_function(func)?;
+            let output = translate(self, func)?;
+            if rung.validation != ValidationMode::Off {
+                fault::enter_phase(&func.name, TranslatePhase::Validate);
+                let pristine = pristine.expect("validation compares against the pristine input");
+                validate_translation(pristine, func, &rung.options, rung.validation)?;
+            }
+            Ok(output)
+        })
+        .unwrap_or_else(Err);
+        ossa_liveness::fuel::set_fixpoint_fuel(None);
+        if result.is_err() {
+            self.analyses = FunctionAnalyses::new();
+            self.scratch = TranslateScratch::new();
+        }
+        result
+    }
 }
 
-/// A pool-aware stream of input functions.
-///
-/// Where a plain `Iterator<Item = Function>` source must allocate fresh
-/// function storage for every item it yields, a `PooledSource` is handed the
-/// engine's [`FunctionPool`] and is expected to build each incoming function
-/// *into* a checked-out slot (via
-/// [`FunctionBuilder::reuse`](ossa_ir::builder::FunctionBuilder::reuse) or a
-/// generator's `*_into` entry point), closing the recycling loop: the
-/// engine retires each translated function back to the pool once the
-/// consumer is done with it, and the source checks the same storage out
-/// again for the next item.
-///
-/// The trait is implemented for any `FnMut(&mut FunctionPool) ->
-/// Option<Function>` closure, so ad-hoc sources need no named type.
+/// A stream of functions built *into* slots checked out of the worker's pool
+/// (e.g. by a generator's `*_into` entry point); the engine retires each slot
+/// once the consumer has seen its translation. Any
+/// `FnMut(&mut FunctionPool) -> Option<Function>` closure is one.
 pub trait PooledSource {
-    /// Produces the next function of the stream, preferably built into
-    /// storage checked out of `pool`. `None` ends the stream.
+    /// Produces the next function of the stream; `None` ends it.
     fn next_into(&mut self, pool: &mut FunctionPool) -> Option<Function>;
 }
 
@@ -150,52 +130,41 @@ impl<F: FnMut(&mut FunctionPool) -> Option<Function>> PooledSource for F {
     }
 }
 
-/// Statistics of one batch translation.
+/// Statistics of one unchecked run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CorpusStats {
     /// Per-function statistics, in input order.
     pub per_function: Vec<OutOfSsaStats>,
-    /// Number of worker threads actually used.
+    /// Number of worker threads used.
     pub threads: usize,
 }
 
 impl CorpusStats {
     /// Aggregates the per-function statistics into one total.
     pub fn total(&self) -> OutOfSsaStats {
-        let mut total = OutOfSsaStats::default();
-        for stats in &self.per_function {
-            total.absorb(stats);
-        }
-        total
+        total(&self.per_function)
     }
 }
 
-/// Statistics of one fault-isolated corpus translation: one
-/// [`Result`] per input function, in input order. A function that failed
-/// carries its typed [`TranslateError`]; every other function's translation
-/// is bit-identical to a fault-free run (the failed worker's caches are
-/// quarantined and rebuilt, never shared into a healthy function).
+/// Statistics of one checked run, in input order. Every successful function
+/// is bit-identical to a fault-free run: failed workers are quarantined.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IsolatedCorpusStats {
     /// Per-function outcome, in input order.
     pub results: Vec<Result<OutOfSsaStats, TranslateError>>,
-    /// Number of worker threads actually used.
+    /// Number of worker threads used.
     pub threads: usize,
 }
 
 impl IsolatedCorpusStats {
-    /// Aggregates the statistics of the *successful* functions.
+    /// Aggregates the statistics of the successful functions.
     pub fn total(&self) -> OutOfSsaStats {
-        let mut total = OutOfSsaStats::default();
-        for stats in self.results.iter().flatten() {
-            total.absorb(stats);
-        }
-        total
+        total(self.results.iter().flatten())
     }
 
     /// Number of failed functions.
     pub fn num_errors(&self) -> usize {
-        self.results.iter().filter(|r| r.is_err()).count()
+        self.errors().count()
     }
 
     /// The failed functions, as `(input index, error)` pairs.
@@ -203,858 +172,193 @@ impl IsolatedCorpusStats {
         self.results.iter().enumerate().filter_map(|(i, r)| r.as_ref().err().map(|e| (i, e)))
     }
 
-    /// Number of functions the recovery ladder healed (their first attempt
-    /// failed, a conservative retry succeeded). Always 0 without a
-    /// [`RecoveryPolicy`].
+    /// Number of functions a fallback rung healed.
     pub fn recovered_functions(&self) -> usize {
-        self.results
-            .iter()
-            .flatten()
-            .filter(|s| matches!(s.recovery, RecoveryOutcome::Recovered { .. }))
-            .count()
+        let recovered = |s: &OutOfSsaStats| s.recovery != RecoveryOutcome::Clean;
+        self.results.iter().flatten().filter(|s| recovered(s)).count()
     }
 
-    /// Validation failures visible in the outcome records: rejected attempts
-    /// of functions that eventually succeeded, plus one per function whose
-    /// *final* error is a validation failure.
+    /// Rejected attempts of functions that eventually succeeded, plus one
+    /// per function whose final error is a validation failure.
     pub fn validation_failures(&self) -> usize {
-        self.results
-            .iter()
-            .map(|r| match r {
-                Ok(stats) => stats.validation_failures,
-                Err(TranslateError::ValidationFailed { .. }) => 1,
-                Err(_) => 0,
-            })
-            .sum()
-    }
-}
-
-/// Translates one function out of SSA with full fault isolation: the input
-/// is verified and checked against `limits` up front, the translation runs
-/// under a panic boundary with the fixpoint-fuel budget installed, and any
-/// failure is returned as a typed [`TranslateError`] instead of unwinding
-/// into the caller.
-///
-/// On `Err`, `analyses` and `scratch` are *quarantined*: an unwind can leave
-/// them mid-mutation, so both are replaced by fresh instances (the one place
-/// the engine deliberately pays allocations — translation results are
-/// deterministic regardless of recycled storage, so healthy neighbours stay
-/// bit-identical). `func` itself may have been partially rewritten and must
-/// not be used as a translation result.
-pub fn translate_function_isolated(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    ossa_liveness::fuel::set_fixpoint_fuel(limits.max_fixpoint_iters);
-    let caught = fault::catch_translate(|| {
-        fault::enter_phase(&func.name, TranslatePhase::Verify);
-        limits.check_function(func)?;
-        if let Err(errors) = ossa_ir::verify_ssa(func) {
-            return Err(TranslateError::Malformed {
-                phase: TranslatePhase::Verify,
-                detail: errors.to_string(),
-            });
-        }
-        Ok(translate_out_of_ssa_scratch(func, options, analyses, scratch))
-    });
-    ossa_liveness::fuel::set_fixpoint_fuel(None);
-    let result = caught.unwrap_or_else(Err);
-    if result.is_err() {
-        *analyses = FunctionAnalyses::new();
-        *scratch = TranslateScratch::new();
-    }
-    result
-}
-
-/// Like [`translate_function_isolated`], under an [`EnginePolicy`]: after a
-/// successful translation the output is checked at the policy's
-/// [`ValidationMode`] (against a pristine pre-translation snapshot), and
-/// *any* failure — panic, limit, validation — is retried up to
-/// `policy.recovery.max_retries` times on the conservative configuration
-/// ([`OutOfSsaOptions::conservative_fallback`]) with quarantined, fresh
-/// worker state and the function restored from the snapshot.
-///
-/// On success, the returned stats carry the per-function
-/// [`RecoveryOutcome`] and the number of validation failures observed along
-/// the way. A pass-through policy (the default) takes the exact
-/// [`translate_function_isolated`] path — no snapshot, no extra allocation.
-pub fn translate_function_isolated_policy(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    if policy.is_passthrough() {
-        return translate_function_isolated(func, options, limits, analyses, scratch);
-    }
-
-    let pristine = func.clone();
-    translate_isolated_policy_with_pristine(
-        func, &pristine, options, limits, policy, analyses, scratch,
-    )
-}
-
-/// Like [`translate_function_isolated_policy`], but the pristine
-/// pre-translation snapshot is checked out of (and retired back to) the
-/// worker's [`FunctionPool`](ossa_ir::fnpool::FunctionPool) instead of being
-/// freshly cloned per call. The snapshot is read-only for the whole attempt
-/// ladder, so even a failed request retires its slot — warm steady-state
-/// snapshotting allocates nothing. This is the per-request entry point of
-/// the persistent service workers and the pooled streaming policy engines.
-pub fn translate_function_isolated_policy_pooled(
-    func: &mut Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    worker: &mut EngineWorker,
-) -> Result<OutOfSsaStats, TranslateError> {
-    if policy.is_passthrough() {
-        return translate_function_isolated(
-            func,
-            options,
-            limits,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-    }
-
-    let pristine = worker.pool.checkout_clone_of(func);
-    let result = translate_isolated_policy_with_pristine(
-        func,
-        &pristine,
-        options,
-        limits,
-        policy,
-        &mut worker.analyses,
-        &mut worker.scratch,
-    );
-    worker.pool.retire(pristine);
-    result
-}
-
-/// The shared attempt ladder of the policy engines: translate, validate,
-/// and on any failure restore `func` from `pristine`, quarantine the worker
-/// state and retry conservatively.
-fn translate_isolated_policy_with_pristine(
-    func: &mut Function,
-    pristine: &Function,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut TranslateScratch,
-) -> Result<OutOfSsaStats, TranslateError> {
-    let max_attempts = 1 + policy.recovery.max_retries;
-    let mut validation_failures = 0usize;
-    let mut last_error = None;
-    for attempt in 0..max_attempts {
-        #[cfg(feature = "failpoints")]
-        fault::failpoints::set_attempt(attempt);
-        let conservative;
-        let attempt_options = if attempt == 0 {
-            options
-        } else {
-            // A retry starts from scratch: pristine input, fresh worker
-            // state (the previous attempt's caches may hold decisions of
-            // the failed configuration), conservative options.
-            func.clone_from(pristine);
-            *analyses = FunctionAnalyses::new();
-            *scratch = TranslateScratch::new();
-            conservative = options.conservative_fallback();
-            &conservative
+        let failures = |r: &Result<OutOfSsaStats, _>| match r {
+            Ok(stats) => stats.validation_failures,
+            Err(error) => matches!(error, TranslateError::ValidationFailed { .. }) as usize,
         };
-        let result = translate_function_isolated(func, attempt_options, limits, analyses, scratch)
-            .and_then(|stats| {
-                let verdict = fault::catch_translate(|| {
-                    fault::enter_phase(&func.name, TranslatePhase::Validate);
-                    validate_translation(pristine, func, attempt_options, policy.validation)
-                })
-                .unwrap_or_else(Err);
-                verdict.map(|()| stats)
-            });
-        match result {
-            Ok(mut stats) => {
-                stats.validation_failures = validation_failures;
-                if attempt > 0 {
-                    stats.recovery = RecoveryOutcome::Recovered { attempt: attempt + 1 };
-                }
-                #[cfg(feature = "failpoints")]
-                fault::failpoints::set_attempt(0);
-                return Ok(stats);
-            }
-            Err(error) => {
-                if matches!(error, TranslateError::ValidationFailed { .. }) {
-                    validation_failures += 1;
-                }
-                // A rejected output means the worker state that produced it
-                // is suspect, exactly like an unwind; quarantine it.
-                *analyses = FunctionAnalyses::new();
-                *scratch = TranslateScratch::new();
-                last_error = Some(error);
-            }
-        }
+        self.results.iter().map(failures).sum()
     }
-    #[cfg(feature = "failpoints")]
-    fault::failpoints::set_attempt(0);
-    Err(last_error.expect("at least one attempt ran"))
 }
 
-/// Fault-isolated batch translation with the default thread count: like
-/// [`translate_corpus`], but a malformed, oversized or panicking function
-/// yields an error record instead of tearing down the corpus run. See
-/// [`translate_function_isolated`] for the per-function contract.
-pub fn translate_corpus_isolated(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-) -> IsolatedCorpusStats {
-    translate_corpus_isolated_with(funcs, options, limits, 0)
+fn total<'a>(stats: impl IntoIterator<Item = &'a OutOfSsaStats>) -> OutOfSsaStats {
+    let mut total = OutOfSsaStats::default();
+    for stats in stats {
+        total.absorb(stats);
+    }
+    total
 }
 
-/// Like [`translate_corpus_isolated`], with an explicit worker count
-/// (`0` = one per available core). `threads == 1` runs serially on the
-/// calling thread.
-pub fn translate_corpus_isolated_with(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
+/// How to translate many functions: the [`Ladder`] (whose first rung the
+/// unchecked entry points use), the [`Limits`] and the worker count.
+#[derive(Clone, Debug)]
+pub struct Engine {
+    ladder: Ladder,
+    limits: Limits,
     threads: usize,
-) -> IsolatedCorpusStats {
-    translate_corpus_isolated_policy(funcs, options, limits, &EnginePolicy::default(), threads)
 }
 
-/// Like [`translate_corpus_isolated_with`], under an [`EnginePolicy`]: each
-/// function is validated and (on any failure) retried per
-/// [`translate_function_isolated_policy`]. The default policy is a pure
-/// pass-through.
-pub fn translate_corpus_isolated_policy(
-    funcs: &mut [Function],
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    threads: usize,
-) -> IsolatedCorpusStats {
-    let threads = effective_threads(threads, funcs.len());
-    if threads <= 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let results = funcs
-            .iter_mut()
-            .map(|func| {
-                analyses.invalidate_cfg();
-                translate_function_isolated_policy(
-                    func,
-                    options,
-                    limits,
-                    policy,
-                    &mut analyses,
-                    &mut scratch,
-                )
+impl Engine {
+    /// One unvalidated rung of `options`, no limits, one worker per core.
+    pub fn new(options: OutOfSsaOptions) -> Self {
+        let ladder = Ladder::retrying(options, ValidationMode::Off, 0);
+        Self { ladder, limits: Limits::UNBOUNDED, threads: 0 }
+    }
+
+    /// Replaces the ladder, and with it the engine's options.
+    pub fn with_ladder(self, ladder: Ladder) -> Self {
+        Self { ladder, ..self }
+    }
+
+    /// Sets the bounds the checked entry points enforce.
+    pub fn with_limits(self, limits: Limits) -> Self {
+        Self { limits, ..self }
+    }
+
+    /// Sets the worker count of the slice entry points (`0`: one per core;
+    /// `1`: the calling thread).
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { threads, ..self }
+    }
+
+    /// The options a healthy function translates with.
+    pub fn options(&self) -> &OutOfSsaOptions {
+        self.ladder.options()
+    }
+
+    /// Translates `funcs` in place with the unchecked step; identical to
+    /// [`translate_out_of_ssa`](crate::translate_out_of_ssa) on each.
+    pub fn run(&self, funcs: &mut [Function]) -> CorpusStats {
+        let (per_function, threads) =
+            self.run_slice(funcs, |worker, func| worker.translate(func, self.options()));
+        CorpusStats { per_function, threads }
+    }
+
+    /// Translates `funcs` in place with the checked step: a malformed,
+    /// oversized or panicking function yields an error record instead of
+    /// tearing down the run.
+    pub fn try_run(&self, funcs: &mut [Function]) -> IsolatedCorpusStats {
+        let (results, threads) =
+            self.run_slice(funcs, |worker, func| worker.try_translate(func, self));
+        IsolatedCorpusStats { results, threads }
+    }
+
+    /// Drains `source` on `worker` with the unchecked step: each function is
+    /// translated, shown to `consumer`, and retired to the worker's pool.
+    pub fn run_stream<S: PooledSource + ?Sized>(
+        &self,
+        source: &mut S,
+        worker: &mut EngineWorker,
+        mut consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
+    ) -> CorpusStats {
+        let next = |pool: &mut FunctionPool| source.next_into(pool);
+        let per_function = drain(worker, Vec::new(), next, |worker, index, mut func| {
+            let stats = worker.translate(&mut func, self.options());
+            consumer(index, &func, &stats);
+            worker.pool.retire(func);
+            stats
+        });
+        CorpusStats { per_function, threads: 1 }
+    }
+
+    /// Like [`Engine::run_stream`], with the checked step. A failed function
+    /// reaches `consumer` as `Err` and its slot is *discarded*, so a
+    /// partially rewritten body never leaks into a later function.
+    pub fn try_run_stream<S: PooledSource + ?Sized>(
+        &self,
+        source: &mut S,
+        worker: &mut EngineWorker,
+        mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
+    ) -> IsolatedCorpusStats {
+        let next = |pool: &mut FunctionPool| source.next_into(pool);
+        let results = drain(worker, Vec::new(), next, |worker, index, mut func| {
+            let result = worker.try_translate(&mut func, self);
+            consumer(index, result.as_ref().map(|_| &func));
+            match result {
+                Ok(_) => worker.pool.retire(func),
+                Err(_) => worker.pool.discard(func),
+            }
+            result
+        });
+        IsolatedCorpusStats { results, threads: 1 }
+    }
+
+    /// Runs `step` on `funcs` on fresh workers that pull one function at a
+    /// time; returns the results in input order and the worker count.
+    fn run_slice<R: Send>(
+        &self,
+        funcs: &mut [Function],
+        step: impl Fn(&mut EngineWorker, &mut Function) -> R + Sync,
+    ) -> (Vec<R>, usize) {
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
+        }
+        .clamp(1, funcs.len().max(1));
+        let capacity = funcs.len().div_ceil(threads);
+        let items = Mutex::new(funcs.iter_mut().enumerate());
+        let work = || {
+            let next =
+                |_: &mut FunctionPool| items.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let indexed = |worker: &mut EngineWorker, _, (index, func)| (index, step(worker, func));
+            drain(&mut EngineWorker::new(), Vec::with_capacity(capacity), next, indexed)
+        };
+        let mut indexed = if threads == 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                // A panic in a worker propagates as itself.
+                let joined = workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                joined.flatten().collect()
             })
-            .collect();
-        return IsolatedCorpusStats { results, threads: 1 };
+        };
+        indexed.sort_unstable_by_key(|&(index, _)| index);
+        (indexed.into_iter().map(|(_, result)| result).collect(), threads)
     }
-
-    let num_funcs = funcs.len();
-    let results: Mutex<Vec<Option<Result<OutOfSsaStats, TranslateError>>>> =
-        Mutex::new(vec![None; num_funcs]);
-    drive_workers(threads, funcs.iter_mut().enumerate(), |(index, func), worker| {
-        let result = translate_function_isolated_policy(
-            func,
-            options,
-            limits,
-            policy,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(result);
-    });
-
-    let results = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|result| result.expect("every function translated"))
-        .collect();
-    IsolatedCorpusStats { results, threads }
 }
 
-/// Translates every function of `funcs` out of SSA in place, in parallel,
-/// with the default thread count (one worker per available core, capped by
-/// the corpus size).
-///
-/// Results are identical to calling
-/// [`translate_out_of_ssa`](crate::translate_out_of_ssa) on each function in
-/// order.
-pub fn translate_corpus(funcs: &mut [Function], options: &OutOfSsaOptions) -> CorpusStats {
-    translate_corpus_with(funcs, options, 0)
+/// The one driver loop of every entry point: pulls items from `next` and
+/// appends `step`'s result for each, given its pull index, to `results`.
+fn drain<T, R>(
+    worker: &mut EngineWorker,
+    mut results: Vec<R>,
+    mut next: impl FnMut(&mut FunctionPool) -> Option<T>,
+    mut step: impl FnMut(&mut EngineWorker, usize, T) -> R,
+) -> Vec<R> {
+    while let Some(item) = next(&mut worker.pool) {
+        let index = results.len();
+        results.push(step(worker, index, item));
+    }
+    results
 }
 
-/// Like [`translate_corpus`], with an explicit worker count (`0` = one per
-/// available core). `threads == 1` runs serially on the calling thread.
-pub fn translate_corpus_with(
-    funcs: &mut [Function],
+/// Serial pooled streaming translation with `options` on a caller-owned
+/// worker: [`Engine::run_stream`] of [`Engine::new`]`(options)`.
+pub fn translate_stream_pooled_serial<S: PooledSource + ?Sized>(
+    source: &mut S,
+    worker: &mut EngineWorker,
     options: &OutOfSsaOptions,
-    threads: usize,
+    consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
 ) -> CorpusStats {
-    let threads = effective_threads(threads, funcs.len());
-    if threads <= 1 {
-        return translate_corpus_serial(funcs, options);
-    }
-
-    let num_funcs = funcs.len();
-    let results: Mutex<Vec<Option<OutOfSsaStats>>> = Mutex::new(vec![None; num_funcs]);
-    drive_workers(threads, funcs.iter_mut().enumerate(), |(index, func), worker| {
-        let stats =
-            translate_out_of_ssa_scratch(func, options, &mut worker.analyses, &mut worker.scratch);
-        results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(stats);
-    });
-
-    let per_function = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|stats| stats.expect("every function translated"))
-        .collect();
-    CorpusStats { per_function, threads }
-}
-
-/// Shared worker pool of the batch and streaming engines: `threads` scoped
-/// workers pull items from `source` one at a time — a worker stuck on a
-/// large function does not starve the others — and run `work` with
-/// per-worker caches and scratch hoisted out of the per-function loop (the
-/// analyses are invalidated, not reallocated, between functions and the
-/// scratch buffers are reused as-is). Poisoned locks are recovered so that a
-/// panic in one worker propagates as itself, not as a secondary lock error.
-fn drive_workers<T, I, W>(threads: usize, source: I, work: W)
-where
-    T: Send,
-    I: Iterator<Item = T> + Send,
-    W: Fn(T, &mut EngineWorker) + Sync,
-{
-    let source = Mutex::new(source);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker = EngineWorker::new();
-                loop {
-                    let mut guard = source.lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(item) = guard.next() else { return };
-                    drop(guard);
-                    worker.analyses.invalidate_cfg();
-                    work(item, &mut worker);
-                }
-            });
-        }
-    });
-}
-
-/// Worker pool of the *pooled* streaming engines: like [`drive_workers`],
-/// but the source is a [`PooledSource`] pulled under the lock with the
-/// worker's own [`FunctionPool`], and each translated function is retired
-/// back to (or discarded from) that pool by the `work` closure. Items are
-/// numbered in pull order so consumers can correlate results with the input
-/// sequence.
-fn drive_pooled_workers<S, W>(threads: usize, source: S, work: W)
-where
-    S: PooledSource + Send,
-    W: Fn(usize, Function, &mut EngineWorker) + Sync,
-{
-    let source = Mutex::new((source, 0usize));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker = EngineWorker::new();
-                loop {
-                    let mut guard = source.lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(func) = guard.0.next_into(&mut worker.pool) else { return };
-                    let index = guard.1;
-                    guard.1 += 1;
-                    drop(guard);
-                    worker.analyses.invalidate_cfg();
-                    work(index, func, &mut worker);
-                }
-            });
-        }
-    });
-}
-
-/// Serial reference implementation of the batch API, used by the parity
-/// tests and as the `threads == 1` fast path.
-pub fn translate_corpus_serial(funcs: &mut [Function], options: &OutOfSsaOptions) -> CorpusStats {
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
-    let per_function = funcs
-        .iter_mut()
-        .map(|func| {
-            analyses.invalidate_cfg();
-            translate_out_of_ssa_scratch(func, options, &mut analyses, &mut scratch)
-        })
-        .collect();
-    CorpusStats { per_function, threads: 1 }
-}
-
-fn effective_threads(requested: usize, num_funcs: usize) -> usize {
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if requested == 0 { available } else { requested };
-    threads.clamp(1, num_funcs.max(1))
-}
-
-/// Translates every function yielded by `funcs` out of SSA, returning the
-/// translated functions in input order, with the default thread count.
-///
-/// This is the streaming front end of the engine: the input is an iterator
-/// (a JIT queue, a channel receiver's `into_iter`, a generator), pulled one
-/// function at a time as workers free up, so the corpus is never
-/// materialized on the input side. Results are bit-identical to running
-/// [`translate_corpus`] on the collected input.
-pub fn translate_stream<I>(funcs: I, options: &OutOfSsaOptions) -> (Vec<Function>, CorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_with(funcs, options, 0)
-}
-
-/// Like [`translate_stream`], with an explicit worker count (`0` = one per
-/// available core). `threads == 1` runs serially on the calling thread,
-/// still reusing one analysis cache and scratch across all functions.
-pub fn translate_stream_with<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    threads: usize,
-) -> (Vec<Function>, CorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    let iter = funcs.into_iter();
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // The corpus size is unknown up front (that is the point of streaming),
-    // so the worker count cannot be clamped by it; degenerate cases simply
-    // leave some workers without an item to pull.
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let mut out = Vec::with_capacity(iter.size_hint().0);
-        let mut per_function = Vec::with_capacity(iter.size_hint().0);
-        for mut func in iter {
-            analyses.invalidate_cfg();
-            per_function.push(translate_out_of_ssa_scratch(
-                &mut func,
-                options,
-                &mut analyses,
-                &mut scratch,
-            ));
-            out.push(func);
-        }
-        return (out, CorpusStats { per_function, threads: 1 });
-    }
-
-    // Workers pull `(index, function)` pairs from the shared iterator one at
-    // a time and deposit the results by index, so the output order is the
-    // input order no matter how the scheduler interleaves them.
-    let results: Mutex<Vec<Option<(Function, OutOfSsaStats)>>> = Mutex::new(Vec::new());
-    drive_workers(threads, iter.enumerate(), |(index, mut func), worker| {
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some((func, stats));
-    });
-
-    let mut out = Vec::new();
-    let mut per_function = Vec::new();
-    for slot in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        let (func, stats) = slot.expect("every streamed function translated");
-        out.push(func);
-        per_function.push(stats);
-    }
-    (out, CorpusStats { per_function, threads })
-}
-
-/// Fault-isolated streaming translation with the default thread count: like
-/// [`translate_stream`], but a poisoned function yields `Err` in the output
-/// (its partially rewritten body is discarded) while the rest of the stream
-/// keeps flowing, bit-identical to a fault-free run. The outcome slots of
-/// the returned [`IsolatedCorpusStats`] line up with the output vector.
-pub fn translate_stream_isolated<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-) -> (Vec<Result<Function, TranslateError>>, IsolatedCorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_isolated_with(funcs, options, limits, 0)
-}
-
-/// Like [`translate_stream_isolated`], with an explicit worker count
-/// (`0` = one per available core). `threads == 1` runs serially on the
-/// calling thread.
-pub fn translate_stream_isolated_with<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    threads: usize,
-) -> (Vec<Result<Function, TranslateError>>, IsolatedCorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    translate_stream_isolated_policy(funcs, options, limits, &EnginePolicy::default(), threads)
-}
-
-/// Like [`translate_stream_isolated_with`], under an [`EnginePolicy`] (see
-/// [`translate_function_isolated_policy`] for the per-function contract).
-pub fn translate_stream_isolated_policy<I>(
-    funcs: I,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    threads: usize,
-) -> (Vec<Result<Function, TranslateError>>, IsolatedCorpusStats)
-where
-    I: IntoIterator<Item = Function>,
-    I::IntoIter: Send,
-{
-    let iter = funcs.into_iter();
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let mut out = Vec::with_capacity(iter.size_hint().0);
-        let mut results = Vec::with_capacity(iter.size_hint().0);
-        for mut func in iter {
-            analyses.invalidate_cfg();
-            let result = translate_function_isolated_policy(
-                &mut func,
-                options,
-                limits,
-                policy,
-                &mut analyses,
-                &mut scratch,
-            );
-            out.push(result.as_ref().map(|_| func).map_err(Clone::clone));
-            results.push(result);
-        }
-        return (out, IsolatedCorpusStats { results, threads: 1 });
-    }
-
-    type Slot = Option<(Result<Function, TranslateError>, Result<OutOfSsaStats, TranslateError>)>;
-    let deposits: Mutex<Vec<Slot>> = Mutex::new(Vec::new());
-    drive_workers(threads, iter.enumerate(), |(index, mut func), worker| {
-        let result = translate_function_isolated_policy(
-            &mut func,
-            options,
-            limits,
-            policy,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        let output = result.as_ref().map(|_| func).map_err(Clone::clone);
-        let mut deposits = deposits.lock().unwrap_or_else(|e| e.into_inner());
-        if deposits.len() <= index {
-            deposits.resize_with(index + 1, || None);
-        }
-        deposits[index] = Some((output, result));
-    });
-
-    let mut out = Vec::new();
-    let mut results = Vec::new();
-    for slot in deposits.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        let (output, result) = slot.expect("every streamed function translated");
-        out.push(output);
-        results.push(result);
-    }
-    (out, IsolatedCorpusStats { results, threads })
-}
-
-/// Serial pooled streaming translation on the calling thread, with a
-/// caller-owned [`EngineWorker`].
-///
-/// This is the O(1)-steady-state-heap-traffic core of the engine: the source
-/// builds each incoming function into storage checked out of `worker.pool`,
-/// the translation runs entirely in `worker`'s recycled caches and scratch,
-/// `consumer` observes the translated function by reference, and the storage
-/// is retired back to the pool for the source's next item. Because the
-/// worker is caller-owned it stays warm across calls — translate one corpus
-/// to warm up, call again, and the second pass allocates (almost) nothing
-/// regardless of how many functions stream through.
-pub fn translate_stream_pooled_serial<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    mut consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
-) -> CorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    let mut per_function = Vec::new();
-    let mut index = 0usize;
-    while let Some(mut func) = source.next_into(&mut worker.pool) {
-        worker.analyses.invalidate_cfg();
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        consumer(index, &func, &stats);
-        worker.pool.retire(func);
-        per_function.push(stats);
-        index += 1;
-    }
-    CorpusStats { per_function, threads: 1 }
-}
-
-/// Pooled streaming translation with the default thread count. See
-/// [`translate_stream_pooled_with`].
-pub fn translate_stream_pooled<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    consumer: impl Fn(usize, &Function, &OutOfSsaStats) + Sync,
-) -> CorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_with(source, options, 0, consumer)
-}
-
-/// Pooled streaming translation with an explicit worker count (`0` = one
-/// per available core; `threads == 1` runs serially on the calling thread).
-///
-/// Each worker owns an [`EngineWorker`]; the shared source is pulled under a
-/// lock with the pulling worker's own pool, so every worker recycles its own
-/// function storage independently. `consumer` is called with each translated
-/// function (by reference, before its storage is retired) tagged with its
-/// input index; it may run concurrently from several workers and must
-/// therefore be `Sync`. Translated functions and statistics are bit-identical
-/// to the unpooled [`translate_stream_with`] on the same input sequence.
-pub fn translate_stream_pooled_with<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    threads: usize,
-    consumer: impl Fn(usize, &Function, &OutOfSsaStats) + Sync,
-) -> CorpusStats
-where
-    S: PooledSource + Send,
-{
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut source = source;
-        let mut worker = EngineWorker::new();
-        return translate_stream_pooled_serial(&mut source, &mut worker, options, consumer);
-    }
-
-    let results: Mutex<Vec<Option<OutOfSsaStats>>> = Mutex::new(Vec::new());
-    drive_pooled_workers(threads, source, |index, mut func, worker| {
-        let stats = translate_out_of_ssa_scratch(
-            &mut func,
-            options,
-            &mut worker.analyses,
-            &mut worker.scratch,
-        );
-        consumer(index, &func, &stats);
-        worker.pool.retire(func);
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some(stats);
-    });
-
-    let per_function = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|stats| stats.expect("every pooled function translated"))
-        .collect();
-    CorpusStats { per_function, threads }
-}
-
-/// Serial fault-isolated pooled streaming translation with a caller-owned
-/// [`EngineWorker`]: like [`translate_stream_pooled_serial`], but each
-/// function runs under the fault boundary of
-/// [`translate_function_isolated`]. On failure the worker's caches are
-/// quarantined as usual — and the poisoned function slot is *discarded*
-/// from the pool, never recycled, so a partially rewritten body can never
-/// leak into a later function's storage.
-pub fn translate_stream_pooled_isolated_serial<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    translate_stream_pooled_isolated_serial_policy(
-        source,
-        worker,
-        options,
-        limits,
-        &EnginePolicy::default(),
-        consumer,
-    )
-}
-
-/// Like [`translate_stream_pooled_isolated_serial`], under an
-/// [`EnginePolicy`] (see [`translate_function_isolated_policy`] for the
-/// per-function contract). A function that fails *every* attempt discards
-/// its pool slot exactly like a policy-free failure.
-pub fn translate_stream_pooled_isolated_serial_policy<S>(
-    source: &mut S,
-    worker: &mut EngineWorker,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + ?Sized,
-{
-    let mut results = Vec::new();
-    let mut index = 0usize;
-    while let Some(mut func) = source.next_into(&mut worker.pool) {
-        worker.analyses.invalidate_cfg();
-        let result =
-            translate_function_isolated_policy_pooled(&mut func, options, limits, policy, worker);
-        match &result {
-            Ok(_) => {
-                consumer(index, Ok(&func));
-                worker.pool.retire(func);
-            }
-            Err(error) => {
-                consumer(index, Err(error));
-                worker.pool.discard(func);
-            }
-        }
-        results.push(result);
-        index += 1;
-    }
-    IsolatedCorpusStats { results, threads: 1 }
-}
-
-/// Fault-isolated pooled streaming translation with the default thread
-/// count. See [`translate_stream_pooled_isolated_with`].
-pub fn translate_stream_pooled_isolated<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_isolated_with(source, options, limits, 0, consumer)
-}
-
-/// Like [`translate_stream_pooled_isolated_serial`], with an explicit worker
-/// count (`0` = one per available core; `threads == 1` runs serially).
-/// Failed functions quarantine their worker's caches and *discard* the
-/// poisoned pool slot; surviving functions are bit-identical to a
-/// fault-free run.
-pub fn translate_stream_pooled_isolated_with<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    threads: usize,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    translate_stream_pooled_isolated_policy(
-        source,
-        options,
-        limits,
-        &EnginePolicy::default(),
-        threads,
-        consumer,
-    )
-}
-
-/// Like [`translate_stream_pooled_isolated_with`], under an
-/// [`EnginePolicy`] (see [`translate_function_isolated_policy`] for the
-/// per-function contract).
-pub fn translate_stream_pooled_isolated_policy<S>(
-    source: S,
-    options: &OutOfSsaOptions,
-    limits: &Limits,
-    policy: &EnginePolicy,
-    threads: usize,
-    consumer: impl Fn(usize, Result<&Function, &TranslateError>) + Sync,
-) -> IsolatedCorpusStats
-where
-    S: PooledSource + Send,
-{
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = if threads == 0 { available } else { threads }.max(1);
-    if threads == 1 {
-        let mut source = source;
-        let mut worker = EngineWorker::new();
-        return translate_stream_pooled_isolated_serial_policy(
-            &mut source,
-            &mut worker,
-            options,
-            limits,
-            policy,
-            consumer,
-        );
-    }
-
-    let results: Mutex<Vec<Option<Result<OutOfSsaStats, TranslateError>>>> = Mutex::new(Vec::new());
-    drive_pooled_workers(threads, source, |index, mut func, worker| {
-        let result =
-            translate_function_isolated_policy_pooled(&mut func, options, limits, policy, worker);
-        match &result {
-            Ok(_) => {
-                consumer(index, Ok(&func));
-                worker.pool.retire(func);
-            }
-            Err(error) => {
-                consumer(index, Err(error));
-                worker.pool.discard(func);
-            }
-        }
-        let mut results = results.lock().unwrap_or_else(|e| e.into_inner());
-        if results.len() <= index {
-            results.resize_with(index + 1, || None);
-        }
-        results[index] = Some(result);
-    });
-
-    let results = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|result| result.expect("every pooled function translated"))
-        .collect();
-    IsolatedCorpusStats { results, threads }
+    Engine::new(options.clone()).run_stream(source, worker, consumer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalesce::translate_out_of_ssa;
-    use ossa_cfggen::{generate_ssa_function, GenConfig};
+    use ossa_cfggen::{generate_ssa_function, generate_ssa_function_into, GenConfig};
 
     fn small_corpus(count: u64) -> Vec<Function> {
         (0..count)
@@ -1062,244 +366,85 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn batch_matches_serial_per_function_translation() {
-        let options = OutOfSsaOptions::default();
-        let mut serial = small_corpus(12);
-        let mut batch = serial.clone();
-
-        let serial_stats: Vec<_> =
-            serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
-        let batch_stats = translate_corpus(&mut batch, &options);
-
-        assert_eq!(serial_stats, batch_stats.per_function);
-        for (a, b) in serial.iter().zip(&batch) {
-            assert_eq!(a, b, "translated function differs: {}", a.name);
-        }
-    }
-
-    #[test]
-    fn pooled_policy_variant_matches_cloning_variant_and_recycles_pristine() {
-        let options = OutOfSsaOptions::default();
-        let limits = Limits::default();
-        let policy = EnginePolicy::validating(ValidationMode::Structural).with_retries(1);
-        let corpus = small_corpus(6);
-
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        let mut worker = EngineWorker::new();
-        for func in &corpus {
-            let mut via_clone = func.clone();
-            analyses.invalidate_cfg();
-            let a = translate_function_isolated_policy(
-                &mut via_clone,
-                &options,
-                &limits,
-                &policy,
-                &mut analyses,
-                &mut scratch,
-            );
-            let mut via_pool = func.clone();
-            worker.analyses.invalidate_cfg();
-            let b = translate_function_isolated_policy_pooled(
-                &mut via_pool,
-                &options,
-                &limits,
-                &policy,
-                &mut worker,
-            );
-            assert_eq!(a, b);
-            assert_eq!(via_clone, via_pool, "pooled pristine changed output: {}", func.name);
-        }
-        // The pristine snapshot slot is retired back every request: after the
-        // first checkout miss, every later snapshot recycles it.
-        let pool = worker.pool.stats();
-        assert_eq!(pool.checkouts, corpus.len() as u64);
-        assert_eq!(pool.retired, corpus.len() as u64);
-        assert_eq!(pool.recycled, corpus.len() as u64 - 1);
-        assert_eq!(worker.pool.free_len(), 1);
-    }
-
-    #[test]
-    fn explicit_thread_counts_agree() {
-        let options = OutOfSsaOptions::sharing();
-        let mut one = small_corpus(8);
-        let mut four = one.clone();
-        let a = translate_corpus_with(&mut one, &options, 1);
-        let b = translate_corpus_with(&mut four, &options, 4);
-        assert_eq!(a.per_function, b.per_function);
-        assert_eq!(one, four);
-        assert_eq!(a.total(), b.total());
-    }
-
-    #[test]
-    fn empty_corpus_is_fine() {
-        let stats = translate_corpus(&mut [], &OutOfSsaOptions::default());
-        assert!(stats.per_function.is_empty());
-        assert_eq!(stats.total(), OutOfSsaStats::default());
-    }
-
-    #[test]
-    fn streaming_matches_batch_translation() {
-        let options = OutOfSsaOptions::default();
-        let corpus = small_corpus(10);
-
-        let mut batch = corpus.clone();
-        let batch_stats = translate_corpus(&mut batch, &options);
-
-        // The streaming input is an iterator — the engine never sees the
-        // collection.
-        let (streamed, stream_stats) = translate_stream(corpus.iter().cloned(), &options);
-        assert_eq!(streamed, batch);
-        assert_eq!(stream_stats.per_function, batch_stats.per_function);
-    }
-
-    #[test]
-    fn streaming_thread_counts_agree() {
-        let options = OutOfSsaOptions::sharing();
-        let corpus = small_corpus(9);
-        let (one, a) = translate_stream_with(corpus.iter().cloned(), &options, 1);
-        let (four, b) = translate_stream_with(corpus.iter().cloned(), &options, 4);
-        assert_eq!(one, four);
-        assert_eq!(a.per_function, b.per_function);
-        assert_eq!(b.threads, 4);
-    }
-
-    #[test]
-    fn empty_stream_is_fine() {
-        let (funcs, stats) = translate_stream(std::iter::empty(), &OutOfSsaOptions::default());
-        assert!(funcs.is_empty());
-        assert!(stats.per_function.is_empty());
-        let (funcs, stats) =
-            translate_stream_with(std::iter::empty(), &OutOfSsaOptions::default(), 3);
-        assert!(funcs.is_empty());
-        assert!(stats.per_function.is_empty());
-    }
-
-    #[test]
-    fn streaming_consumes_the_source_lazily() {
-        // A serial stream pulls one function at a time: the source iterator
-        // is drained exactly as far as the engine has translated, never
-        // collected up front.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let options = OutOfSsaOptions::default();
-        let pulled = AtomicUsize::new(0);
-        let corpus = small_corpus(5);
-        let source = corpus.iter().cloned().inspect(|_| {
-            pulled.fetch_add(1, Ordering::Relaxed);
-        });
-        let (funcs, _) = translate_stream_with(source, &options, 1);
-        assert_eq!(funcs.len(), 5);
-        assert_eq!(pulled.load(Ordering::Relaxed), 5);
-    }
-
-    /// A pool-aware source regenerating `small_corpus(count)` into recycled
-    /// slots: the same functions the iterator sources stream, but built with
-    /// `generate_ssa_function_into` on checked-out pool storage.
-    fn pooled_small_source(count: u64) -> impl FnMut(&mut FunctionPool) -> Option<Function> + Send {
-        let mut next = 0u64;
+    /// `small_corpus(count)`, regenerated into recycled pool slots.
+    fn pooled_small_source(count: u64) -> impl FnMut(&mut FunctionPool) -> Option<Function> {
+        let mut seeds = 0..count;
         move |pool: &mut FunctionPool| {
-            if next >= count {
-                return None;
-            }
-            let seed = next;
-            next += 1;
-            let slot = pool.checkout();
-            let (func, _) = ossa_cfggen::generate_ssa_function_into(
-                slot,
-                format!("c{seed}"),
-                &GenConfig::small(),
-                seed,
-            );
-            Some(func)
+            let seed = seeds.next()?;
+            let config = GenConfig::small();
+            Some(generate_ssa_function_into(pool.checkout(), format!("c{seed}"), &config, seed).0)
         }
     }
 
     #[test]
-    fn pooled_stream_matches_batch_translation() {
+    fn every_entry_point_matches_per_function_translation() {
+        let options = OutOfSsaOptions::sharing();
+        let mut serial = small_corpus(10);
+        let expected: Vec<_> =
+            serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
+        let engine = Engine::new(options);
+        for threads in [0, 1, 4] {
+            let (mut batch, mut checked) = (small_corpus(10), small_corpus(10));
+            let stats = engine.clone().with_threads(threads).run(&mut batch);
+            let results = engine.clone().with_threads(threads).try_run(&mut checked).results;
+            assert_eq!((stats.per_function, batch), (expected.clone(), serial.clone()));
+            assert_eq!(
+                (results, checked),
+                (expected.iter().cloned().map(Ok).collect(), serial.clone())
+            );
+        }
+        let mut worker = EngineWorker::new();
+        let mut source = pooled_small_source(10);
+        let stats =
+            engine.run_stream(&mut source, &mut worker, |i, f, _| assert_eq!(f, &serial[i]));
+        assert_eq!(stats.per_function, expected);
+        let mut source = pooled_small_source(10);
+        let checked =
+            engine.try_run_stream(&mut source, &mut worker, |i, f| assert_eq!(f, Ok(&serial[i])));
+        assert_eq!(checked.total(), total(&expected));
+        assert_eq!(engine.with_threads(4).run(&mut []).total(), OutOfSsaStats::default());
+    }
+
+    #[test]
+    fn checked_step_takes_one_pooled_snapshot_per_function() {
         let options = OutOfSsaOptions::default();
-        let mut batch = small_corpus(10);
-        let batch_stats = translate_corpus(&mut batch, &options);
-
-        let collected: Mutex<Vec<Option<Function>>> = Mutex::new(Vec::new());
-        let stats = translate_stream_pooled(pooled_small_source(10), &options, |index, func, _| {
-            let mut collected = collected.lock().unwrap();
-            if collected.len() <= index {
-                collected.resize_with(index + 1, || None);
-            }
-            collected[index] = Some(func.clone());
-        });
-
-        let collected: Vec<Function> =
-            collected.into_inner().unwrap().into_iter().map(Option::unwrap).collect();
-        assert_eq!(collected, batch);
-        assert_eq!(stats.per_function, batch_stats.per_function);
+        let ladder = Ladder::retrying(options.clone(), ValidationMode::Structural, 1);
+        let engine = Engine::new(options.clone()).with_ladder(ladder);
+        let mut worker = EngineWorker::new();
+        let corpus = small_corpus(6);
+        for func in &corpus {
+            let (mut checked, mut plain) = (func.clone(), func.clone());
+            let stats = worker.try_translate(&mut checked, &engine).expect("healthy input");
+            assert_eq!(stats, translate_out_of_ssa(&mut plain, &options));
+            assert_eq!(checked, plain, "checked output differs: {}", func.name);
+        }
+        // The snapshot slot is retired after every function, so every
+        // snapshot after the first recycles it.
+        let pool = worker.pool.stats();
+        assert_eq!(
+            (pool.checkouts, pool.retired, pool.recycled, worker.pool.free_len()),
+            (6, 6, 5, 1)
+        );
+        // A single unvalidated rung takes no snapshot at all.
+        worker.try_translate(&mut corpus[0].clone(), &Engine::new(options)).expect("healthy");
+        assert_eq!(worker.pool.stats().checkouts, 6);
     }
 
     #[test]
     fn pooled_serial_recycles_storage_across_passes() {
         let options = OutOfSsaOptions::default();
         let mut worker = EngineWorker::new();
-
-        let mut source = pooled_small_source(6);
-        let first =
-            translate_stream_pooled_serial(&mut source, &mut worker, &options, |_, _, _| {});
-        assert_eq!(first.per_function.len(), 6);
-        // Cold pool: every checkout allocated a fresh function.
-        assert_eq!(worker.pool.stats().checkouts, 6);
-        assert_eq!(worker.pool.stats().recycled, 5);
-        assert_eq!(worker.pool.stats().retired, 6);
-        assert_eq!(worker.pool.free_len(), 1);
-
-        // Second pass over the same stream with the warm worker: every
-        // checkout is a recycled slot, and the results are bit-identical.
-        let mut source = pooled_small_source(6);
-        let second =
-            translate_stream_pooled_serial(&mut source, &mut worker, &options, |_, _, _| {});
-        assert_eq!(second.per_function, first.per_function);
-        assert_eq!(worker.pool.stats().checkouts, 12);
-        assert_eq!(worker.pool.stats().recycled, 11);
-    }
-
-    #[test]
-    fn pooled_thread_counts_agree() {
-        let options = OutOfSsaOptions::sharing();
-        let a = translate_stream_pooled_with(pooled_small_source(9), &options, 1, |_, _, _| {});
-        let b = translate_stream_pooled_with(pooled_small_source(9), &options, 4, |_, _, _| {});
-        assert_eq!(a.per_function, b.per_function);
-        assert_eq!(b.threads, 4);
-    }
-
-    #[test]
-    fn pooled_isolated_matches_plain_pooled_on_healthy_input() {
-        let options = OutOfSsaOptions::default();
-        let limits = Limits::default();
-        let plain = translate_stream_pooled_with(pooled_small_source(7), &options, 1, |_, _, _| {});
-        let isolated = translate_stream_pooled_isolated_with(
-            pooled_small_source(7),
-            &options,
-            &limits,
-            1,
-            |_, result| assert!(result.is_ok()),
-        );
-        assert_eq!(isolated.num_errors(), 0);
-        let ok: Vec<_> = isolated.results.iter().map(|r| r.clone().unwrap()).collect();
-        assert_eq!(ok, plain.per_function);
-    }
-
-    #[test]
-    fn total_aggregates_counters() {
-        let options = OutOfSsaOptions::default();
-        let mut funcs = small_corpus(4);
-        let stats = translate_corpus(&mut funcs, &options);
-        let total = stats.total();
+        let mut pass = || {
+            let mut source = pooled_small_source(6);
+            translate_stream_pooled_serial(&mut source, &mut worker, &options, |_, _, _| {})
+        };
+        // Each slot is retired before the next checkout, so every checkout
+        // after the very first recycles it, and the warm pass is identical.
+        assert_eq!(pass().per_function, pass().per_function);
+        let pool = worker.pool.stats();
         assert_eq!(
-            total.phis_removed,
-            stats.per_function.iter().map(|s| s.phis_removed).sum::<usize>()
-        );
-        assert_eq!(
-            total.remaining_copies,
-            stats.per_function.iter().map(|s| s.remaining_copies).sum::<usize>()
+            (pool.checkouts, pool.recycled, pool.retired, worker.pool.free_len()),
+            (12, 11, 12, 1)
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The out-of-SSA hot paths stay panic-based internally — threading `Result`
 //! through the lazily initialized analysis caches would tax every
 //! happy-path caller — so fault isolation happens at the *per-function
-//! boundary*: the isolated engine entry points run each function under
+//! boundary*: the checked engine step runs each function under
 //! [`catch_translate`], which converts any unwind into a typed
 //! [`TranslateError`]:
 //!
@@ -111,7 +111,7 @@ impl fmt::Display for Resource {
 }
 
 /// A per-function translation failure. One function's error never affects
-/// its corpus neighbours: the isolated engines record it and translate the
+/// its corpus neighbours: the checked engines record it and translate the
 /// rest bit-identically to a fault-free run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TranslateError {
@@ -485,16 +485,10 @@ pub mod failpoints {
     static CORRUPTION: RwLock<Option<CorruptionConfig>> = RwLock::new(None);
 
     thread_local! {
-        /// Retry attempt of the function currently translating on this
+        /// Ladder rung of the function currently translating on this
         /// thread. Injection (panics and corruption alike) only arms on
-        /// attempt 0.
+        /// rung 0.
         static ATTEMPT: Cell<u32> = const { Cell::new(0) };
-        /// Attempt offset installed by a driver running its *own* retry
-        /// ladder above the engine (the translation service's degradation
-        /// rungs). The engine resets [`ATTEMPT`] to 0 at the start of every
-        /// policy call, which would re-arm injection on service-level
-        /// retries; the base keeps `current_attempt` nonzero there.
-        static ATTEMPT_BASE: Cell<u32> = const { Cell::new(0) };
         /// Whether the current function has already spent its
         /// one-corruption budget (reset at each `Verify` boundary).
         static CORRUPTED: Cell<bool> = const { Cell::new(false) };
@@ -510,26 +504,16 @@ pub mod failpoints {
         *CORRUPTION.write().unwrap() = None;
     }
 
-    /// Records the retry attempt of the function about to translate on this
-    /// thread. The isolated engines call this around each attempt; tests
+    /// Records the ladder rung of the function about to translate on this
+    /// thread. The ladder walker calls this around each attempt; tests
     /// never need to.
-    pub fn set_attempt(attempt: u32) {
-        ATTEMPT.set(attempt);
+    pub fn set_attempt(rung: u32) {
+        ATTEMPT.set(rung);
     }
 
-    /// Records an attempt *offset* added on top of [`set_attempt`], for
-    /// drivers that run their own retry ladder above the engine's (the
-    /// translation service's degradation rungs). Injection arms only when
-    /// `base + attempt == 0`, so a service retry stays injection-free even
-    /// though the engine call inside it starts back at attempt 0.
-    pub fn set_attempt_base(base: u32) {
-        ATTEMPT_BASE.set(base);
-    }
-
-    /// The retry attempt most recently recorded via [`set_attempt`], offset
-    /// by [`set_attempt_base`].
+    /// The rung most recently recorded via [`set_attempt`].
     pub fn current_attempt() -> u32 {
-        ATTEMPT_BASE.get().saturating_add(ATTEMPT.get())
+        ATTEMPT.get()
     }
 
     /// Pure site predicate for corruption, mirroring [`should_fail`]: would

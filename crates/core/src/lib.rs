@@ -22,7 +22,8 @@
 //! 4. **Parallel-copy sequentialization** ([`parallel_copy`]) — the minimal
 //!    sequentialization algorithm (Algorithm 1).
 //!
-//! The entry point is [`translate_out_of_ssa`].
+//! The entry point is [`translate_out_of_ssa`]; [`Engine`] translates many
+//! functions, optionally checked against a retry [`Ladder`].
 //!
 //! # Examples
 //!
@@ -45,28 +46,20 @@ pub mod engine;
 pub mod fault;
 pub mod insertion;
 pub mod interference;
+pub mod ladder;
 pub mod parallel_copy;
 pub mod validate;
 pub mod value;
 
 pub use coalesce::{
-    set_coalesce_probe, translate_out_of_ssa, translate_out_of_ssa_cached,
-    translate_out_of_ssa_scratch, ClassCheck, CoalesceStage, InterferenceMode, MemoryStats,
-    OutOfSsaOptions, OutOfSsaStats, PhaseSeconds, PhiProcessing, RecoveryOutcome, Strategy,
-    TranslateScratch,
+    set_coalesce_probe, translate_out_of_ssa, translate_out_of_ssa_scratch, ClassCheck,
+    CoalesceStage, InterferenceMode, MemoryStats, OutOfSsaOptions, OutOfSsaStats, PhaseSeconds,
+    PhiProcessing, RecoveryOutcome, Strategy, TranslateScratch,
 };
 pub use congruence::{CongruenceClasses, DefOrderKey, EqualAncOut};
 pub use engine::{
-    translate_corpus, translate_corpus_isolated, translate_corpus_isolated_policy,
-    translate_corpus_isolated_with, translate_corpus_serial, translate_corpus_with,
-    translate_function_isolated, translate_function_isolated_policy,
-    translate_function_isolated_policy_pooled, translate_stream, translate_stream_isolated,
-    translate_stream_isolated_policy, translate_stream_isolated_with, translate_stream_pooled,
-    translate_stream_pooled_isolated, translate_stream_pooled_isolated_policy,
-    translate_stream_pooled_isolated_serial, translate_stream_pooled_isolated_serial_policy,
-    translate_stream_pooled_isolated_with, translate_stream_pooled_serial,
-    translate_stream_pooled_with, translate_stream_with, CorpusStats, EnginePolicy, EngineWorker,
-    IsolatedCorpusStats, PooledSource, RecoveryPolicy,
+    translate_stream_pooled_serial, CorpusStats, Engine, EngineWorker, IsolatedCorpusStats,
+    PooledSource,
 };
 pub use fault::{catch_translate, Limits, Resource, TranslateError, TranslatePhase};
 pub use insertion::{
@@ -74,6 +67,7 @@ pub use insertion::{
     InsertedMove, PhiWeb,
 };
 pub use interference::{copy_related_universe, InterferenceGraph};
+pub use ladder::{Ladder, Rung, Walk};
 pub use parallel_copy::{
     minimum_copies, sequentialize, sequentialize_function, sequentialize_function_with,
     try_sequentialize, DuplicateDest, SeqScratch, Sequentialization,

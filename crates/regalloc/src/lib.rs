@@ -354,11 +354,17 @@ mod tests {
 
     #[test]
     fn cached_allocation_matches_fresh_allocation() {
-        use ossa_destruct::translate_out_of_ssa_cached;
+        use ossa_destruct::{translate_out_of_ssa_scratch, TranslateScratch};
         for seed in 0..5 {
             let (mut f, _) = generate_ssa_function("cached", &GenConfig::small(), seed);
             let mut analyses = FunctionAnalyses::new();
-            translate_out_of_ssa_cached(&mut f, &OutOfSsaOptions::default(), &mut analyses);
+            let options = OutOfSsaOptions::default();
+            translate_out_of_ssa_scratch(
+                &mut f,
+                &options,
+                &mut analyses,
+                &mut TranslateScratch::new(),
+            );
             // Allocation through the cache the translation just used...
             let cached = allocate_cached(&f, 8, &analyses);
             check_allocation(&f, &cached, 8).unwrap();

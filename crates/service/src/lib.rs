@@ -1,7 +1,7 @@
 //! # ossa-service — overload-resilient out-of-SSA translation service
 //!
-//! A channel-backed, multi-worker translation service over the pooled
-//! isolated engines of [`ossa_destruct`]. Where the engine crate answers
+//! A channel-backed, multi-worker translation service over the checked
+//! engine step of [`ossa_destruct`]. Where the engine crate answers
 //! "what happens when one *function* misbehaves?" (panic isolation, typed
 //! errors, pristine-snapshot retries), this crate answers "what happens
 //! when the *load* misbehaves?" — and makes sure the answer is never
@@ -23,14 +23,15 @@
 //!    next phase boundary or fixpoint tick and surfaces as
 //!    [`TranslateError::DeadlineExceeded`]. The worker is recycled, never
 //!    quarantined: a deadline says nothing about the health of the worker.
-//! 3. **Degradation ladder** — each request climbs up to three rungs until
-//!    one succeeds: the configured options and validation, then
-//!    [`OutOfSsaOptions::conservative_fallback`] with validation dropped
-//!    one tier, then [`OutOfSsaOptions::minimal_coalescing`] with
-//!    validation off. Exponential backoff (bounded by the deadline)
-//!    separates rungs. Under sustained overload a global degradation level
-//!    *starts* requests further up the ladder, trading copy quality for
-//!    throughput; hysteresis thresholds govern when the level recovers.
+//! 3. **Degradation ladder** — each request walks the engine's
+//!    [`Ladder::degrading`] until a rung succeeds: the configured options
+//!    and validation, then [`OutOfSsaOptions::conservative_fallback`] with
+//!    validation dropped one tier, then
+//!    [`OutOfSsaOptions::minimal_coalescing`] with validation off.
+//!    Exponential backoff (bounded by the deadline) separates rungs. Under
+//!    sustained overload a global degradation level *starts* requests
+//!    further up the ladder, trading copy quality for throughput;
+//!    hysteresis thresholds govern when the level recovers.
 //! 4. **Workers** — persistent [`EngineWorker`]s (analysis caches, scratch,
 //!    function pool) that live for the whole service, so steady-state
 //!    translation allocates nothing and a faulted request quarantines only
@@ -48,8 +49,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ossa_destruct::{
-    translate_function_isolated_policy_pooled, EnginePolicy, EngineWorker, Limits, OutOfSsaOptions,
-    OutOfSsaStats, RecoveryOutcome, RecoveryPolicy, TranslateError, ValidationMode,
+    EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats, TranslateError, ValidationMode,
 };
 use ossa_ir::Function;
 use ossa_liveness::fuel;
@@ -137,9 +137,6 @@ pub struct ServiceConfig {
     pub retries: u32,
     /// Per-function resource limits, enforced on every rung.
     pub limits: Limits,
-    /// Base backoff before the first retry rung; doubles per rung, bounded
-    /// by the request deadline.
-    pub retry_backoff: Duration,
     /// Global degradation thresholds.
     pub degradation: DegradationConfig,
 }
@@ -156,7 +153,6 @@ impl Default for ServiceConfig {
             validation: ValidationMode::Off,
             retries: 2,
             limits: Limits::default(),
-            retry_backoff: Duration::from_micros(100),
             degradation: DegradationConfig::default(),
         }
     }
@@ -286,9 +282,15 @@ impl Ticket {
     }
 }
 
+/// Backoff before the first retry rung; doubles per rung, bounded by the
+/// request deadline.
+const RETRY_BACKOFF: Duration = Duration::from_micros(100);
+
 struct Shared {
     queue: SharedQueue,
     config: ServiceConfig,
+    /// The degradation ladder every request walks, built from `config`.
+    ladder: Ladder,
     /// Global degradation level (0, 1 or 2); plain reads are racy-but-safe,
     /// transitions serialize under the stats lock.
     level: AtomicU8,
@@ -336,23 +338,6 @@ impl Shared {
     }
 }
 
-/// The options and validation mode of one absolute ladder rung.
-fn rung_config(config: &ServiceConfig, rung: usize) -> (OutOfSsaOptions, ValidationMode) {
-    match rung {
-        0 => (config.options.clone(), config.validation),
-        1 => (config.options.conservative_fallback(), drop_tier(config.validation)),
-        _ => (config.options.minimal_coalescing(), ValidationMode::Off),
-    }
-}
-
-/// Drops a validation mode one tier: Differential → Structural → Off.
-fn drop_tier(mode: ValidationMode) -> ValidationMode {
-    match mode {
-        ValidationMode::Differential => ValidationMode::Structural,
-        ValidationMode::Structural | ValidationMode::Off => ValidationMode::Off,
-    }
-}
-
 /// A multi-worker out-of-SSA translation service with bounded admission,
 /// per-request deadlines and a degradation ladder. See the
 /// [module docs](self) for the overload model.
@@ -369,6 +354,7 @@ impl TranslationService {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: SharedQueue::new(config.queue_capacity),
+            ladder: Ladder::degrading(config.options.clone(), config.validation, config.retries),
             config,
             level: AtomicU8::new(0),
             stats: Mutex::new(ServiceStats::default()),
@@ -549,24 +535,16 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
         stats.queue_wait.record(waited);
     }
 
-    let start_rung = level;
-    let last_rung = (start_rung + shared.config.retries as usize).min(2);
     let mut func = entry.func;
     let pristine = engine.pool.checkout_clone_of(&func);
-    // A persistent worker's caches are stamped per function; invalidate
-    // (never reallocate) between requests, like the pooled stream drivers.
-    engine.analyses.invalidate_cfg();
 
     // The deadline is a property of the request: it spans every rung and
     // backoff, and is cleared before the worker touches the next request.
     fuel::set_deadline(entry.deadline);
-
-    let mut validation_failures = 0usize;
-    let mut last_error = None;
-    let mut success = None;
-    for rung in start_rung..=last_rung {
-        if rung > start_rung {
-            let backoff = shared.config.retry_backoff * (1u32 << (rung - start_rung - 1));
+    let limits = &shared.config.limits;
+    let walk = shared.ladder.walk(level, &mut func, Some(&pristine), |func, rung, tries| {
+        if tries > 0 {
+            let backoff = RETRY_BACKOFF * (1u32 << (tries - 1));
             let bounded = match entry.deadline {
                 Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
                 None => backoff,
@@ -574,50 +552,22 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
             if !bounded.is_zero() {
                 thread::sleep(bounded);
             }
-            func.clone_from(&pristine);
         }
-        #[cfg(feature = "failpoints")]
-        ossa_destruct::fault::failpoints::set_attempt_base(rung as u32);
-
-        let (options, validation) = rung_config(&shared.config, rung);
-        let policy = EnginePolicy { validation, recovery: RecoveryPolicy::retries(0) };
-        match translate_function_isolated_policy_pooled(
-            &mut func,
-            &options,
-            &shared.config.limits,
-            &policy,
-            engine,
-        ) {
-            Ok(stats) => {
-                success = Some((stats, rung));
-                break;
-            }
-            Err(error) => {
-                if matches!(error, TranslateError::ValidationFailed { .. }) {
-                    validation_failures += 1;
-                }
-                last_error = Some(error);
-            }
-        }
-    }
-    #[cfg(feature = "failpoints")]
-    ossa_destruct::fault::failpoints::set_attempt_base(0);
+        engine.try_rung(func, rung, limits, Some(&pristine))
+    });
     fuel::set_deadline(None);
 
     let finished = Instant::now();
     let translate_seconds = finished.saturating_duration_since(dequeued).as_secs_f64();
     let total = finished.saturating_duration_since(entry.enqueued);
+    let rung = walk.rung;
+    let validation_failures = walk.validation_failures;
 
-    let response = match success {
-        Some((mut rung_stats, rung)) => {
-            rung_stats.validation_failures = validation_failures;
-            if rung > start_rung {
-                rung_stats.recovery =
-                    RecoveryOutcome::Recovered { attempt: (rung - start_rung + 1) as u32 };
-            }
+    let response = match walk.result {
+        Ok(rung_stats) => {
             let mut stats = shared.stats.lock().unwrap();
             stats.completed += 1;
-            if rung > start_rung {
+            if rung > level {
                 stats.recovered += 1;
             }
             stats.validation_failures += validation_failures as u64;
@@ -639,8 +589,7 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
                 total_seconds: total.as_secs_f64(),
             }
         }
-        None => {
-            let error = last_error.expect("at least one rung ran");
+        Err(error) => {
             let mut stats = shared.stats.lock().unwrap();
             stats.failed += 1;
             if matches!(error, TranslateError::DeadlineExceeded { .. }) {

@@ -5,16 +5,17 @@
 //! linear-scan register allocation — all passes sharing **one** analysis
 //! cache with per-pass invalidation, its storage recycled across functions.
 //!
-//! The same queue is also drained through the batch corpus engine
-//! (`translate_corpus`, parallel workers) and the streaming front end
-//! (`translate_stream`, fed from an iterator as a JIT queue would); all
-//! three flavours must agree bit-for-bit.
+//! The same queue is also drained through the batch engine (`Engine::run`,
+//! parallel workers) and the pooled streaming front end
+//! (`Engine::run_stream`, fed one function at a time as a JIT queue would);
+//! all three flavours must agree bit-for-bit.
 //!
 //! Run with `cargo run --example jit_pipeline`.
 
 use out_of_ssa::cfggen::{generate_function, pin_call_conventions, GenConfig};
-use out_of_ssa::destruct::{translate_corpus, translate_stream, OutOfSsaOptions};
+use out_of_ssa::destruct::{Engine, EngineWorker, OutOfSsaOptions};
 use out_of_ssa::interp::{same_behaviour, Interpreter};
+use out_of_ssa::ir::FunctionPool;
 use out_of_ssa::regalloc::check_allocation;
 use out_of_ssa::ssa::{construct_ssa, eliminate_dead_code, propagate_copies};
 use out_of_ssa::Pipeline;
@@ -46,8 +47,8 @@ fn main() {
     // 3. The batch and streaming engines get the same middle-end output (here
     //    rebuilt with the standalone passes) and must reproduce the
     //    pipeline's back end exactly: batch from a materialized slice on the
-    //    parallel worker pool, streaming from a lazy iterator as a JIT queue
-    //    would feed it.
+    //    parallel worker pool, streaming one function at a time through a
+    //    pooled source, as a JIT queue would feed it.
     let mut ssa_forms = references.clone();
     for func in &mut ssa_forms {
         construct_ssa(func);
@@ -55,9 +56,15 @@ fn main() {
         eliminate_dead_code(func);
         pin_call_conventions(func);
     }
+    let engine = Engine::new(options);
     let mut batch = ssa_forms.clone();
-    let corpus_stats = translate_corpus(&mut batch, &options);
-    let (streamed, stream_stats) = translate_stream(ssa_forms.iter().cloned(), &options);
+    let corpus_stats = engine.run(&mut batch);
+    let mut queue = ssa_forms.iter();
+    let mut source = |pool: &mut FunctionPool| queue.next().map(|f| pool.checkout_clone_of(f));
+    let mut streamed = Vec::new();
+    let stream_stats = engine.run_stream(&mut source, &mut EngineWorker::new(), |_, func, _| {
+        streamed.push(func.clone());
+    });
 
     let mut total_spills = 0usize;
     let mut total_copies = 0usize;

@@ -5,7 +5,8 @@
 //! pipeline whose engineering cost is dominated by recomputed analyses.
 //! [`Pipeline`] is the pass-manager layer that makes the compute-once claim
 //! hold for the *whole* flow, not just the translation: it owns a single
-//! [`FunctionAnalyses`] cache and a single [`TranslateScratch`], and runs
+//! [`EngineWorker`] — one [`FunctionAnalyses`] cache, one translation
+//! scratch and one function pool — and runs
 //!
 //! 1. [`construct_ssa_cached`] — pruned SSA construction,
 //! 2. [`propagate_copies_keeping_cached`] — the optimization that breaks
@@ -49,11 +50,10 @@ use std::time::{Duration, Instant};
 
 use ossa_destruct::fault::{self, TranslatePhase};
 use ossa_destruct::{
-    translate_out_of_ssa_scratch, validate_translation, Limits, OutOfSsaOptions, OutOfSsaStats,
-    PooledSource, RecoveryOutcome, RecoveryPolicy, TranslateError, TranslateScratch,
-    ValidationMode,
+    translate_out_of_ssa_scratch, EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats,
+    TranslateError, ValidationMode,
 };
-use ossa_ir::{Function, FunctionPool};
+use ossa_ir::Function;
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
 use ossa_regalloc::{allocate_cached, Allocation};
 use ossa_ssa::{
@@ -81,24 +81,33 @@ pub struct PipelineReport {
     pub allocation: Option<Allocation>,
 }
 
-/// The pass pipeline: one analysis cache and one translation scratch, owned
-/// across passes *and* across functions.
+/// The retry ladder records its verdict in the translation statistics.
+impl AsMut<OutOfSsaStats> for PipelineReport {
+    fn as_mut(&mut self) -> &mut OutOfSsaStats {
+        &mut self.translation
+    }
+}
+
+/// The pass pipeline: one engine worker — analysis cache, translation
+/// scratch and function pool — owned across passes *and* across functions.
 ///
 /// See the [module documentation](self) for the flow and the invalidation
 /// contract.
 #[derive(Debug)]
 pub struct Pipeline {
-    options: OutOfSsaOptions,
+    ladder: Ladder,
+    limits: Limits,
+    deadline: Option<Duration>,
+    passes: Passes,
+    worker: EngineWorker,
+}
+
+/// The pass configuration of a [`Pipeline`] apart from the translation.
+#[derive(Clone, Copy, Debug)]
+struct Passes {
     num_regs: Option<u32>,
     keep_copy_every: usize,
     check_conventional: bool,
-    limits: Limits,
-    validation: ValidationMode,
-    recovery: RecoveryPolicy,
-    deadline: Option<Duration>,
-    analyses: FunctionAnalyses,
-    scratch: TranslateScratch,
-    pool: FunctionPool,
 }
 
 impl Pipeline {
@@ -106,17 +115,11 @@ impl Pipeline {
     /// full copy propagation, CSSA check enabled.
     pub fn new(options: OutOfSsaOptions) -> Self {
         Self {
-            options,
-            num_regs: None,
-            keep_copy_every: 0,
-            check_conventional: true,
+            ladder: Ladder::retrying(options, ValidationMode::Off, 0),
             limits: Limits::UNBOUNDED,
-            validation: ValidationMode::Off,
-            recovery: RecoveryPolicy::default(),
             deadline: None,
-            analyses: FunctionAnalyses::new(),
-            scratch: TranslateScratch::new(),
-            pool: FunctionPool::new(),
+            passes: Passes { num_regs: None, keep_copy_every: 0, check_conventional: true },
+            worker: EngineWorker::new(),
         }
     }
 
@@ -130,7 +133,7 @@ impl Pipeline {
     /// Enables register allocation with `num_regs` architectural registers
     /// as the final pass.
     pub fn with_registers(mut self, num_regs: u32) -> Self {
-        self.num_regs = Some(num_regs);
+        self.passes.num_regs = Some(num_regs);
         self
     }
 
@@ -138,7 +141,7 @@ impl Pipeline {
     /// none) — real optimization pipelines rarely remove every copy, and the
     /// remaining ones are where the coalescing strategies differ.
     pub fn with_kept_copies(mut self, keep_every: usize) -> Self {
-        self.keep_copy_every = keep_every;
+        self.passes.keep_copy_every = keep_every;
         self
     }
 
@@ -146,33 +149,26 @@ impl Pipeline {
     /// translation (it is a read-only diagnostic; disabling it also skips
     /// computing the liveness sets it needs).
     pub fn with_cssa_check(mut self, check: bool) -> Self {
-        self.check_conventional = check;
+        self.passes.check_conventional = check;
         self
     }
 
-    /// Sets the post-translation [`ValidationMode`] of the `try_run*` entry
-    /// points: the pipeline's output is checked structurally — and, in
-    /// differential mode, executed against a pristine snapshot of the
-    /// pre-SSA input — before it is handed back. [`Pipeline::run`] is the
-    /// unchecked fast path and ignores this.
-    pub fn with_validation(mut self, mode: ValidationMode) -> Self {
-        self.validation = mode;
-        self
-    }
-
-    /// Sets the recovery ladder of the `try_run*` entry points: on any
-    /// failure (panic, limit, validation), the function is restored from
-    /// its pristine snapshot and re-run on the conservative configuration
-    /// ([`OutOfSsaOptions::conservative_fallback`]) up to
-    /// `recovery.max_retries` times.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
+    /// Replaces the translation ladder (its first rung's options become the
+    /// pipeline's options). The `try_run*` entry points walk it: each rung
+    /// validates the pipeline's output against a pristine snapshot of the
+    /// pre-SSA input at its [`ValidationMode`] — the whole SSA-construction,
+    /// optimization and destruction stack must preserve behaviour — and any
+    /// failure (panic, limit, validation) re-runs the whole pipeline on the
+    /// restored input with the next rung. [`Pipeline::run`] is the
+    /// unchecked fast path and uses only the first rung's options.
+    pub fn with_ladder(mut self, ladder: Ladder) -> Self {
+        self.ladder = ladder;
         self
     }
 
     /// Sets a wall-clock budget for each `try_run*` call: a cancellation
     /// token ([`ossa_liveness::fuel::set_deadline`]) spanning the *whole*
-    /// recovery ladder — retries share the budget rather than resetting it.
+    /// ladder — retries share the budget rather than resetting it.
     /// Expiry surfaces as [`TranslateError::DeadlineExceeded`] at the next
     /// phase boundary or fixpoint tick. An already-installed ambient
     /// deadline (e.g. a service worker's per-request token) is narrowed,
@@ -186,93 +182,13 @@ impl Pipeline {
     /// The shared analysis cache (for inspection; the compute counters in
     /// particular).
     pub fn analyses(&self) -> &FunctionAnalyses {
-        &self.analyses
+        &self.worker.analyses
     }
 
     /// The cumulative analysis compute counters across everything this
     /// pipeline has run.
     pub fn counts(&self) -> AnalysisCounts {
-        self.analyses.counts()
-    }
-
-    /// The pipeline's function-storage pool (used by [`Pipeline::run_stream`]
-    /// and [`Pipeline::try_run_stream`]; exposed for traffic inspection).
-    pub fn pool(&self) -> &FunctionPool {
-        &self.pool
-    }
-
-    /// Mutable access to the function-storage pool, e.g. to check slots out
-    /// by hand or pre-seed the free list.
-    pub fn pool_mut(&mut self) -> &mut FunctionPool {
-        &mut self.pool
-    }
-
-    /// Pooled streaming front end of the pipeline: drains `source` — which
-    /// builds each incoming function into storage checked out of the
-    /// pipeline's own [`FunctionPool`] — runs the full pass pipeline on each
-    /// function, hands it to `consumer` by reference, and retires the storage
-    /// back to the pool. Returns the number of functions processed.
-    ///
-    /// Because the pool, the analysis cache and the translation scratch all
-    /// live in `self`, a pipeline kept across calls reaches the same
-    /// steady-state allocation freedom as the engine's pooled workers: once
-    /// warm, streaming one more function through `run_stream` performs a
-    /// bounded number of heap allocations regardless of stream length.
-    pub fn run_stream<S>(
-        &mut self,
-        source: &mut S,
-        mut consumer: impl FnMut(usize, &Function, &PipelineReport),
-    ) -> usize
-    where
-        S: PooledSource + ?Sized,
-    {
-        // The pool is taken out of `self` for the loop so the pipeline
-        // itself stays `&mut`-borrowable per function; `run` never touches
-        // it.
-        let mut pool = std::mem::take(&mut self.pool);
-        let mut index = 0usize;
-        while let Some(mut func) = source.next_into(&mut pool) {
-            let report = self.run(&mut func);
-            consumer(index, &func, &report);
-            pool.retire(func);
-            index += 1;
-        }
-        self.pool = pool;
-        index
-    }
-
-    /// Fault-isolated [`Pipeline::run_stream`]: each function runs through
-    /// [`Pipeline::try_run`], so a malformed, oversized or panicking function
-    /// reaches `consumer` as `Err` while the stream keeps flowing. The
-    /// poisoned function slot is *discarded*, never retired — a partially
-    /// rewritten body can never be recycled into a later function — matching
-    /// the quarantine of the pipeline's analysis cache and scratch. Returns
-    /// the number of functions processed.
-    pub fn try_run_stream<S>(
-        &mut self,
-        source: &mut S,
-        mut consumer: impl FnMut(usize, Result<(&Function, &PipelineReport), &TranslateError>),
-    ) -> usize
-    where
-        S: PooledSource + ?Sized,
-    {
-        let mut pool = std::mem::take(&mut self.pool);
-        let mut index = 0usize;
-        while let Some(mut func) = source.next_into(&mut pool) {
-            match self.try_run(&mut func) {
-                Ok(report) => {
-                    consumer(index, Ok((&func, &report)));
-                    pool.retire(func);
-                }
-                Err(error) => {
-                    consumer(index, Err(&error));
-                    pool.discard(func);
-                }
-            }
-            index += 1;
-        }
-        self.pool = pool;
-        index
+        self.worker.analyses.counts()
     }
 
     /// Runs the full pipeline on `func` (in virtual-register form) in place.
@@ -298,32 +214,81 @@ impl Pipeline {
         func: &mut Function,
         constrain: impl FnOnce(&mut Function),
     ) -> PipelineReport {
-        // Cheap clone (all fields are plain values): lets `run_inner` take
-        // the options by reference while borrowing `self` mutably, and lets
-        // the recovery ladder substitute the conservative configuration.
-        let options = self.options.clone();
-        self.run_inner(func, constrain, &options)
+        self.passes.run(func, constrain, self.ladder.options(), &mut self.worker)
     }
 
-    fn run_inner(
+    /// Fault-isolated [`Pipeline::run`]: the input is structurally verified
+    /// and checked against the configured [`Limits`] up front, and the whole
+    /// pipeline runs under a panic boundary, so a malformed, oversized or
+    /// panicking function returns a typed [`TranslateError`] instead of
+    /// unwinding into the caller.
+    ///
+    /// On `Err`, the pipeline's caches are quarantined (rebuilt fresh — an
+    /// unwind can leave them mid-mutation) and `func` may have been
+    /// partially rewritten; the pipeline itself stays usable and later
+    /// functions translate bit-identically to a fault-free run. The happy
+    /// path of [`Pipeline::run`] is untouched: it performs no catching, no
+    /// release-mode verification and no limit checks.
+    pub fn try_run(&mut self, func: &mut Function) -> Result<PipelineReport, TranslateError> {
+        self.try_run_with(func, |_| {})
+    }
+
+    /// Like [`Pipeline::try_run`], applying `constrain` between the SSA
+    /// optimizations and the translation (the [`Pipeline::run_with`] hook).
+    /// The hook is `FnMut` because a retry re-runs the whole pipeline —
+    /// including the hook — on the restored pristine input.
+    pub fn try_run_with(
         &mut self,
+        func: &mut Function,
+        mut constrain: impl FnMut(&mut Function),
+    ) -> Result<PipelineReport, TranslateError> {
+        let _deadline = self.deadline.map(DeadlineGuard::install);
+        let Self { ladder, limits, passes, worker, .. } = self;
+        let pristine = ladder.needs_snapshot().then(|| worker.pool.checkout_clone_of(func));
+        let walk = ladder.walk(0, func, pristine.as_ref(), |func, rung, _| {
+            // The differential reference is the pre-SSA *input*.
+            worker.attempt(func, rung, limits, pristine.as_ref(), |worker, func| {
+                // The pipeline ingests virtual-register (pre-SSA) code, so
+                // only the structural verifier applies here; SSA invariants
+                // are established by the construction pass itself.
+                if let Err(errors) = ossa_ir::verify_cfg(func) {
+                    return Err(TranslateError::Malformed {
+                        phase: TranslatePhase::Verify,
+                        detail: errors.to_string(),
+                    });
+                }
+                Ok(passes.run(func, &mut constrain, &rung.options, worker))
+            })
+        });
+        if let Some(pristine) = pristine {
+            worker.pool.retire(pristine);
+        }
+        walk.result
+    }
+}
+
+impl Passes {
+    fn run(
+        self,
         func: &mut Function,
         constrain: impl FnOnce(&mut Function),
         options: &OutOfSsaOptions,
+        worker: &mut EngineWorker,
     ) -> PipelineReport {
+        let analyses = &mut worker.analyses;
         // A new function: drop (and recycle) everything from the previous one.
-        self.analyses.invalidate_cfg();
+        analyses.invalidate_cfg();
 
         // Middle end. Each pass declares its own invalidation: these are all
         // instruction-only mutations, so the CFG analyses computed by the
         // first pass survive until the translation splits an edge (if ever).
         fault::enter_phase(&func.name, TranslatePhase::Ssa);
-        let construction = construct_ssa_cached(func, &mut self.analyses);
+        let construction = construct_ssa_cached(func, analyses);
         let copy_propagation =
-            propagate_copies_keeping_cached(func, self.keep_copy_every, &mut self.analyses);
-        let dead_code = eliminate_dead_code_cached(func, &mut self.analyses);
+            propagate_copies_keeping_cached(func, self.keep_copy_every, analyses);
+        let dead_code = eliminate_dead_code_cached(func, analyses);
         let conventional_after_opt =
-            self.check_conventional.then(|| is_conventional_cached(func, &self.analyses));
+            self.check_conventional.then(|| is_conventional_cached(func, analyses));
 
         // Renaming constraints (pins, possibly instruction edits; see the
         // doc contract). The instruction-dependent caches are dropped after
@@ -333,13 +298,13 @@ impl Pipeline {
         // nothing extra: the translation recomputed liveness after its
         // insertion anyway.)
         constrain(func);
-        self.analyses.invalidate_instructions();
+        analyses.invalidate_instructions();
 
         // Back end over the same cache and scratch.
         let translation =
-            translate_out_of_ssa_scratch(func, options, &mut self.analyses, &mut self.scratch);
+            translate_out_of_ssa_scratch(func, options, analyses, &mut worker.scratch);
         fault::enter_phase(&func.name, TranslatePhase::Regalloc);
-        let allocation = self.num_regs.map(|regs| allocate_cached(func, regs, &self.analyses));
+        let allocation = self.num_regs.map(|regs| allocate_cached(func, regs, analyses));
 
         PipelineReport {
             construction,
@@ -349,119 +314,6 @@ impl Pipeline {
             translation,
             allocation,
         }
-    }
-
-    /// Fault-isolated [`Pipeline::run`]: the input is structurally verified
-    /// and checked against the configured [`Limits`] up front, and the whole
-    /// pipeline runs under a panic boundary, so a malformed, oversized or
-    /// panicking function returns a typed [`TranslateError`] instead of
-    /// unwinding into the caller.
-    ///
-    /// On `Err`, the pipeline's analysis cache and scratch are quarantined
-    /// (rebuilt fresh — an unwind can leave them mid-mutation) and `func`
-    /// may have been partially rewritten; the pipeline itself stays usable
-    /// and later functions translate bit-identically to a fault-free run.
-    /// The happy path of [`Pipeline::run`] is untouched: it performs no
-    /// catching, no release-mode verification and no limit checks.
-    pub fn try_run(&mut self, func: &mut Function) -> Result<PipelineReport, TranslateError> {
-        self.try_run_with(func, |_| {})
-    }
-
-    /// Like [`Pipeline::try_run`], applying `constrain` between the SSA
-    /// optimizations and the translation (the [`Pipeline::run_with`] hook).
-    /// The hook is `FnMut` because a recovery retry re-runs the whole
-    /// pipeline — including the hook — on the restored pristine input.
-    pub fn try_run_with(
-        &mut self,
-        func: &mut Function,
-        mut constrain: impl FnMut(&mut Function),
-    ) -> Result<PipelineReport, TranslateError> {
-        let _deadline = self.deadline.map(DeadlineGuard::install);
-        if self.validation == ValidationMode::Off && self.recovery.max_retries == 0 {
-            let options = self.options.clone();
-            return self.try_run_attempt(func, &mut constrain, &options, None);
-        }
-
-        let pristine = func.clone();
-        let max_attempts = 1 + self.recovery.max_retries;
-        let mut validation_failures = 0usize;
-        let mut last_error = None;
-        for attempt in 0..max_attempts {
-            #[cfg(feature = "failpoints")]
-            ossa_destruct::fault::failpoints::set_attempt(attempt);
-            let options = if attempt == 0 {
-                self.options.clone()
-            } else {
-                // A retry starts over: pristine input, conservative options
-                // (the attempt itself quarantined the caches on failure).
-                func.clone_from(&pristine);
-                self.options.conservative_fallback()
-            };
-            match self.try_run_attempt(func, &mut constrain, &options, Some(&pristine)) {
-                Ok(mut report) => {
-                    report.translation.validation_failures = validation_failures;
-                    if attempt > 0 {
-                        report.translation.recovery =
-                            RecoveryOutcome::Recovered { attempt: attempt + 1 };
-                    }
-                    #[cfg(feature = "failpoints")]
-                    ossa_destruct::fault::failpoints::set_attempt(0);
-                    return Ok(report);
-                }
-                Err(error) => {
-                    if matches!(error, TranslateError::ValidationFailed { .. }) {
-                        validation_failures += 1;
-                    }
-                    last_error = Some(error);
-                }
-            }
-        }
-        #[cfg(feature = "failpoints")]
-        ossa_destruct::fault::failpoints::set_attempt(0);
-        Err(last_error.expect("at least one attempt ran"))
-    }
-
-    /// One isolated pipeline attempt: verify, run, and (when configured)
-    /// validate the output against `pristine`. Quarantines the analysis
-    /// cache and scratch on any `Err`.
-    fn try_run_attempt(
-        &mut self,
-        func: &mut Function,
-        constrain: &mut impl FnMut(&mut Function),
-        options: &OutOfSsaOptions,
-        pristine: Option<&Function>,
-    ) -> Result<PipelineReport, TranslateError> {
-        ossa_liveness::fuel::set_fixpoint_fuel(self.limits.max_fixpoint_iters);
-        let caught = ossa_destruct::catch_translate(|| {
-            fault::enter_phase(&func.name, TranslatePhase::Verify);
-            self.limits.check_function(func)?;
-            // The pipeline ingests virtual-register (pre-SSA) code, so only
-            // the structural verifier applies here; SSA invariants are
-            // established by the construction pass itself.
-            if let Err(errors) = ossa_ir::verify_cfg(func) {
-                return Err(TranslateError::Malformed {
-                    phase: TranslatePhase::Verify,
-                    detail: errors.to_string(),
-                });
-            }
-            let report = self.run_inner(func, &mut *constrain, options);
-            if self.validation != ValidationMode::Off {
-                fault::enter_phase(&func.name, TranslatePhase::Validate);
-                let reference = pristine.expect("validation requires a pristine snapshot");
-                // The differential reference is the pre-SSA *input*: the
-                // whole pipeline (construction, optimizations, hook,
-                // translation) must preserve its observable behaviour.
-                validate_translation(reference, func, options, self.validation)?;
-            }
-            Ok(report)
-        });
-        ossa_liveness::fuel::set_fixpoint_fuel(None);
-        let result = caught.unwrap_or_else(Err);
-        if result.is_err() {
-            self.analyses = FunctionAnalyses::new();
-            self.scratch = TranslateScratch::new();
-        }
-        result
     }
 }
 
@@ -492,7 +344,7 @@ impl Drop for DeadlineGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ossa_cfggen::{generate_function, generate_function_into, pin_call_conventions, GenConfig};
+    use ossa_cfggen::{generate_function, pin_call_conventions, GenConfig};
     use ossa_destruct::translate_out_of_ssa;
     use ossa_interp::{same_behaviour, Interpreter};
     use ossa_regalloc::{allocate, check_allocation};
@@ -580,41 +432,6 @@ mod tests {
                 "def/use index recomputed for unchanged instructions"
             );
         }
-    }
-
-    #[test]
-    fn pooled_stream_matches_per_function_runs() {
-        let options = OutOfSsaOptions::default();
-
-        // Reference: per-function `run` calls on freshly built functions.
-        let mut reference = Pipeline::new(options.clone());
-        let mut expected = Vec::new();
-        for seed in 0..5u64 {
-            let mut func = generate_function(format!("s{seed}"), &GenConfig::small(), seed);
-            reference.run(&mut func);
-            expected.push(func);
-        }
-
-        // Pooled stream: the same functions built into recycled pool slots.
-        let mut pipeline = Pipeline::new(options);
-        let mut next = 0u64;
-        let mut source = |pool: &mut FunctionPool| {
-            if next >= 5 {
-                return None;
-            }
-            let seed = next;
-            next += 1;
-            let slot = pool.checkout();
-            Some(generate_function_into(slot, format!("s{seed}"), &GenConfig::small(), seed))
-        };
-        let mut seen = Vec::new();
-        let processed = pipeline.run_stream(&mut source, |_, func, _| seen.push(func.clone()));
-
-        assert_eq!(processed, 5);
-        assert_eq!(seen, expected);
-        let stats = pipeline.pool().stats();
-        assert_eq!(stats.retired, 5);
-        assert_eq!(stats.recycled, 4, "all checkouts after the first recycle the slot");
     }
 
     #[test]

@@ -126,8 +126,7 @@ fn pool_ranges_stay_disjoint_through_the_pipeline() {
 
 #[test]
 fn pooled_checkout_retire_recheckout_is_bit_identical() {
-    use out_of_ssa::destruct::EngineWorker;
-    use out_of_ssa::destruct::{translate_corpus_serial, translate_stream_pooled_serial};
+    use out_of_ssa::destruct::{translate_stream_pooled_serial, Engine, EngineWorker};
     use out_of_ssa::ir::FunctionPool;
 
     let config = GenConfig::small();
@@ -142,7 +141,7 @@ fn pooled_checkout_retire_recheckout_is_bit_identical() {
             func
         })
         .collect();
-    let batch_stats = translate_corpus_serial(&mut batch, &options);
+    let batch_stats = Engine::new(options.clone()).with_threads(1).run(&mut batch);
 
     // Pooled streaming through one persistent worker: after the first pass
     // every checkout re-uses a slot that already went through a full

@@ -11,11 +11,10 @@ use std::time::Instant;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    translate_function_isolated, translate_function_isolated_policy, EnginePolicy, Limits,
-    Resource, TranslateError, TranslateScratch, ValidationMode,
+    Engine, EngineWorker, Ladder, Limits, OutOfSsaOptions, Resource, TranslateError, ValidationMode,
 };
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::{fuel, FunctionAnalyses};
+use out_of_ssa::liveness::fuel;
 use out_of_ssa::service::{ServiceConfig, ServiceError, TranslationService};
 
 /// The failpoint configuration (used by the gated test below) is
@@ -27,33 +26,25 @@ fn input(seed: u64) -> Function {
 }
 
 fn reference(seed: u64, validation: ValidationMode) -> Function {
+    let options = OutOfSsaOptions::default();
+    let engine = Engine::new(options.clone()).with_ladder(Ladder::retrying(options, validation, 0));
     let mut func = input(seed);
-    translate_function_isolated_policy(
-        &mut func,
-        &Default::default(),
-        &Limits::default(),
-        &EnginePolicy::validating(validation),
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .expect("healthy input translates");
+    EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func
 }
 
 #[test]
 fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
     let _guard = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
-    let options = Default::default();
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
+    let engine = Engine::new(OutOfSsaOptions::default());
+    let mut worker = EngineWorker::new();
     let pristine = input(3);
 
     // Fuel: a deterministic property of the function under its limits.
     let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
     let mut victim = pristine.clone();
     let fuel_err =
-        translate_function_isolated(&mut victim, &options, &starved, &mut analyses, &mut scratch)
-            .unwrap_err();
+        worker.try_translate(&mut victim, &engine.clone().with_limits(starved)).unwrap_err();
     assert!(
         matches!(
             fuel_err,
@@ -66,14 +57,7 @@ fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
     // but an already-expired cancellation token.
     fuel::set_deadline(Some(Instant::now()));
     let mut victim = pristine.clone();
-    let deadline_err = translate_function_isolated(
-        &mut victim,
-        &options,
-        &Limits::UNBOUNDED,
-        &mut analyses,
-        &mut scratch,
-    )
-    .unwrap_err();
+    let deadline_err = worker.try_translate(&mut victim, &engine).unwrap_err();
     fuel::set_deadline(None);
     assert!(
         matches!(deadline_err, TranslateError::DeadlineExceeded { .. }),
@@ -85,23 +69,9 @@ fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
     // same (quarantined, rebuilt) state translates the same input
     // bit-identically to a fresh worker.
     let mut healed = pristine.clone();
-    translate_function_isolated(
-        &mut healed,
-        &options,
-        &Limits::UNBOUNDED,
-        &mut analyses,
-        &mut scratch,
-    )
-    .expect("translates once pressure is lifted");
+    worker.try_translate(&mut healed, &engine).expect("translates once pressure is lifted");
     let mut fresh = pristine.clone();
-    translate_function_isolated(
-        &mut fresh,
-        &options,
-        &Limits::UNBOUNDED,
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .unwrap();
+    EngineWorker::new().try_translate(&mut fresh, &engine).unwrap();
     assert_eq!(healed, fresh, "post-failure worker output diverged");
 }
 

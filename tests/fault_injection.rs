@@ -1,4 +1,4 @@
-//! Fault isolation at integration level: the isolated engine entry points
+//! Fault isolation at integration level: the checked engine entry points
 //! must contain per-function failures — malformed inputs, exceeded resource
 //! limits, injected panics — while translating every healthy neighbour
 //! bit-identically to a fault-free run.
@@ -9,13 +9,19 @@
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    translate_corpus, translate_corpus_isolated, translate_function_isolated, Limits, Resource,
-    TranslateError, TranslatePhase,
+    Engine, EngineWorker, Limits, OutOfSsaOptions, Resource, TranslateError, TranslatePhase,
 };
-use out_of_ssa::destruct::{OutOfSsaOptions, TranslateScratch};
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::FunctionAnalyses;
 use out_of_ssa::Pipeline;
+use std::sync::{Mutex, MutexGuard};
+
+/// The failpoint injectors are process-global: an armed campaign would
+/// poison any test running beside it, so every test in this binary
+/// serialises on this lock.
+fn serialised() -> MutexGuard<'static, ()> {
+    static CAMPAIGN: Mutex<()> = Mutex::new(());
+    CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small corpus of distinct healthy SSA functions.
 fn corpus(n: usize) -> Vec<Function> {
@@ -26,12 +32,13 @@ fn corpus(n: usize) -> Vec<Function> {
 
 #[test]
 fn isolated_engine_matches_the_plain_engine_on_a_healthy_corpus() {
-    let options = OutOfSsaOptions::default();
+    let _guard = serialised();
+    let engine = Engine::new(OutOfSsaOptions::default());
     let mut plain = corpus(12);
-    let plain_stats = translate_corpus(&mut plain, &options);
+    let plain_stats = engine.run(&mut plain);
 
     let mut isolated = corpus(12);
-    let stats = translate_corpus_isolated(&mut isolated, &options, &Limits::UNBOUNDED);
+    let stats = engine.try_run(&mut isolated);
     assert_eq!(stats.num_errors(), 0);
     assert_eq!(isolated, plain);
     for (result, expected) in stats.results.iter().zip(&plain_stats.per_function) {
@@ -41,9 +48,10 @@ fn isolated_engine_matches_the_plain_engine_on_a_healthy_corpus() {
 
 #[test]
 fn size_limits_reject_only_the_oversized_functions() {
-    let options = OutOfSsaOptions::default();
+    let _guard = serialised();
+    let engine = Engine::new(OutOfSsaOptions::default());
     let mut plain = corpus(8);
-    translate_corpus(&mut plain, &options);
+    engine.run(&mut plain);
 
     // Pick a bound between the smallest and largest function so the corpus
     // splits into both accepted and rejected functions.
@@ -53,7 +61,7 @@ fn size_limits_reject_only_the_oversized_functions() {
 
     let mut bounded = corpus(8);
     let limits = Limits { max_insts: Some(limit), ..Limits::UNBOUNDED };
-    let stats = translate_corpus_isolated(&mut bounded, &options, &limits);
+    let stats = engine.with_limits(limits).try_run(&mut bounded);
     for (i, (result, &size)) in stats.results.iter().zip(&sizes).enumerate() {
         if size > limit {
             // Rejected up front: the function is left untouched (still has
@@ -76,18 +84,16 @@ fn size_limits_reject_only_the_oversized_functions() {
 
 #[test]
 fn fixpoint_fuel_returns_resource_exhausted_and_recovers() {
-    let options = OutOfSsaOptions::default();
-    let mut analyses = FunctionAnalyses::new();
-    let mut scratch = TranslateScratch::new();
+    let _guard = serialised();
+    let engine = Engine::new(OutOfSsaOptions::default());
+    let mut worker = EngineWorker::new();
 
     // A generated function with loops needs more than one liveness fixpoint
     // pass, so a one-pass budget trips mid-translation.
     let (func, _) = generate_ssa_function("fuel", &GenConfig::small(), 3);
     let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
     let mut victim = func.clone();
-    let err =
-        translate_function_isolated(&mut victim, &options, &starved, &mut analyses, &mut scratch)
-            .unwrap_err();
+    let err = worker.try_translate(&mut victim, &engine.clone().with_limits(starved)).unwrap_err();
     assert_eq!(
         err,
         TranslateError::ResourceExhausted {
@@ -97,45 +103,26 @@ fn fixpoint_fuel_returns_resource_exhausted_and_recovers() {
         }
     );
 
-    // The same (quarantined, rebuilt) analyses and scratch then translate
-    // the same function correctly once the budget is lifted: identical to a
-    // run through completely fresh state.
+    // The same (quarantined, rebuilt) worker then translates the same
+    // function correctly once the budget is lifted: identical to a run
+    // through completely fresh state.
     let mut retry = func.clone();
-    let stats = translate_function_isolated(
-        &mut retry,
-        &options,
-        &Limits::UNBOUNDED,
-        &mut analyses,
-        &mut scratch,
-    )
-    .unwrap();
+    let stats = worker.try_translate(&mut retry, &engine).unwrap();
     let mut fresh = func.clone();
-    let fresh_stats = translate_function_isolated(
-        &mut fresh,
-        &options,
-        &Limits::UNBOUNDED,
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .unwrap();
+    let fresh_stats = EngineWorker::new().try_translate(&mut fresh, &engine).unwrap();
     assert_eq!(retry, fresh);
     assert_eq!(stats, fresh_stats);
 }
 
 #[test]
 fn malformed_input_is_reported_as_a_verify_error() {
+    let _guard = serialised();
     // A *pre-SSA* function (mutable virtual registers, multiple definitions
     // per value) is structurally fine but violates the SSA invariants the
     // translation engine's contract requires.
     let mut pre_ssa = generate_function("malformed", &GenConfig::small(), 1);
-    let err = translate_function_isolated(
-        &mut pre_ssa,
-        &OutOfSsaOptions::default(),
-        &Limits::UNBOUNDED,
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .unwrap_err();
+    let engine = Engine::new(OutOfSsaOptions::default());
+    let err = EngineWorker::new().try_translate(&mut pre_ssa, &engine).unwrap_err();
     let TranslateError::Malformed { phase, detail } = err else {
         panic!("expected Malformed, got {err:?}");
     };
@@ -145,21 +132,17 @@ fn malformed_input_is_reported_as_a_verify_error() {
 
 #[test]
 fn a_poisoned_function_never_affects_its_corpus_neighbours() {
-    let options = OutOfSsaOptions::default();
+    let _guard = serialised();
+    let engine = Engine::new(OutOfSsaOptions::default());
     let mut plain = corpus(6);
-    translate_corpus(&mut plain, &options);
+    engine.run(&mut plain);
 
     // Swap one healthy function for a malformed (pre-SSA) one and run both
-    // the serial and a two-worker isolated translation.
+    // the serial and a two-worker checked translation.
     for threads in [1, 2] {
         let mut poisoned = corpus(6);
         poisoned[2] = generate_function("fi2", &GenConfig::small(), 2);
-        let stats = out_of_ssa::destruct::translate_corpus_isolated_with(
-            &mut poisoned,
-            &options,
-            &Limits::UNBOUNDED,
-            threads,
-        );
+        let stats = engine.clone().with_threads(threads).try_run(&mut poisoned);
         assert_eq!(stats.num_errors(), 1);
         let (index, error) = stats.errors().next().unwrap();
         assert_eq!(index, 2);
@@ -174,13 +157,13 @@ fn a_poisoned_function_never_affects_its_corpus_neighbours() {
 
 #[test]
 fn pooled_streaming_discards_the_poisoned_slot_and_keeps_neighbours_identical() {
+    let _guard = serialised();
     use out_of_ssa::cfggen::{generate_function_into, generate_ssa_function_into};
-    use out_of_ssa::destruct::{translate_stream_pooled_isolated_serial, EngineWorker};
     use out_of_ssa::ir::FunctionPool;
 
-    let options = OutOfSsaOptions::default();
+    let engine = Engine::new(OutOfSsaOptions::default());
     let mut plain = corpus(6);
-    translate_corpus(&mut plain, &options);
+    engine.run(&mut plain);
 
     // A pooled source that hands out function 2 as a malformed (pre-SSA)
     // function, built into recycled pool slots like every healthy neighbour.
@@ -201,18 +184,12 @@ fn pooled_streaming_discards_the_poisoned_slot_and_keeps_neighbours_identical() 
     };
 
     let mut failures = Vec::new();
-    let stats = translate_stream_pooled_isolated_serial(
-        &mut source,
-        &mut worker,
-        &options,
-        &Limits::UNBOUNDED,
-        |index, result| match result {
-            Ok(func) => {
-                assert_eq!(func, &plain[index], "survivor {index} diverged from fault-free run");
-            }
-            Err(error) => failures.push((index, error.phase())),
-        },
-    );
+    let stats = engine.try_run_stream(&mut source, &mut worker, |index, result| match result {
+        Ok(func) => {
+            assert_eq!(func, &plain[index], "survivor {index} diverged from fault-free run");
+        }
+        Err(error) => failures.push((index, error.phase())),
+    });
     assert_eq!(stats.num_errors(), 1);
     assert_eq!(failures, vec![(2, Some(TranslatePhase::Verify))]);
 
@@ -229,6 +206,7 @@ fn pooled_streaming_discards_the_poisoned_slot_and_keeps_neighbours_identical() 
 
 #[test]
 fn pipeline_try_run_matches_run_and_contains_failures() {
+    let _guard = serialised();
     // Healthy input: try_run is bit-identical to run.
     let func = generate_function("plumb", &GenConfig::small(), 5);
     let mut via_run = func.clone();
@@ -279,12 +257,6 @@ mod failpoints {
     use out_of_ssa::destruct::fault::failpoints::{
         clear, configure, should_fail, silence_injected_panics, FailpointConfig,
     };
-    use out_of_ssa::destruct::{translate_corpus_isolated_with, translate_stream_isolated_with};
-    use std::sync::Mutex;
-
-    /// The injector configuration is process-global: campaigns must not
-    /// overlap, so every test in this module serialises on this lock.
-    static CAMPAIGN: Mutex<()> = Mutex::new(());
 
     const SEED: u64 = 0xB0155;
     const RATE: u32 = 350;
@@ -293,17 +265,19 @@ mod failpoints {
         FailpointConfig { seed: SEED, rate_per_mille: RATE, phase: Some(TranslatePhase::Coalesce) }
     }
 
+    fn engine(threads: usize) -> Engine {
+        Engine::new(OutOfSsaOptions::default()).with_threads(threads)
+    }
+
     #[test]
     fn injected_faults_poison_exactly_the_predicted_subset() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         silence_injected_panics();
-        let options = OutOfSsaOptions::default();
 
         // Fault-free reference run.
         clear();
         let mut reference = corpus(16);
-        let reference_stats =
-            translate_corpus_isolated_with(&mut reference, &options, &Limits::UNBOUNDED, 1);
+        let reference_stats = engine(1).try_run(&mut reference);
         assert_eq!(reference_stats.num_errors(), 0);
 
         // The poisoned subset is a pure function of (seed, name, phase):
@@ -316,8 +290,7 @@ mod failpoints {
 
         for threads in [1, 3] {
             let mut victims = corpus(16);
-            let stats =
-                translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, threads);
+            let stats = engine(threads).try_run(&mut victims);
             assert_eq!(stats.num_errors(), k, "threads={threads}");
             for (i, (result, &poisoned)) in stats.results.iter().zip(&predicted).enumerate() {
                 if poisoned {
@@ -342,49 +315,23 @@ mod failpoints {
     }
 
     #[test]
-    fn batch_and_streaming_report_identical_faults() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
-        silence_injected_panics();
-        let options = OutOfSsaOptions::default();
-
-        configure(armed());
-        let mut batch = corpus(16);
-        let batch_stats =
-            translate_corpus_isolated_with(&mut batch, &options, &Limits::UNBOUNDED, 2);
-        let (streamed, stream_stats) =
-            translate_stream_isolated_with(corpus(16), &options, &Limits::UNBOUNDED, 2);
-        clear();
-
-        assert_eq!(stream_stats.results, batch_stats.results);
-        assert_eq!(streamed.len(), batch.len());
-        for (i, (result, batch_func)) in streamed.iter().zip(&batch).enumerate() {
-            match result {
-                Ok(func) => assert_eq!(func, batch_func, "function {i} differs from batch"),
-                Err(err) => assert_eq!(Some(err), batch_stats.results[i].as_ref().err()),
-            }
-        }
-    }
-
-    #[test]
     fn pooled_streaming_matches_batch_verdicts_and_discards_every_poisoned_slot() {
         use out_of_ssa::cfggen::generate_ssa_function_into;
-        use out_of_ssa::destruct::{translate_stream_pooled_isolated_serial, EngineWorker};
         use out_of_ssa::ir::{Function, FunctionPool};
 
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         silence_injected_panics();
-        let options = OutOfSsaOptions::default();
 
         configure(armed());
         let mut batch = corpus(16);
-        let batch_stats =
-            translate_corpus_isolated_with(&mut batch, &options, &Limits::UNBOUNDED, 1);
+        let batch_stats = engine(2).try_run(&mut batch);
         let k = batch_stats.num_errors();
         assert!((1..16).contains(&k), "campaign must poison a strict subset, hit {k}/16");
 
         // The same campaign through the pooled streaming engine: identical
-        // verdicts, surviving functions bit-identical to batch, and exactly
-        // one discarded pool slot per injected fault.
+        // verdicts to the two-worker batch, surviving functions
+        // bit-identical, and exactly one discarded pool slot per injected
+        // fault.
         let mut worker = EngineWorker::new();
         let mut next = 0u64;
         let mut source = |pool: &mut FunctionPool| -> Option<Function> {
@@ -396,12 +343,8 @@ mod failpoints {
             let slot = pool.checkout();
             Some(generate_ssa_function_into(slot, format!("fi{seed}"), &GenConfig::small(), seed).0)
         };
-        let stats = translate_stream_pooled_isolated_serial(
-            &mut source,
-            &mut worker,
-            &options,
-            &Limits::UNBOUNDED,
-            |index, result| match result {
+        let stats =
+            engine(1).try_run_stream(&mut source, &mut worker, |index, result| match result {
                 Ok(func) => {
                     assert!(batch_stats.results[index].is_ok(), "verdict {index} differs");
                     assert_eq!(func, &batch[index], "survivor {index} differs from batch");
@@ -409,8 +352,7 @@ mod failpoints {
                 Err(error) => {
                     assert_eq!(Some(error), batch_stats.results[index].as_ref().err());
                 }
-            },
-        );
+            });
         clear();
 
         assert_eq!(stats.results, batch_stats.results);
@@ -422,15 +364,13 @@ mod failpoints {
 
     #[test]
     fn injection_is_deterministic_across_runs() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         silence_injected_panics();
-        let options = OutOfSsaOptions::default();
 
         configure(armed());
         let run = |threads| {
             let mut funcs = corpus(12);
-            let stats =
-                translate_corpus_isolated_with(&mut funcs, &options, &Limits::UNBOUNDED, threads);
+            let stats = engine(threads).try_run(&mut funcs);
             (funcs, stats.results)
         };
         let (funcs_a, results_a) = run(3);

@@ -4,8 +4,7 @@ use out_of_ssa::cfggen::{
     generate_ssa_function, pin_call_conventions, spec_like_corpus, GenConfig,
 };
 use out_of_ssa::destruct::{
-    translate_corpus, translate_corpus_serial, translate_corpus_with, translate_out_of_ssa,
-    translate_stream, ClassCheck, InterferenceMode, OutOfSsaOptions,
+    translate_out_of_ssa, ClassCheck, Engine, EngineWorker, InterferenceMode, OutOfSsaOptions,
 };
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::{verify_cfg, verify_ssa};
@@ -147,16 +146,17 @@ fn batch_corpus_translation_matches_serial_per_function() {
     let serial_stats: Vec<_> =
         serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
 
+    let engine = Engine::new(options);
     let mut batch = functions.clone();
-    let batch_stats = translate_corpus(&mut batch, &options);
+    let batch_stats = engine.run(&mut batch);
     assert_eq!(serial_stats, batch_stats.per_function);
     assert_eq!(serial, batch);
 
     // The serial batch path and an explicit two-thread run agree as well.
     let mut batch_serial = functions.clone();
-    let a = translate_corpus_serial(&mut batch_serial, &options);
+    let a = engine.clone().with_threads(1).run(&mut batch_serial);
     let mut batch_two = functions.clone();
-    let b = translate_corpus_with(&mut batch_two, &options, 2);
+    let b = engine.with_threads(2).run(&mut batch_two);
     assert_eq!(a.per_function, b.per_function);
     assert_eq!(batch_serial, batch_two);
 }
@@ -164,22 +164,27 @@ fn batch_corpus_translation_matches_serial_per_function() {
 #[test]
 fn streaming_engine_is_bit_identical_to_batch_on_the_full_corpus() {
     // Acceptance bar of the streaming front end: on the scale-1.0 corpus —
-    // the same corpus the Figure 5/6 numbers are produced from — the
+    // the same corpus the Figure 5/6 numbers are produced from — the pooled
     // streaming engine's output (functions and statistics) is bit-identical
-    // to `translate_corpus`, for every one of the seven Figure 5 variants.
+    // to the batch engine's, for every one of the seven Figure 5 variants.
     let corpus = spec_like_corpus(1.0, true);
     let functions: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
 
+    let mut worker = EngineWorker::new();
     for (name, options) in OutOfSsaOptions::figure5_variants() {
+        let engine = Engine::new(options);
         let mut batch = functions.clone();
-        let batch_stats = translate_corpus(&mut batch, &options);
-        // The streaming engine consumes an iterator: the input corpus is
-        // cloned lazily, one function at a time, never materialized for it.
-        let (streamed, stream_stats) = translate_stream(functions.iter().cloned(), &options);
+        let batch_stats = engine.run(&mut batch);
+        // The stream copies one function at a time into a recycled pool
+        // slot; the corpus is never materialized for it.
+        let mut queue = functions.iter();
+        let mut source = |pool: &mut out_of_ssa::ir::FunctionPool| {
+            queue.next().map(|f| pool.checkout_clone_of(f))
+        };
+        let stream_stats = engine.run_stream(&mut source, &mut worker, |index, func, _| {
+            assert_eq!(func, &batch[index], "{name}: streamed function {} differs", func.name);
+        });
         assert_eq!(stream_stats.per_function, batch_stats.per_function, "{name}: stats differ");
-        for (a, b) in batch.iter().zip(&streamed) {
-            assert_eq!(a, b, "{name}: streamed function {} differs from batch", a.name);
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 use out_of_ssa::cfggen::rng::SmallRng;
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    minimum_copies, translate_corpus, translate_out_of_ssa, try_sequentialize, OutOfSsaOptions,
+    minimum_copies, translate_out_of_ssa, try_sequentialize, Engine, OutOfSsaOptions,
 };
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::entity::EntityRef;
@@ -223,49 +223,37 @@ fn fast_liveness_is_sound_on_larger_random_cfgs() {
     assert!(checked >= 30, "only {checked} of 40 larger random functions were reducible");
 }
 
-/// The profitability early exit (`abort_threshold`) trades static copies
-/// for decision time but never behaviour: at `0.0` (the default) the
-/// translation is bit-identical to the knob-free engine, and at any
-/// positive threshold the affinity loop's processed prefix is unchanged,
-/// so the result coalesces at most as many moves (never more) and still
-/// matches the interpreter oracle.
+/// The minimal-coalescing rung of the service's degradation ladder skips
+/// every affinity: it trades static copies for decision time but never
+/// behaviour. It issues no interference query, coalesces at most as many
+/// moves as the exhaustive loop, and still matches the interpreter oracle.
 #[test]
-fn abort_threshold_is_bit_identical_off_and_sound_on() {
+fn minimal_coalescing_is_sound_and_never_coalesces_more() {
     for seed in 900..920u64 {
         let (original, _) = generate_ssa_function(format!("t{seed}"), &GenConfig::small(), seed);
         let args = vec![3, -7, 11];
         let oracle = Interpreter::new().run(&original, &args).expect("original runs");
 
-        let mut default_out = original.clone();
-        let default_stats = translate_out_of_ssa(&mut default_out, &OutOfSsaOptions::default());
-
-        // Explicit 0.0 is the default: identical output and stats.
-        let mut zero_out = original.clone();
-        let zero_stats = translate_out_of_ssa(
-            &mut zero_out,
-            &OutOfSsaOptions::default().with_abort_threshold(0.0),
+        let mut exhaustive = original.clone();
+        let exhaustive_stats = translate_out_of_ssa(
+            &mut exhaustive,
+            &OutOfSsaOptions::default().conservative_fallback(),
         );
-        assert_eq!(default_stats, zero_stats, "seed {seed}: threshold 0.0 changed stats");
-        assert_eq!(default_out, zero_out, "seed {seed}: threshold 0.0 changed output");
-
-        for threshold in [0.5, 2.0, 1e9] {
-            let mut out = original.clone();
-            let stats = translate_out_of_ssa(
-                &mut out,
-                &OutOfSsaOptions::default().with_abort_threshold(threshold),
-            );
-            assert!(
-                stats.moves_coalesced <= default_stats.moves_coalesced,
-                "seed {seed}: threshold {threshold} coalesced more than the exhaustive loop"
-            );
-            assert_eq!(out.count_phis(), 0, "seed {seed}: phis remain at {threshold}");
-            let got = Interpreter::new().run(&out, &args).expect("translated runs");
-            assert!(
-                same_behaviour(&oracle, &got),
-                "seed {seed}: threshold {threshold} changed behaviour\n{}",
-                out.display()
-            );
-        }
+        let mut out = original.clone();
+        let stats =
+            translate_out_of_ssa(&mut out, &OutOfSsaOptions::default().minimal_coalescing());
+        assert_eq!(stats.interference_queries, 0, "seed {seed}: minimal coalescing queried");
+        assert!(
+            stats.moves_coalesced <= exhaustive_stats.moves_coalesced,
+            "seed {seed}: minimal coalescing coalesced more than the exhaustive loop"
+        );
+        assert_eq!(out.count_phis(), 0, "seed {seed}: phis remain");
+        let got = Interpreter::new().run(&out, &args).expect("translated runs");
+        assert!(
+            same_behaviour(&oracle, &got),
+            "seed {seed}: minimal coalescing changed behaviour\n{}",
+            out.display()
+        );
     }
 }
 
@@ -333,7 +321,7 @@ fn batch_engine_matches_serial_translation() {
         let mut batch = corpus.clone();
         let serial_stats: Vec<_> =
             serial.iter_mut().map(|f| translate_out_of_ssa(f, &options)).collect();
-        let batch_stats = translate_corpus(&mut batch, &options);
+        let batch_stats = Engine::new(options.clone()).run(&mut batch);
         assert_eq!(serial_stats, batch_stats.per_function, "{name}: stats differ");
         for (a, b) in serial.iter().zip(&batch) {
             assert_eq!(a, b, "{name}: translated function {} differs", a.name);

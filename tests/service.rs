@@ -12,11 +12,8 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
-use out_of_ssa::destruct::{
-    translate_function_isolated_policy, EnginePolicy, Limits, TranslateScratch, ValidationMode,
-};
+use out_of_ssa::destruct::{Engine, EngineWorker, Ladder, OutOfSsaOptions, ValidationMode};
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::FunctionAnalyses;
 use out_of_ssa::service::{
     AdmissionPolicy, DegradationConfig, ServiceConfig, ServiceError, SubmitError,
     TranslationService,
@@ -26,20 +23,13 @@ fn input(seed: u64) -> Function {
     generate_ssa_function(format!("req_{seed}"), &GenConfig::default(), seed).0
 }
 
-/// The reference output: the same input through the non-pooled policy
-/// engine on a fresh worker, rung-0 configuration.
+/// The reference output: the same input through the checked engine step
+/// on a fresh worker, rung-0 configuration.
 fn reference(seed: u64, validation: ValidationMode) -> Function {
+    let options = OutOfSsaOptions::default();
+    let engine = Engine::new(options.clone()).with_ladder(Ladder::retrying(options, validation, 0));
     let mut func = input(seed);
-    let policy = EnginePolicy::validating(validation);
-    translate_function_isolated_policy(
-        &mut func,
-        &Default::default(),
-        &Limits::default(),
-        &policy,
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .expect("healthy input translates");
+    EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func
 }
 

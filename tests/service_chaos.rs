@@ -14,11 +14,9 @@ use std::time::Duration;
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::fault::failpoints;
 use out_of_ssa::destruct::{
-    translate_function_isolated_policy, EnginePolicy, Limits, OutOfSsaOptions, TranslateError,
-    TranslatePhase, TranslateScratch, ValidationMode,
+    Engine, EngineWorker, Ladder, OutOfSsaOptions, TranslateError, TranslatePhase, ValidationMode,
 };
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::FunctionAnalyses;
 use out_of_ssa::service::{ServiceConfig, ServiceError, TranslationService};
 
 /// Serialises the campaigns: the failpoint configuration is process-wide.
@@ -33,16 +31,10 @@ fn input(seed: u64) -> Function {
 /// Fault-free reference translation under `options` + `validation` (what
 /// the service's rung of that configuration must reproduce bit-for-bit).
 fn reference(seed: u64, options: &OutOfSsaOptions, validation: ValidationMode) -> Function {
+    let ladder = Ladder::retrying(options.clone(), validation, 0);
+    let engine = Engine::new(options.clone()).with_ladder(ladder);
     let mut func = input(seed);
-    translate_function_isolated_policy(
-        &mut func,
-        options,
-        &Limits::default(),
-        &EnginePolicy::validating(validation),
-        &mut FunctionAnalyses::new(),
-        &mut TranslateScratch::new(),
-    )
-    .expect("healthy input translates");
+    EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func
 }
 

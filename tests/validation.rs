@@ -6,12 +6,18 @@
 //! conservative retry.
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
-use out_of_ssa::destruct::{
-    translate_corpus_isolated_policy, translate_corpus_isolated_with, EnginePolicy, Limits,
-    OutOfSsaOptions, RecoveryOutcome, RecoveryPolicy, ValidationMode,
-};
+use out_of_ssa::destruct::{Engine, Ladder, OutOfSsaOptions, RecoveryOutcome, ValidationMode};
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
+use std::sync::{Mutex, MutexGuard};
+
+/// The failpoint injectors are process-global: an armed campaign would
+/// poison any test running beside it, so every test in this binary
+/// serialises on this lock.
+fn serialised() -> MutexGuard<'static, ()> {
+    static CAMPAIGN: Mutex<()> = Mutex::new(());
+    CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small corpus of distinct healthy SSA functions.
 fn corpus(n: usize) -> Vec<Function> {
@@ -20,29 +26,35 @@ fn corpus(n: usize) -> Vec<Function> {
         .collect()
 }
 
+/// A `threads`-worker engine walking `options` at `validation` with
+/// `retries` conservative retries.
+fn checked(
+    options: &OutOfSsaOptions,
+    validation: ValidationMode,
+    retries: u32,
+    threads: usize,
+) -> Engine {
+    Engine::new(options.clone())
+        .with_ladder(Ladder::retrying(options.clone(), validation, retries))
+        .with_threads(threads)
+}
+
 #[test]
 fn validating_engines_match_passthrough_on_a_healthy_corpus() {
+    let _guard = serialised();
     let options = OutOfSsaOptions::default();
     let mut reference = corpus(12);
-    let reference_stats =
-        translate_corpus_isolated_with(&mut reference, &options, &Limits::UNBOUNDED, 1);
+    let reference_stats = checked(&options, ValidationMode::Off, 0, 1).try_run(&mut reference);
     assert_eq!(reference_stats.num_errors(), 0);
 
     for mode in [ValidationMode::Structural, ValidationMode::Differential] {
         for threads in [1, 3] {
-            let mut checked = corpus(12);
-            let policy = EnginePolicy::validating(mode).with_retries(1);
-            let stats = translate_corpus_isolated_policy(
-                &mut checked,
-                &options,
-                &Limits::UNBOUNDED,
-                &policy,
-                threads,
-            );
+            let mut outputs = corpus(12);
+            let stats = checked(&options, mode, 1, threads).try_run(&mut outputs);
             assert_eq!(stats.num_errors(), 0, "{mode:?}/{threads}");
             assert_eq!(stats.validation_failures(), 0, "{mode:?}/{threads}");
             assert_eq!(stats.recovered_functions(), 0, "{mode:?}/{threads}");
-            assert_eq!(checked, reference, "{mode:?}/{threads}: outputs diverged");
+            assert_eq!(outputs, reference, "{mode:?}/{threads}: outputs diverged");
             for (result, expected) in stats.results.iter().zip(&reference_stats.results) {
                 let (stats, expected) = (result.as_ref().unwrap(), expected.as_ref().unwrap());
                 assert_eq!(stats.recovery, RecoveryOutcome::Clean);
@@ -54,6 +66,7 @@ fn validating_engines_match_passthrough_on_a_healthy_corpus() {
 
 #[test]
 fn validating_pipeline_matches_plain_runs_on_healthy_input() {
+    let _guard = serialised();
     // The pipeline ingests pre-SSA (virtual-register) code.
     let func = generate_function("sc_pipe", &GenConfig::small(), 17);
 
@@ -61,9 +74,12 @@ fn validating_pipeline_matches_plain_runs_on_healthy_input() {
     let report = Pipeline::new(OutOfSsaOptions::default()).run(&mut plain);
 
     let mut checked = func.clone();
-    let mut pipeline = Pipeline::new(OutOfSsaOptions::default())
-        .with_validation(ValidationMode::Differential)
-        .with_recovery(RecoveryPolicy::retries(1));
+    let options = OutOfSsaOptions::default();
+    let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
+        options,
+        ValidationMode::Differential,
+        1,
+    ));
     let checked_report = pipeline.try_run(&mut checked).unwrap();
     assert_eq!(checked, plain);
     assert_eq!(checked_report.translation, report.translation);
@@ -79,11 +95,6 @@ mod failpoints {
         silence_injected_panics, CorruptionConfig, CorruptionKind, FailpointConfig,
     };
     use out_of_ssa::destruct::{validate_structural, TranslateError, TranslatePhase};
-    use std::sync::Mutex;
-
-    /// The injector configuration is process-global: campaigns must not
-    /// overlap, so every test in this module serialises on this lock.
-    static CAMPAIGN: Mutex<()> = Mutex::new(());
 
     const N: usize = 16;
 
@@ -105,14 +116,14 @@ mod failpoints {
     /// Translates the corpus fault-free (injectors must be disarmed).
     fn fault_free(options: &OutOfSsaOptions) -> Vec<Function> {
         let mut funcs = corpus(N);
-        let stats = translate_corpus_isolated_with(&mut funcs, options, &Limits::UNBOUNDED, 1);
+        let stats = checked(options, ValidationMode::Off, 0, 1).try_run(&mut funcs);
         assert_eq!(stats.num_errors(), 0);
         funcs
     }
 
     #[test]
     fn corruption_is_silent_without_validation_and_caught_exactly_by_differential() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -126,8 +137,7 @@ mod failpoints {
             // the engine reports zero errors while a nonempty strict subset
             // of the corpus is mangled — the paper's motivating failure mode.
             let mut victims = corpus(N);
-            let silent =
-                translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+            let silent = checked(&options, ValidationMode::Off, 0, 1).try_run(&mut victims);
             assert_eq!(silent.num_errors(), 0, "{kind:?}: corruption must not crash");
             let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
             assert!(
@@ -143,14 +153,9 @@ mod failpoints {
             // every healthy neighbour stays bit-identical to the fault-free
             // run.
             for threads in [1, 3] {
-                let mut checked = corpus(N);
-                let stats = translate_corpus_isolated_policy(
-                    &mut checked,
-                    &options,
-                    &Limits::UNBOUNDED,
-                    &EnginePolicy::validating(ValidationMode::Differential),
-                    threads,
-                );
+                let mut outputs = corpus(N);
+                let engine = checked(&options, ValidationMode::Differential, 0, threads);
+                let stats = engine.try_run(&mut outputs);
                 let caught: Vec<usize> = stats.errors().map(|(i, _)| i).collect();
                 assert_eq!(caught, corrupted, "{kind:?}/{threads}: caught set differs");
                 assert_eq!(stats.validation_failures(), corrupted.len(), "{kind:?}/{threads}");
@@ -163,7 +168,7 @@ mod failpoints {
                 }
                 for i in 0..N {
                     if !corrupted.contains(&i) {
-                        assert_eq!(checked[i], reference[i], "{kind:?}/{threads}: neighbour {i}");
+                        assert_eq!(outputs[i], reference[i], "{kind:?}/{threads}: neighbour {i}");
                     }
                 }
             }
@@ -173,7 +178,7 @@ mod failpoints {
 
     #[test]
     fn structural_validation_catches_dropped_copies_without_the_interpreter() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -185,7 +190,7 @@ mod failpoints {
             CorruptionConfig { seed: 1, rate_per_mille: 1000, kind: CorruptionKind::DropCopy };
         configure_corruption(config);
         let mut victims = corpus(N);
-        let silent = translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+        let silent = checked(&options, ValidationMode::Off, 0, 1).try_run(&mut victims);
         assert_eq!(silent.num_errors(), 0);
         let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
         assert!(!corrupted.is_empty(), "campaign must corrupt something");
@@ -206,14 +211,9 @@ mod failpoints {
         );
 
         for threads in [1, 3] {
-            let mut checked = corpus(N);
-            let stats = translate_corpus_isolated_policy(
-                &mut checked,
-                &options,
-                &Limits::UNBOUNDED,
-                &EnginePolicy::validating(ValidationMode::Structural),
-                threads,
-            );
+            let mut outputs = corpus(N);
+            let stats =
+                checked(&options, ValidationMode::Structural, 0, threads).try_run(&mut outputs);
             let caught: Vec<usize> = stats.errors().map(|(i, _)| i).collect();
             assert_eq!(caught, expected_caught, "threads={threads}: caught set differs");
             for (i, error) in stats.errors() {
@@ -227,7 +227,7 @@ mod failpoints {
             // neighbours stay bit-identical.
             for i in 0..N {
                 if !corrupted.contains(&i) {
-                    assert_eq!(checked[i], reference[i], "threads={threads}: neighbour {i}");
+                    assert_eq!(outputs[i], reference[i], "threads={threads}: neighbour {i}");
                 }
             }
         }
@@ -236,7 +236,7 @@ mod failpoints {
 
     #[test]
     fn conservative_retry_heals_every_corrupted_function() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         let options = OutOfSsaOptions::default();
         clear();
         clear_corruption();
@@ -249,7 +249,7 @@ mod failpoints {
             // The corrupted subset, observed through the unvalidating engine.
             configure_corruption(config);
             let mut victims = corpus(N);
-            translate_corpus_isolated_with(&mut victims, &options, &Limits::UNBOUNDED, 1);
+            checked(&options, ValidationMode::Off, 0, 1).try_run(&mut victims);
             let corrupted: Vec<usize> = (0..N).filter(|&i| victims[i] != reference[i]).collect();
             assert!(!corrupted.is_empty(), "{kind:?}: campaign must corrupt something");
 
@@ -257,13 +257,8 @@ mod failpoints {
             // with one conservative retry, every poisoned function heals.
             for threads in [1, 3] {
                 let mut healed = corpus(N);
-                let stats = translate_corpus_isolated_policy(
-                    &mut healed,
-                    &options,
-                    &Limits::UNBOUNDED,
-                    &EnginePolicy::validating(ValidationMode::Differential).with_retries(1),
-                    threads,
-                );
+                let engine = checked(&options, ValidationMode::Differential, 1, threads);
+                let stats = engine.try_run(&mut healed);
                 assert_eq!(stats.num_errors(), 0, "{kind:?}/{threads}: retry must heal all");
                 assert_eq!(stats.recovered_functions(), corrupted.len(), "{kind:?}/{threads}");
                 assert_eq!(stats.validation_failures(), corrupted.len(), "{kind:?}/{threads}");
@@ -293,7 +288,7 @@ mod failpoints {
 
     #[test]
     fn injected_panics_recover_on_the_conservative_retry() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         silence_injected_panics();
         let options = OutOfSsaOptions::default();
         clear();
@@ -317,13 +312,7 @@ mod failpoints {
 
         for threads in [1, 3] {
             let mut healed = corpus(N);
-            let stats = translate_corpus_isolated_policy(
-                &mut healed,
-                &options,
-                &Limits::UNBOUNDED,
-                &EnginePolicy::default().with_retries(1),
-                threads,
-            );
+            let stats = checked(&options, ValidationMode::Off, 1, threads).try_run(&mut healed);
             assert_eq!(stats.num_errors(), 0, "threads={threads}: retry must heal all");
             assert_eq!(stats.recovered_functions(), poisoned.len(), "threads={threads}");
             for i in 0..N {
@@ -346,7 +335,7 @@ mod failpoints {
 
     #[test]
     fn pipeline_rejects_and_then_recovers_a_corrupted_function() {
-        let _guard = CAMPAIGN.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serialised();
         clear();
         clear_corruption();
         let options = OutOfSsaOptions::default();
@@ -390,8 +379,11 @@ mod failpoints {
         });
 
         // Without recovery, the differential validator rejects the run.
-        let mut pipeline =
-            Pipeline::new(options.clone()).with_validation(ValidationMode::Differential);
+        let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
+            options.clone(),
+            ValidationMode::Differential,
+            0,
+        ));
         let mut func = victim.clone();
         let err = pipeline.try_run(&mut func).unwrap_err();
         assert!(matches!(err, TranslateError::ValidationFailed { .. }), "{err:?}");
@@ -399,9 +391,11 @@ mod failpoints {
 
         // With one retry, the same pipeline object heals the function on the
         // conservative configuration.
-        let mut pipeline = Pipeline::new(options.clone())
-            .with_validation(ValidationMode::Differential)
-            .with_recovery(RecoveryPolicy::retries(1));
+        let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
+            options.clone(),
+            ValidationMode::Differential,
+            1,
+        ));
         let mut func = victim.clone();
         let report = pipeline.try_run(&mut func).unwrap();
         assert_eq!(report.translation.recovery, RecoveryOutcome::Recovered { attempt: 2 });
