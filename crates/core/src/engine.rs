@@ -229,8 +229,7 @@ impl Engine {
         Self { threads, ..self }
     }
 
-    /// The options a healthy function translates with.
-    pub fn options(&self) -> &OutOfSsaOptions {
+    fn options(&self) -> &OutOfSsaOptions {
         self.ladder.options()
     }
 

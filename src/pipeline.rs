@@ -251,12 +251,10 @@ impl Pipeline {
                 // The pipeline ingests virtual-register (pre-SSA) code, so
                 // only the structural verifier applies here; SSA invariants
                 // are established by the construction pass itself.
-                if let Err(errors) = ossa_ir::verify_cfg(func) {
-                    return Err(TranslateError::Malformed {
-                        phase: TranslatePhase::Verify,
-                        detail: errors.to_string(),
-                    });
-                }
+                ossa_ir::verify_cfg(func).map_err(|errors| TranslateError::Malformed {
+                    phase: TranslatePhase::Verify,
+                    detail: errors.to_string(),
+                })?;
                 Ok(passes.run(func, &mut constrain, &rung.options, worker))
             })
         });
