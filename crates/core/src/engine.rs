@@ -174,8 +174,7 @@ impl IsolatedCorpusStats {
 
     /// Number of functions a fallback rung healed.
     pub fn recovered_functions(&self) -> usize {
-        let recovered = |s: &OutOfSsaStats| s.recovery != RecoveryOutcome::Clean;
-        self.results.iter().flatten().filter(|s| recovered(s)).count()
+        self.results.iter().flatten().filter(|s| s.recovery != RecoveryOutcome::Clean).count()
     }
 
     /// Rejected attempts of functions that eventually succeeded, plus one
