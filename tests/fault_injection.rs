@@ -157,9 +157,9 @@ fn a_poisoned_function_never_affects_its_corpus_neighbours() {
 
 #[test]
 fn pooled_streaming_discards_the_poisoned_slot_and_keeps_neighbours_identical() {
-    let _guard = serialised();
     use out_of_ssa::cfggen::{generate_function_into, generate_ssa_function_into};
     use out_of_ssa::ir::FunctionPool;
+    let _guard = serialised();
 
     let engine = Engine::new(OutOfSsaOptions::default());
     let mut plain = corpus(6);
