@@ -321,8 +321,7 @@ fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&st
         let corpus = ossa_cfggen::spec_like_corpus(scale, true);
         let mut work: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
         let ladder = Ladder::retrying(options.clone(), ValidationMode::Structural, 0);
-        let stats =
-            Engine::new(options.clone()).with_threads(1).with_ladder(ladder).try_run(&mut work);
+        let stats = Engine::new(ladder).with_threads(1).try_run(&mut work);
         (stats.validation_failures(), stats.recovered_functions(), stats.total().liveness_fallbacks)
     };
     println!(

@@ -90,11 +90,8 @@ fn main() {
     // output validation (CFG re-verification + translation postconditions on
     // every function). The gated trajectory number tracks what "always
     // validate" would cost a JIT.
-    let validating = serial_engine.clone().with_ladder(Ladder::retrying(
-        options.clone(),
-        ValidationMode::Structural,
-        0,
-    ));
+    let validating = Engine::new(Ladder::retrying(options.clone(), ValidationMode::Structural, 0))
+        .with_threads(1);
     let time_batch_validated = || -> f64 {
         let mut work = flat.clone();
         let start = std::time::Instant::now();

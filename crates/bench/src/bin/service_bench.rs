@@ -113,7 +113,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 /// smoke check holds the service to, bit for bit.
 fn references(functions: &[Function], validation: ValidationMode) -> Vec<Function> {
     let options = OutOfSsaOptions::default();
-    let engine = Engine::new(options.clone()).with_ladder(Ladder::retrying(options, validation, 0));
+    let engine = Engine::new(Ladder::retrying(options, validation, 0));
     let mut worker = EngineWorker::new();
     functions
         .iter()

@@ -50,8 +50,7 @@ fn main() -> ExitCode {
     let total_functions = work.len();
     let options = OutOfSsaOptions::default();
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let engine = Engine::new(options.clone())
-        .with_ladder(Ladder::retrying(options, ValidationMode::Differential, 1))
+    let engine = Engine::new(Ladder::retrying(options, ValidationMode::Differential, 1))
         .with_threads(threads);
 
     println!(

@@ -206,15 +206,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// One unvalidated rung of `options`, no limits, one worker per core.
-    pub fn new(options: OutOfSsaOptions) -> Self {
-        let ladder = Ladder::retrying(options, ValidationMode::Off, 0);
-        Self { ladder, limits: Limits::UNBOUNDED, threads: 0 }
-    }
-
-    /// Replaces the ladder, and with it the engine's options.
-    pub fn with_ladder(self, ladder: Ladder) -> Self {
-        Self { ladder, ..self }
+    /// Translates with `ladder` (plain [`OutOfSsaOptions`] are one
+    /// unvalidated rung), no limits, one worker per core.
+    pub fn new(ladder: impl Into<Ladder>) -> Self {
+        Self { ladder: ladder.into(), limits: Limits::UNBOUNDED, threads: 0 }
     }
 
     /// Sets the bounds the checked entry points enforce.
@@ -257,13 +252,13 @@ impl Engine {
         worker: &mut EngineWorker,
         mut consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
     ) -> CorpusStats {
-        let next = |pool: &mut FunctionPool| source.next_into(pool);
-        let per_function = drain(worker, Vec::new(), next, |worker, index, mut func| {
+        let mut per_function = Vec::new();
+        while let Some(mut func) = source.next_into(&mut worker.pool) {
             let stats = worker.translate(&mut func, self.options());
-            consumer(index, &func, &stats);
+            consumer(per_function.len(), &func, &stats);
             worker.pool.retire(func);
-            stats
-        });
+            per_function.push(stats);
+        }
         CorpusStats { per_function, threads: 1 }
     }
 
@@ -276,16 +271,16 @@ impl Engine {
         worker: &mut EngineWorker,
         mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
     ) -> IsolatedCorpusStats {
-        let next = |pool: &mut FunctionPool| source.next_into(pool);
-        let results = drain(worker, Vec::new(), next, |worker, index, mut func| {
+        let mut results = Vec::new();
+        while let Some(mut func) = source.next_into(&mut worker.pool) {
             let result = worker.try_translate(&mut func, self);
-            consumer(index, result.as_ref().map(|_| &func));
+            consumer(results.len(), result.as_ref().map(|_| &func));
             match result {
                 Ok(_) => worker.pool.retire(func),
                 Err(_) => worker.pool.discard(func),
             }
-            result
-        });
+            results.push(result);
+        }
         IsolatedCorpusStats { results, threads: 1 }
     }
 
@@ -303,11 +298,14 @@ impl Engine {
         .clamp(1, funcs.len().max(1));
         let capacity = funcs.len().div_ceil(threads);
         let items = Mutex::new(funcs.iter_mut().enumerate());
+        // The lock is released before `step` runs.
+        let next = || items.lock().unwrap_or_else(PoisonError::into_inner).next();
         let work = || {
-            let next =
-                |_: &mut FunctionPool| items.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let indexed = |worker: &mut EngineWorker, _, (index, func)| (index, step(worker, func));
-            drain(&mut EngineWorker::new(), Vec::with_capacity(capacity), next, indexed)
+            let (mut worker, mut indexed) = (EngineWorker::new(), Vec::with_capacity(capacity));
+            while let Some((index, func)) = next() {
+                indexed.push((index, step(&mut worker, func)));
+            }
+            indexed
         };
         let mut indexed = if threads == 1 {
             work()
@@ -324,21 +322,6 @@ impl Engine {
         indexed.sort_unstable_by_key(|&(index, _)| index);
         (indexed.into_iter().map(|(_, result)| result).collect(), threads)
     }
-}
-
-/// The one driver loop of every entry point: pulls items from `next` and
-/// appends `step`'s result for each, given its pull index, to `results`.
-fn drain<T, R>(
-    worker: &mut EngineWorker,
-    mut results: Vec<R>,
-    mut next: impl FnMut(&mut FunctionPool) -> Option<T>,
-    mut step: impl FnMut(&mut EngineWorker, usize, T) -> R,
-) -> Vec<R> {
-    while let Some(item) = next(&mut worker.pool) {
-        let index = results.len();
-        results.push(step(worker, index, item));
-    }
-    results
 }
 
 /// Serial pooled streaming translation with `options` on a caller-owned
@@ -399,15 +382,29 @@ mod tests {
         let mut source = pooled_small_source(10);
         let checked =
             engine.try_run_stream(&mut source, &mut worker, |i, f| assert_eq!(f, Ok(&serial[i])));
-        assert_eq!(checked.total(), total(&expected));
+        assert_eq!(checked.results, expected.iter().cloned().map(Ok).collect::<Vec<_>>());
         assert_eq!(engine.with_threads(4).run(&mut []).total(), OutOfSsaStats::default());
+    }
+
+    #[test]
+    fn total_aggregates_counters() {
+        let engine = Engine::new(OutOfSsaOptions::default());
+        let stats = engine.run(&mut small_corpus(4));
+        let sum = |counter: fn(&OutOfSsaStats) -> usize| -> usize {
+            stats.per_function.iter().map(counter).sum()
+        };
+        let total = stats.total();
+        assert_eq!(total.phis_removed, sum(|s| s.phis_removed));
+        assert_eq!(total.remaining_copies, sum(|s| s.remaining_copies));
+        assert!(total.phis_removed > 0, "the corpus has φs to remove");
+        // A checked run aggregates its successes: here, every function.
+        assert_eq!(engine.try_run(&mut small_corpus(4)).total(), total);
     }
 
     #[test]
     fn checked_step_takes_one_pooled_snapshot_per_function() {
         let options = OutOfSsaOptions::default();
-        let ladder = Ladder::retrying(options.clone(), ValidationMode::Structural, 1);
-        let engine = Engine::new(options.clone()).with_ladder(ladder);
+        let engine = Engine::new(Ladder::retrying(options.clone(), ValidationMode::Structural, 1));
         let mut worker = EngineWorker::new();
         let corpus = small_corpus(6);
         for func in &corpus {

@@ -124,6 +124,13 @@ impl Ladder {
     }
 }
 
+/// A single unvalidated rung: what the unchecked entry points translate with.
+impl From<OutOfSsaOptions> for Ladder {
+    fn from(options: OutOfSsaOptions) -> Self {
+        Self::retrying(options, ValidationMode::Off, 0)
+    }
+}
+
 /// The outcome of one [`Ladder::walk`].
 #[derive(Debug)]
 pub struct Walk<R> {
@@ -151,9 +158,7 @@ mod tests {
     #[test]
     fn retrying_walk_restores_the_input_and_records_the_recovery() {
         let structural = ValidationMode::Structural;
-        assert!(
-            !Ladder::retrying(OutOfSsaOptions::default(), ValidationMode::Off, 0).needs_snapshot()
-        );
+        assert!(!Ladder::from(OutOfSsaOptions::default()).needs_snapshot());
         let ladder = Ladder::retrying(OutOfSsaOptions::default(), structural, 2);
         let pristine = generate_ssa_function("walk", &GenConfig::small(), 1).0;
         let rejected = TranslateError::ValidationFailed {

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use ossa_destruct::fault::{self, TranslatePhase};
 use ossa_destruct::{
     translate_out_of_ssa_scratch, EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats,
-    TranslateError, ValidationMode,
+    TranslateError,
 };
 use ossa_ir::Function;
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
@@ -111,11 +111,22 @@ struct Passes {
 }
 
 impl Pipeline {
-    /// Creates a pipeline translating with `options`; no register allocation,
-    /// full copy propagation, CSSA check enabled.
-    pub fn new(options: OutOfSsaOptions) -> Self {
+    /// Creates a pipeline translating with `ladder` (plain
+    /// [`OutOfSsaOptions`] are one unvalidated rung); no register
+    /// allocation, full copy propagation, CSSA check enabled.
+    ///
+    /// [`Pipeline::run`] is the unchecked fast path and uses only the first
+    /// rung's options. The `try_run*` entry points walk the whole ladder:
+    /// each rung validates the pipeline's output against a pristine
+    /// snapshot of the pre-SSA input at its [`ValidationMode`] — the whole
+    /// SSA-construction, optimization and destruction stack must preserve
+    /// behaviour — and any failure (panic, limit, validation) re-runs the
+    /// whole pipeline on the restored input with the next rung.
+    ///
+    /// [`ValidationMode`]: ossa_destruct::ValidationMode
+    pub fn new(ladder: impl Into<Ladder>) -> Self {
         Self {
-            ladder: Ladder::retrying(options, ValidationMode::Off, 0),
+            ladder: ladder.into(),
             limits: Limits::UNBOUNDED,
             deadline: None,
             passes: Passes { num_regs: None, keep_copy_every: 0, check_conventional: true },
@@ -150,19 +161,6 @@ impl Pipeline {
     /// computing the liveness sets it needs).
     pub fn with_cssa_check(mut self, check: bool) -> Self {
         self.passes.check_conventional = check;
-        self
-    }
-
-    /// Replaces the translation ladder (its first rung's options become the
-    /// pipeline's options). The `try_run*` entry points walk it: each rung
-    /// validates the pipeline's output against a pristine snapshot of the
-    /// pre-SSA input at its [`ValidationMode`] — the whole SSA-construction,
-    /// optimization and destruction stack must preserve behaviour — and any
-    /// failure (panic, limit, validation) re-runs the whole pipeline on the
-    /// restored input with the next rung. [`Pipeline::run`] is the
-    /// unchecked fast path and uses only the first rung's options.
-    pub fn with_ladder(mut self, ladder: Ladder) -> Self {
-        self.ladder = ladder;
         self
     }
 

@@ -27,7 +27,7 @@ fn input(seed: u64) -> Function {
 
 fn reference(seed: u64, validation: ValidationMode) -> Function {
     let options = OutOfSsaOptions::default();
-    let engine = Engine::new(options.clone()).with_ladder(Ladder::retrying(options, validation, 0));
+    let engine = Engine::new(Ladder::retrying(options, validation, 0));
     let mut func = input(seed);
     EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func

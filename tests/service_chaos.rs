@@ -31,8 +31,7 @@ fn input(seed: u64) -> Function {
 /// Fault-free reference translation under `options` + `validation` (what
 /// the service's rung of that configuration must reproduce bit-for-bit).
 fn reference(seed: u64, options: &OutOfSsaOptions, validation: ValidationMode) -> Function {
-    let ladder = Ladder::retrying(options.clone(), validation, 0);
-    let engine = Engine::new(options.clone()).with_ladder(ladder);
+    let engine = Engine::new(Ladder::retrying(options.clone(), validation, 0));
     let mut func = input(seed);
     EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func

@@ -34,9 +34,7 @@ fn checked(
     retries: u32,
     threads: usize,
 ) -> Engine {
-    Engine::new(options.clone())
-        .with_ladder(Ladder::retrying(options.clone(), validation, retries))
-        .with_threads(threads)
+    Engine::new(Ladder::retrying(options.clone(), validation, retries)).with_threads(threads)
 }
 
 #[test]
@@ -75,11 +73,7 @@ fn validating_pipeline_matches_plain_runs_on_healthy_input() {
 
     let mut checked = func.clone();
     let options = OutOfSsaOptions::default();
-    let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
-        options,
-        ValidationMode::Differential,
-        1,
-    ));
+    let mut pipeline = Pipeline::new(Ladder::retrying(options, ValidationMode::Differential, 1));
     let checked_report = pipeline.try_run(&mut checked).unwrap();
     assert_eq!(checked, plain);
     assert_eq!(checked_report.translation, report.translation);
@@ -379,11 +373,9 @@ mod failpoints {
         });
 
         // Without recovery, the differential validator rejects the run.
-        let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
-            options.clone(),
-            ValidationMode::Differential,
-            0,
-        ));
+        let differential =
+            |retries| Ladder::retrying(options.clone(), ValidationMode::Differential, retries);
+        let mut pipeline = Pipeline::new(differential(0));
         let mut func = victim.clone();
         let err = pipeline.try_run(&mut func).unwrap_err();
         assert!(matches!(err, TranslateError::ValidationFailed { .. }), "{err:?}");
@@ -391,11 +383,7 @@ mod failpoints {
 
         // With one retry, the same pipeline object heals the function on the
         // conservative configuration.
-        let mut pipeline = Pipeline::new(options.clone()).with_ladder(Ladder::retrying(
-            options.clone(),
-            ValidationMode::Differential,
-            1,
-        ));
+        let mut pipeline = Pipeline::new(differential(1));
         let mut func = victim.clone();
         let report = pipeline.try_run(&mut func).unwrap();
         assert_eq!(report.translation.recovery, RecoveryOutcome::Recovered { attempt: 2 });
