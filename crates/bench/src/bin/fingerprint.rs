@@ -9,6 +9,11 @@
 //! exactly the same coalescing decisions on the whole corpus — the cheap way
 //! to prove a performance change is behaviour-preserving.
 //!
+//! A last `Pipeline` row gates the whole compile flow: the corpus's pre-SSA
+//! functions run through one `Pipeline` with default options, the
+//! calling-convention pins as the hook and 8-register allocation, and the
+//! hash also covers each function's CSSA verdict and register allocation.
+//!
 //! Usage:
 //!
 //! * `fingerprint [scale]` — print the fingerprints;
@@ -21,13 +26,58 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use ossa_cfggen::{
+    generate_function, pin_call_conventions, spec_config, spec_num_functions, SPEC_BENCHMARKS,
+};
 use ossa_destruct::{Engine, OutOfSsaOptions};
+use out_of_ssa::pipeline::Pipeline;
+use out_of_ssa::regalloc::Location;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= b as u64;
         *hash = hash.wrapping_mul(0x100_0000_01b3);
     }
+}
+
+/// The `Pipeline` row: the pre-SSA corpus (the functions `spec_like_corpus`
+/// converts to SSA) through one pipeline, hashing each function's printed
+/// output, CSSA verdict and allocation (locations in value order, spills).
+fn pipeline_row(scale: f64, text: &mut String) -> String {
+    let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let (mut queries, mut copies, mut coalesced, mut spills) = (0, 0, 0, 0);
+    for spec in &SPEC_BENCHMARKS {
+        let config = spec_config(spec, scale);
+        for i in 0..spec_num_functions(spec, scale) {
+            let name = format!("{}::fn{i}", spec.name);
+            let mut func = generate_function(name, &config, spec.seed + i as u64);
+            let report = pipeline.run_with(&mut func, |f| {
+                pin_call_conventions(f);
+            });
+            let allocation = report.allocation.expect("registers configured");
+            let mut locations: Vec<_> = allocation.locations.into_iter().collect();
+            locations.sort_by_key(|&(value, _)| value.index());
+            text.clear();
+            let _ = writeln!(text, "{}cssa {:?}", func.display(), report.conventional_after_opt);
+            for (value, location) in locations {
+                let _ = match location {
+                    Location::Reg(r) => writeln!(text, "{value} r{r}"),
+                    Location::Spill(s) => writeln!(text, "{value} s{s}"),
+                };
+            }
+            let _ = writeln!(text, "spills {}", allocation.spills);
+            fnv1a(&mut hash, text.as_bytes());
+            queries += report.translation.interference_queries;
+            copies += report.translation.remaining_copies;
+            coalesced += report.translation.moves_coalesced;
+            spills += allocation.spills;
+        }
+    }
+    format!(
+        "Pipeline       hash {hash:016x}  queries {queries:>9}  copies {copies:>6}  \
+         coalesced {coalesced:>6}  spills {spills:>5}"
+    )
 }
 
 fn main() -> ExitCode {
@@ -107,6 +157,9 @@ fn main() -> ExitCode {
         }
         per_workload.push((name, queries));
     }
+    let line = pipeline_row(scale, &mut text);
+    println!("{line}");
+    let _ = writeln!(report, "{line}");
 
     // Per-workload interference-query breakdown (stdout only; the committed
     // baseline keeps the stable per-variant format above). This is the
