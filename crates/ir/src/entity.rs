@@ -121,6 +121,11 @@ impl<K: EntityRef, V> PrimaryMap<K, V> {
         key
     }
 
+    /// Removes and returns the most recently allocated entity's data.
+    pub fn pop(&mut self) -> Option<V> {
+        self.elems.pop()
+    }
+
     /// Number of entities allocated so far.
     pub fn len(&self) -> usize {
         self.elems.len()

@@ -68,8 +68,9 @@ pub struct Function {
     entry: Option<Block>,
     layout: Vec<Block>,
     pools: IrPools,
-    /// Block data retired by [`Function::reset`], reused (with their
-    /// instruction-list buffers) by [`Function::add_block`].
+    /// Block data retired by [`Function::reset`] or a shrinking
+    /// `clone_from`, reused (with their instruction-list buffers) by
+    /// [`Function::add_block`] and a growing `clone_from`.
     spare_blocks: Vec<BlockData>,
 }
 
@@ -84,7 +85,8 @@ impl Clone for Function {
             entry: self.entry,
             layout: self.layout.clone(),
             pools: self.pools.clone(),
-            spare_blocks: self.spare_blocks.clone(),
+            // Spare blocks hold no code, only buffers.
+            spare_blocks: Vec::new(),
         }
     }
 
@@ -93,16 +95,28 @@ impl Clone for Function {
     /// repeatedly snapshotting same-shaped functions into one slot — the
     /// pristine-copy discipline of the retrying engines and the service
     /// workers — settles to zero steady-state allocation.
+    ///
+    /// Blocks pair up by index: the overlapping ones are cloned in place,
+    /// extra ones come from the spare list (a retired slot keeps all of its
+    /// blocks there) and surplus ones are parked in it. The source's spares
+    /// are never copied.
     fn clone_from(&mut self, source: &Self) {
         self.name.clone_from(&source.name);
         self.num_params = source.num_params;
         self.insts.clone_from(&source.insts);
-        self.blocks.clone_from(&source.blocks);
+        self.park_blocks_from(source.blocks.len());
+        for (block, from) in self.blocks.values_mut().zip(source.blocks.values()) {
+            block.clone_from(from);
+        }
+        for from in source.blocks.values().skip(self.blocks.len()) {
+            let mut block = self.spare_blocks.pop().unwrap_or_default();
+            block.clone_from(from);
+            self.blocks.push(block);
+        }
         self.values.clone_from(&source.values);
         self.entry = source.entry;
         self.layout.clone_from(&source.layout);
         self.pools.clone_from(&source.pools);
-        self.spare_blocks.clone_from(&source.spare_blocks);
     }
 }
 
@@ -161,18 +175,23 @@ impl Function {
         self.name.push_str(name.as_ref());
         self.num_params = num_params;
         self.insts.clear();
-        // Retire the block data (with their instruction-list buffers) into
-        // the spare list so [`Function::add_block`] reuses them.
-        for block in self.blocks.values_mut() {
-            let mut data = std::mem::take(block);
-            data.insts.clear();
-            self.spare_blocks.push(data);
-        }
-        self.blocks.clear();
+        self.park_blocks_from(0);
         self.values.clear();
         self.entry = None;
         self.layout.clear();
         self.pools.clear();
+    }
+
+    /// Retires the data of blocks `len..` (with their instruction-list
+    /// buffers) into the spare list, highest index first, so that
+    /// [`Function::add_block`] and `clone_from` pop them back in index order
+    /// and each rebuilt block reuses the buffer of the block it replaces.
+    fn park_blocks_from(&mut self, len: usize) {
+        while self.blocks.len() > len {
+            let mut data = self.blocks.pop().expect("more blocks than len");
+            data.insts.clear();
+            self.spare_blocks.push(data);
+        }
     }
 
     // ----- capacity reservation -------------------------------------------

@@ -464,6 +464,35 @@ fn warm_pooled_generate_ssa_translate_cycle_is_allocation_free() {
     );
 }
 
+/// The pristine-snapshot half of the same claim: `checkout_clone_of` into a
+/// retired pool slot rebuilds every block inside the slot's own block
+/// storage, so once the slot has seen each shape a snapshot allocates
+/// nothing. Four functions of different sizes cycle through one slot.
+#[test]
+fn warm_snapshot_into_a_retired_slot_is_allocation_free() {
+    use ossa_bench::alloc::allocation_count;
+    use out_of_ssa::ir::FunctionPool;
+
+    let sources: Vec<Function> = (0..4u64)
+        .map(|seed| generate_ssa_function(format!("snap{seed}"), &GenConfig::small(), seed).0)
+        .collect();
+    let mut pool = FunctionPool::new();
+    for source in &sources {
+        let snapshot = pool.checkout_clone_of(source);
+        assert_eq!(&snapshot, source, "snapshot differs from its source");
+        pool.retire(snapshot);
+    }
+
+    let before = allocation_count();
+    for source in &sources {
+        let snapshot = pool.checkout_clone_of(source);
+        pool.retire(snapshot);
+    }
+    let allocations = allocation_count() - before;
+    assert_eq!(pool.free_len(), 1, "every snapshot reused the one slot");
+    assert_eq!(allocations, 0, "warm snapshots into a retired slot allocated {allocations} times");
+}
+
 /// Sanity anchor for the counters themselves: values of `v0.index()` and
 /// friends used above really walk every value.
 #[test]
