@@ -11,6 +11,7 @@ use std::sync::{Mutex, PoisonError};
 
 use ossa_ir::{Function, FunctionPool};
 use ossa_liveness::FunctionAnalyses;
+use ossa_ssa::SsaScratch;
 
 use crate::coalesce::{
     translate_out_of_ssa_scratch, OutOfSsaOptions, OutOfSsaStats, RecoveryOutcome, TranslateScratch,
@@ -28,6 +29,9 @@ pub struct EngineWorker {
     pub analyses: FunctionAnalyses,
     /// Translation scratch buffers, reused as-is between functions.
     pub scratch: TranslateScratch,
+    /// Working storage of the SSA passes, for callers that run them on this
+    /// worker before the translation (the pass pipeline).
+    pub ssa: SsaScratch,
     /// Retired `Function` storage, for pooled sources and pristine snapshots.
     pub pool: FunctionPool,
 }
@@ -108,8 +112,8 @@ impl EngineWorker {
         .unwrap_or_else(Err);
         ossa_liveness::fuel::set_fixpoint_fuel(None);
         if result.is_err() {
-            self.analyses = FunctionAnalyses::new();
-            self.scratch = TranslateScratch::new();
+            // Everything but the pool of retired slots may be mid-mutation.
+            *self = Self { pool: std::mem::take(&mut self.pool), ..Self::new() };
         }
         result
     }

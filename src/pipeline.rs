@@ -5,13 +5,13 @@
 //! pipeline whose engineering cost is dominated by recomputed analyses.
 //! [`Pipeline`] is the pass-manager layer that makes the compute-once claim
 //! hold for the *whole* flow, not just the translation: it owns a single
-//! [`EngineWorker`] — one [`FunctionAnalyses`] cache, one translation
-//! scratch and one function pool — and runs
+//! [`EngineWorker`] — one [`FunctionAnalyses`] cache, one SSA-pass scratch,
+//! one translation scratch and one function pool — and runs
 //!
-//! 1. [`construct_ssa_cached`] — pruned SSA construction,
-//! 2. [`propagate_copies_keeping_cached`] — the optimization that breaks
+//! 1. [`construct_ssa_scratch`] — pruned SSA construction,
+//! 2. [`propagate_copies_keeping_scratch`] — the optimization that breaks
 //!    conventionality,
-//! 3. [`eliminate_dead_code_cached`],
+//! 3. [`eliminate_dead_code_scratch`],
 //! 4. [`is_conventional_cached`] — the CSSA check (optional),
 //! 5. a caller-provided renaming-constraint hook (e.g. calling-convention
 //!    pins),
@@ -29,8 +29,9 @@
 //!
 //! Reusing one `Pipeline` across many functions additionally recycles the
 //! analysis storage (CFG, dominator tree, frontiers, fast-liveness bit-sets,
-//! congruence classes, decision maps): invalidation hands the allocations to
-//! the next computation instead of freeing them.
+//! congruence classes, decision maps) and the SSA passes' working buffers:
+//! invalidation hands the allocations to the next computation instead of
+//! freeing them.
 //!
 //! # Examples
 //!
@@ -57,8 +58,8 @@ use ossa_ir::Function;
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
 use ossa_regalloc::{allocate_cached, Allocation};
 use ossa_ssa::{
-    construct_ssa_cached, eliminate_dead_code_cached, is_conventional_cached,
-    propagate_copies_keeping_cached, CopyPropagation, DeadCodeElimination, SsaConstruction,
+    construct_ssa_scratch, eliminate_dead_code_scratch, is_conventional_cached,
+    propagate_copies_keeping_scratch, CopyPropagation, DeadCodeElimination, SsaConstruction,
 };
 
 /// Report of one [`Pipeline::run`]: the per-pass statistics in pass order.
@@ -271,18 +272,26 @@ impl Passes {
         options: &OutOfSsaOptions,
         worker: &mut EngineWorker,
     ) -> PipelineReport {
-        let analyses = &mut worker.analyses;
+        let EngineWorker { analyses, ssa, scratch, .. } = worker;
         // A new function: drop (and recycle) everything from the previous one.
         analyses.invalidate_cfg();
 
-        // Middle end. Each pass declares its own invalidation: these are all
-        // instruction-only mutations, so the CFG analyses computed by the
-        // first pass survive until the translation splits an edge (if ever).
+        // Middle end, in the worker's recycled SSA scratch. These are all
+        // instruction-only mutations, invalidated as the `_cached` wrappers
+        // declare it, so the CFG analyses computed by the first pass survive
+        // until the translation splits an edge (if ever).
         fault::enter_phase(&func.name, TranslatePhase::Ssa);
-        let construction = construct_ssa_cached(func, analyses);
-        let copy_propagation =
-            propagate_copies_keeping_cached(func, self.keep_copy_every, analyses);
-        let dead_code = eliminate_dead_code_cached(func, analyses);
+        let (phis_inserted, values_created) = construct_ssa_scratch(func, analyses, ssa);
+        let construction =
+            SsaConstruction { origin: ssa.origin().clone(), phis_inserted, values_created };
+        let copy_propagation = propagate_copies_keeping_scratch(func, self.keep_copy_every, ssa);
+        if copy_propagation != CopyPropagation::default() {
+            analyses.invalidate_instructions();
+        }
+        let dead_code = eliminate_dead_code_scratch(func, ssa);
+        if dead_code.insts_removed > 0 {
+            analyses.invalidate_instructions();
+        }
         let conventional_after_opt =
             self.check_conventional.then(|| is_conventional_cached(func, analyses));
 
@@ -296,9 +305,8 @@ impl Passes {
         constrain(func);
         analyses.invalidate_instructions();
 
-        // Back end over the same cache and scratch.
-        let translation =
-            translate_out_of_ssa_scratch(func, options, analyses, &mut worker.scratch);
+        // Back end over the same cache.
+        let translation = translate_out_of_ssa_scratch(func, options, analyses, scratch);
         fault::enter_phase(&func.name, TranslatePhase::Regalloc);
         let allocation = self.num_regs.map(|regs| allocate_cached(func, regs, analyses));
 
