@@ -8,9 +8,9 @@
 //! optimizations may break the property, and the out-of-SSA translation's
 //! first phase (copy insertion) restores it.
 
-use std::collections::HashMap;
+use std::ops::ControlFlow;
 
-use ossa_ir::entity::Value;
+use ossa_ir::entity::{SecondaryMap, Value};
 use ossa_ir::{Function, InstData};
 use ossa_liveness::{FunctionAnalyses, IntersectionTest};
 
@@ -26,19 +26,27 @@ pub struct CssaViolation {
 
 /// φ congruence classes: the partition of values induced by "appears in the
 /// same φ-function", closed transitively.
+///
+/// A dense union-find over value indices whose roots are the smallest
+/// member of their class, so classes come out ordered by their smallest
+/// members without a sort of the classes themselves.
 #[derive(Clone, Debug, Default)]
 pub struct PhiCongruence {
-    parent: HashMap<Value, Value>,
+    /// Union-find parent of each value seen in a φ-function (a root is its
+    /// own parent); `None` for the other values.
+    parent: SecondaryMap<Value, Option<Value>>,
 }
 
 impl PhiCongruence {
     /// Builds the φ congruence classes of `func`.
     pub fn compute(func: &Function) -> Self {
         let mut this = Self::default();
-        for block in func.blocks() {
-            for inst in func.phis(block) {
+        this.parent.resize(func.num_values());
+        for &block in func.layout() {
+            // φ-functions are a prefix of the block.
+            for &inst in func.block_insts(block) {
                 let data = func.inst(inst);
-                let InstData::Phi { dst, .. } = *data else { unreachable!("phi expected") };
+                let InstData::Phi { dst, .. } = *data else { break };
                 for arg in data.phi_args(func.pools()).expect("phi") {
                     this.union(dst, arg.value);
                 }
@@ -47,23 +55,27 @@ impl PhiCongruence {
         this
     }
 
+    /// The root of `v`'s class (`v` itself for a value in no φ-function),
+    /// compressing the path to it.
     fn find(&mut self, v: Value) -> Value {
-        let parent = *self.parent.entry(v).or_insert(v);
-        if parent == v {
-            v
-        } else {
-            let root = self.find(parent);
-            self.parent.insert(v, root);
-            root
+        let mut root = v;
+        while let Some(parent) = self.parent[root].filter(|&parent| parent != root) {
+            root = parent;
         }
+        let mut at = v;
+        while at != root {
+            let next = self.parent[at].expect("a non-root has a parent");
+            self.parent[at] = Some(root);
+            at = next;
+        }
+        root
     }
 
     fn union(&mut self, a: Value, b: Value) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
+        self.parent[a].get_or_insert(a);
+        self.parent[b].get_or_insert(b);
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra.max(rb)] = Some(ra.min(rb));
     }
 
     /// Returns `true` if `a` and `b` are in the same φ congruence class.
@@ -71,20 +83,30 @@ impl PhiCongruence {
         self.find(a) == self.find(b)
     }
 
-    /// Groups all values seen in φ-functions by class representative.
+    /// Every value seen in a φ-function as a `(class root, value)` pair,
+    /// sorted: class by class in the order of their smallest members, each
+    /// class in increasing value order.
+    fn grouped_members(&mut self) -> Vec<(Value, Value)> {
+        let members = self.parent.iter().filter(|(_, parent)| parent.is_some()).count();
+        let mut grouped = Vec::with_capacity(members);
+        for index in 0..self.parent.len() {
+            let v = Value::from_index(index);
+            if self.parent[v].is_some() {
+                grouped.push((self.find(v), v));
+            }
+        }
+        grouped.sort_unstable();
+        grouped
+    }
+
+    /// Groups all values seen in φ-functions by class, each class sorted,
+    /// the classes ordered by their smallest members.
     pub fn classes(&mut self) -> Vec<Vec<Value>> {
-        let members: Vec<Value> = self.parent.keys().copied().collect();
-        let mut grouped: HashMap<Value, Vec<Value>> = HashMap::new();
-        for v in members {
-            let root = self.find(v);
-            grouped.entry(root).or_default().push(v);
-        }
-        let mut classes: Vec<Vec<Value>> = grouped.into_values().collect();
-        for class in &mut classes {
-            class.sort();
-        }
-        classes.sort();
-        classes
+        let grouped = self.grouped_members();
+        grouped
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|class| class.iter().map(|&(_, v)| v).collect())
+            .collect()
     }
 }
 
@@ -100,33 +122,50 @@ pub fn cssa_violations(func: &Function) -> Vec<CssaViolation> {
 /// The check is read-only: nothing is invalidated, and whatever it computes
 /// stays cached for the next pass.
 pub fn cssa_violations_cached(func: &Function, analyses: &FunctionAnalyses) -> Vec<CssaViolation> {
+    let mut violations = Vec::new();
+    let _ = scan_violations(func, analyses, |violation| {
+        violations.push(violation);
+        ControlFlow::<()>::Continue(())
+    });
+    violations
+}
+
+/// Tests every pair of values of every φ congruence class for intersection
+/// — class by class in the order of [`PhiCongruence::classes`], pairs in
+/// member order — passing each intersecting pair to `on_violation` until it
+/// breaks.
+fn scan_violations<B>(
+    func: &Function,
+    analyses: &FunctionAnalyses,
+    mut on_violation: impl FnMut(CssaViolation) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     let domtree = analyses.domtree(func);
     let liveness = analyses.liveness_sets(func);
     let info = analyses.live_range_info(func);
     let intersect = IntersectionTest::new(func, domtree, liveness, info);
 
-    let mut congruence = PhiCongruence::compute(func);
-    let mut violations = Vec::new();
-    for class in congruence.classes() {
-        for (i, &a) in class.iter().enumerate() {
-            for &b in &class[i + 1..] {
+    let grouped = PhiCongruence::compute(func).grouped_members();
+    for class in grouped.chunk_by(|x, y| x.0 == y.0) {
+        for (i, &(_, a)) in class.iter().enumerate() {
+            for &(_, b) in &class[i + 1..] {
                 if intersect.intersect(a, b) {
-                    violations.push(CssaViolation { a, b });
+                    on_violation(CssaViolation { a, b })?;
                 }
             }
         }
     }
-    violations
+    ControlFlow::Continue(())
 }
 
 /// Returns `true` if `func` is in conventional SSA form.
 pub fn is_conventional(func: &Function) -> bool {
-    cssa_violations(func).is_empty()
+    is_conventional_cached(func, &FunctionAnalyses::new())
 }
 
-/// Like [`is_conventional`], reading analyses from a shared cache.
+/// Like [`is_conventional`], reading analyses from a shared cache. Stops at
+/// the first intersecting pair.
 pub fn is_conventional_cached(func: &Function, analyses: &FunctionAnalyses) -> bool {
-    cssa_violations_cached(func, analyses).is_empty()
+    scan_violations(func, analyses, ControlFlow::Break).is_continue()
 }
 
 #[cfg(test)]

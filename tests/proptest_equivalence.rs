@@ -5,14 +5,20 @@
 //! (`ossa_cfggen::rng::SmallRng`) over a fixed number of cases per property.
 
 use out_of_ssa::cfggen::rng::SmallRng;
-use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
+use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
     minimum_copies, translate_out_of_ssa, try_sequentialize, Engine, OutOfSsaOptions,
 };
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::entity::EntityRef;
-use out_of_ssa::ir::{ControlFlowGraph, CopyPair, DominatorTree, Function, Value};
-use out_of_ssa::liveness::{BlockLiveness, FastLiveness, LiveRangeInfo, LivenessSets};
+use out_of_ssa::ir::{ControlFlowGraph, CopyPair, DominatorTree, Function, InstData, Value};
+use out_of_ssa::liveness::{
+    BlockLiveness, FastLiveness, FunctionAnalyses, IntersectionTest, LiveRangeInfo, LivenessSets,
+};
+use out_of_ssa::ssa::{
+    construct_ssa, cssa_violations_cached, is_conventional_cached, propagate_copies, CssaViolation,
+    PhiCongruence,
+};
 
 /// The seven Figure 5 variants, in the paper's order — read from the shared
 /// single source of truth so a variant added to the bench list is
@@ -327,4 +333,107 @@ fn batch_engine_matches_serial_translation() {
             assert_eq!(a, b, "{name}: translated function {} differs", a.name);
         }
     }
+}
+
+/// The φ congruence classes by brute force: connected components of the
+/// "same φ-function" graph, each class sorted, the classes sorted.
+fn reference_phi_classes(func: &Function) -> Vec<Vec<Value>> {
+    let mut edges: Vec<(Value, Value)> = Vec::new();
+    for block in func.blocks() {
+        for inst in func.phis(block) {
+            let data = func.inst(inst);
+            let InstData::Phi { dst, .. } = *data else { unreachable!("phi expected") };
+            for arg in data.phi_args(func.pools()).expect("phi") {
+                edges.push((dst, arg.value));
+            }
+        }
+    }
+    let mut members: Vec<Value> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+    members.sort();
+    members.dedup();
+    let mut classes: Vec<Vec<Value>> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for &start in &members {
+        if !seen.insert(start) {
+            continue;
+        }
+        let mut class = vec![start];
+        let mut at = 0;
+        while at < class.len() {
+            let v = class[at];
+            at += 1;
+            for &(a, b) in &edges {
+                for (from, to) in [(a, b), (b, a)] {
+                    if from == v && seen.insert(to) {
+                        class.push(to);
+                    }
+                }
+            }
+        }
+        class.sort();
+        classes.push(class);
+    }
+    classes.sort();
+    classes
+}
+
+/// The CSSA check's early exit and dense congruence classes change no
+/// verdict: over generated functions (SSA as built, partly copy-propagated
+/// and fully copy-propagated), the classes equal the brute-force
+/// components, the violations equal an all-pairs test of every class in
+/// order, and `is_conventional_cached` agrees with both.
+#[test]
+fn cssa_check_matches_a_brute_force_all_pairs_check() {
+    let configs = [GenConfig::small(), GenConfig::default()];
+    let (mut conventional, mut violated) = (0, 0);
+    for seed in 0..200u64 {
+        let config = &configs[seed as usize % 2];
+        let func = match seed % 3 {
+            0 => {
+                let mut func = generate_function(format!("built{seed}"), config, seed);
+                construct_ssa(&mut func);
+                func
+            }
+            1 => generate_ssa_function(format!("kept{seed}"), config, seed).0,
+            _ => {
+                let mut func = generate_function(format!("propagated{seed}"), config, seed);
+                construct_ssa(&mut func);
+                propagate_copies(&mut func);
+                func
+            }
+        };
+
+        let classes = reference_phi_classes(&func);
+        assert_eq!(PhiCongruence::compute(&func).classes(), classes, "seed {seed}: classes");
+
+        let cfg = ControlFlowGraph::compute(&func);
+        let domtree = DominatorTree::compute(&func, &cfg);
+        let sets = LivenessSets::compute(&func, &cfg);
+        let info = LiveRangeInfo::compute(&func);
+        let intersect = IntersectionTest::new(&func, &domtree, &sets, &info);
+        let mut expected = Vec::new();
+        for class in &classes {
+            for (i, &a) in class.iter().enumerate() {
+                for &b in &class[i + 1..] {
+                    if intersect.intersect(a, b) {
+                        expected.push(CssaViolation { a, b });
+                    }
+                }
+            }
+        }
+
+        let analyses = FunctionAnalyses::new();
+        assert_eq!(cssa_violations_cached(&func, &analyses), expected, "seed {seed}: violations");
+        assert_eq!(
+            is_conventional_cached(&func, &analyses),
+            expected.is_empty(),
+            "seed {seed}: verdict"
+        );
+        if expected.is_empty() {
+            conventional += 1;
+        } else {
+            violated += 1;
+        }
+    }
+    assert!(conventional > 20 && violated > 20, "{conventional} CSSA, {violated} not");
 }
