@@ -30,9 +30,9 @@
 
 use std::collections::HashMap;
 
-use ossa_ir::entity::{Block, SecondaryMap, Value};
+use ossa_ir::entity::{SecondaryMap, Value};
 use ossa_ir::Function;
-use ossa_liveness::{BlockLiveness, FunctionAnalyses};
+use ossa_liveness::FunctionAnalyses;
 
 /// Where a value lives for its whole lifetime.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -92,49 +92,49 @@ impl Allocation {
     }
 }
 
-/// Computes conservative live intervals over a linearisation of the layout,
-/// reading liveness from the shared analysis cache.
-fn live_intervals(func: &Function, analyses: &FunctionAnalyses) -> HashMap<Value, Interval> {
-    let liveness = analyses.liveness_sets(func);
+/// An interval no program point has extended yet: the first
+/// [`Interval::extend`] makes it exactly that point.
+const UNTOUCHED: Interval = Interval { start: u32::MAX, end: 0 };
 
-    // Linear numbering of (block, inst) program points in layout order.
-    let mut block_range: SecondaryMap<Block, (u32, u32)> = SecondaryMap::new();
-    block_range.resize(func.num_blocks());
-    let mut counter = 0u32;
-    for block in func.blocks() {
-        let start = counter;
-        counter += func.block_len(block) as u32 + 1;
-        block_range[block] = (start, counter - 1);
+impl Interval {
+    /// Extends the interval to cover `point`.
+    fn extend(&mut self, point: u32) {
+        self.start = self.start.min(point);
+        self.end = self.end.max(point);
     }
+}
 
-    let mut intervals: HashMap<Value, Interval> = HashMap::new();
-    let touch = |value: Value, point: u32, intervals: &mut HashMap<Value, Interval>| {
-        let entry = intervals.entry(value).or_insert(Interval { start: point, end: point });
-        entry.start = entry.start.min(point);
-        entry.end = entry.end.max(point);
-    };
+/// Computes conservative live intervals over a linearisation of the layout,
+/// reading liveness from the shared analysis cache. Values never live keep
+/// the [`UNTOUCHED`] interval.
+fn live_intervals(func: &Function, analyses: &FunctionAnalyses) -> SecondaryMap<Value, Interval> {
+    let liveness = analyses.liveness_sets(func);
+    let mut intervals = SecondaryMap::with_default(UNTOUCHED);
+    intervals.resize(func.num_values());
 
-    let mut scratch: Vec<Value> = Vec::new();
-    for block in func.blocks() {
-        let (block_start, block_end) = block_range[block];
-        for (offset, &inst) in func.block_insts(block).iter().enumerate() {
-            let point = block_start + offset as u32;
-            scratch.clear();
-            func.collect_inst_defs(inst, &mut scratch);
-            func.collect_inst_uses(inst, &mut scratch);
-            for &v in &scratch {
-                touch(v, point, &mut intervals);
+    // Program points number the (block, inst) pairs in layout order, plus
+    // one point past each block's last instruction.
+    let mut block_start = 0u32;
+    let mut operands: Vec<Value> = Vec::new();
+    for &block in func.layout() {
+        let insts = func.block_insts(block);
+        for (offset, &inst) in insts.iter().enumerate() {
+            operands.clear();
+            func.collect_inst_defs(inst, &mut operands);
+            func.collect_inst_uses(inst, &mut operands);
+            for &v in &operands {
+                intervals[v].extend(block_start + offset as u32);
             }
         }
         // Extend to block boundaries for values live across the block.
-        for value in func.values() {
-            if liveness.is_live_in(block, value) {
-                touch(value, block_start, &mut intervals);
-            }
-            if liveness.is_live_out(block, value) {
-                touch(value, block_end, &mut intervals);
-            }
+        let block_end = block_start + insts.len() as u32;
+        for v in liveness.live_in(block).iter() {
+            intervals[v].extend(block_start);
         }
+        for v in liveness.live_out(block).iter() {
+            intervals[v].extend(block_end);
+        }
+        block_start = block_end + 1;
     }
     intervals
 }
@@ -152,18 +152,20 @@ pub fn allocate(func: &Function, num_regs: u32) -> Allocation {
 /// CFG-level analyses are still valid for the translated function.
 pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalyses) -> Allocation {
     let intervals = live_intervals(func, analyses);
-    let mut by_start: Vec<(Value, Interval)> = intervals.iter().map(|(&v, &i)| (v, i)).collect();
-    by_start.sort_by_key(|&(v, i)| (i.start, i.end, v.index()));
+    let mut by_start: Vec<(Value, Interval)> = Vec::with_capacity(intervals.len());
+    by_start.extend(
+        intervals.iter().filter(|&(_, i)| *i != UNTOUCHED).map(|(v, &interval)| (v, interval)),
+    );
+    by_start.sort_unstable_by_key(|&(v, i)| (i.start, i.end, v.index()));
 
-    let mut locations: HashMap<Value, Location> = HashMap::new();
+    let mut locations: HashMap<Value, Location> = HashMap::with_capacity(by_start.len());
     // active: (end, value, register)
-    let mut active: Vec<(u32, Value, u32)> = Vec::new();
+    let mut active: Vec<(u32, Value, u32)> = Vec::with_capacity(num_regs as usize);
     let mut next_spill = 0u32;
     let mut spills = 0usize;
 
-    for (value, interval) in by_start {
+    for &(value, interval) in &by_start {
         active.retain(|&(end, _, _)| end >= interval.start);
-        let used: Vec<u32> = active.iter().map(|&(_, _, r)| r).collect();
 
         let preferred = func.pinned_reg(value);
         let chosen = match preferred {
@@ -180,7 +182,7 @@ pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalys
                 }
                 Some(reg)
             }
-            None => (0..num_regs).find(|r| !used.contains(r)),
+            None => (0..num_regs).find(|&reg| active.iter().all(|&(_, _, r)| r != reg)),
         };
 
         match chosen {
@@ -196,6 +198,7 @@ pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalys
         }
     }
 
+    let intervals = by_start.into_iter().collect();
     Allocation { locations, intervals, spills }
 }
 
@@ -372,6 +375,115 @@ mod tests {
             let fresh = allocate(&f, 8);
             assert_eq!(cached.locations, fresh.locations, "seed {seed}");
             assert_eq!(cached.spills, fresh.spills, "seed {seed}");
+        }
+    }
+
+    /// The reference interval scan: every value tested against every
+    /// block's live-in and live-out set, a map update per def and use.
+    fn reference_intervals(func: &Function) -> HashMap<Value, Interval> {
+        use ossa_ir::entity::Block;
+        use ossa_liveness::{BlockLiveness, LivenessSets};
+
+        let liveness = LivenessSets::of(func);
+        let mut block_range: SecondaryMap<Block, (u32, u32)> = SecondaryMap::new();
+        block_range.resize(func.num_blocks());
+        let mut counter = 0u32;
+        for block in func.blocks() {
+            let start = counter;
+            counter += func.block_len(block) as u32 + 1;
+            block_range[block] = (start, counter - 1);
+        }
+        let mut intervals: HashMap<Value, Interval> = HashMap::new();
+        let touch = |value: Value, point: u32, intervals: &mut HashMap<Value, Interval>| {
+            let entry = intervals.entry(value).or_insert(Interval { start: point, end: point });
+            entry.start = entry.start.min(point);
+            entry.end = entry.end.max(point);
+        };
+        let mut operands: Vec<Value> = Vec::new();
+        for block in func.blocks() {
+            let (block_start, block_end) = block_range[block];
+            for (offset, &inst) in func.block_insts(block).iter().enumerate() {
+                operands.clear();
+                func.collect_inst_defs(inst, &mut operands);
+                func.collect_inst_uses(inst, &mut operands);
+                for &v in &operands {
+                    touch(v, block_start + offset as u32, &mut intervals);
+                }
+            }
+            for value in func.values() {
+                if liveness.is_live_in(block, value) {
+                    touch(value, block_start, &mut intervals);
+                }
+                if liveness.is_live_out(block, value) {
+                    touch(value, block_end, &mut intervals);
+                }
+            }
+        }
+        intervals
+    }
+
+    /// The reference linear scan over [`reference_intervals`]: a fresh
+    /// `used` list per interval, locations written straight into the map.
+    fn reference_allocation(func: &Function, num_regs: u32) -> Allocation {
+        let intervals = reference_intervals(func);
+        let mut by_start: Vec<(Value, Interval)> =
+            intervals.iter().map(|(&v, &i)| (v, i)).collect();
+        by_start.sort_by_key(|&(v, i)| (i.start, i.end, v.index()));
+        let mut locations: HashMap<Value, Location> = HashMap::new();
+        let mut active: Vec<(u32, Value, u32)> = Vec::new();
+        let (mut next_spill, mut spills) = (0u32, 0usize);
+        for (value, interval) in by_start {
+            active.retain(|&(end, _, _)| end >= interval.start);
+            let used: Vec<u32> = active.iter().map(|&(_, _, r)| r).collect();
+            let chosen = match func.pinned_reg(value) {
+                Some(reg) => {
+                    if let Some(pos) = active
+                        .iter()
+                        .position(|&(_, v, r)| r == reg && func.pinned_reg(v).is_none())
+                    {
+                        let (_, evicted, _) = active.remove(pos);
+                        locations.insert(evicted, Location::Spill(next_spill));
+                        next_spill += 1;
+                        spills += 1;
+                    }
+                    Some(reg)
+                }
+                None => (0..num_regs).find(|r| !used.contains(r)),
+            };
+            match chosen {
+                Some(reg) => {
+                    locations.insert(value, Location::Reg(reg));
+                    active.push((interval.end, value, reg));
+                }
+                None => {
+                    locations.insert(value, Location::Spill(next_spill));
+                    next_spill += 1;
+                    spills += 1;
+                }
+            }
+        }
+        Allocation { locations, intervals, spills }
+    }
+
+    #[test]
+    fn allocation_matches_the_per_value_reference_scan() {
+        let sizes = [
+            GenConfig::small(),
+            GenConfig::default(),
+            GenConfig { num_vars: 14, num_stmts: 90, ..GenConfig::default() },
+        ];
+        for seed in 0..60u64 {
+            let config = &sizes[seed as usize % sizes.len()];
+            let (mut f, _) = generate_ssa_function(format!("ref{seed}"), config, seed);
+            pin_call_conventions(&mut f);
+            translate_out_of_ssa(&mut f, &OutOfSsaOptions::default());
+            for num_regs in [2, 4, 8] {
+                let got = allocate_cached(&f, num_regs, &FunctionAnalyses::new());
+                let want = reference_allocation(&f, num_regs);
+                assert_eq!(got.intervals, want.intervals, "seed {seed}, {num_regs} registers");
+                assert_eq!(got.locations, want.locations, "seed {seed}, {num_regs} registers");
+                assert_eq!(got.spills, want.spills, "seed {seed}, {num_regs} registers");
+            }
         }
     }
 
