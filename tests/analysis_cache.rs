@@ -464,6 +464,46 @@ fn warm_pooled_generate_ssa_translate_cycle_is_allocation_free() {
     );
 }
 
+/// The pipeline's layers around the translation hold the same discipline:
+/// with the pipeline's SSA scratch, analysis cache and translation scratch
+/// warm, a round of `Pipeline::run_with` over the same functions allocates
+/// exactly what the previous round did, and in release only a few times per
+/// function (the report's origin map, the CSSA check's class list and the
+/// allocation's working lists and result maps).
+#[test]
+fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
+    use ossa_bench::alloc::allocation_count;
+
+    let inputs: Vec<Function> = (0..16u64)
+        .map(|seed| generate_function(format!("warm{seed}"), &GenConfig::small(), seed))
+        .collect();
+    let mut outputs = inputs.clone();
+    let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
+    let mut round = || {
+        for (output, input) in outputs.iter_mut().zip(&inputs) {
+            output.clone_from(input);
+        }
+        let before = allocation_count();
+        for output in &mut outputs {
+            let report = pipeline.run_with(output, |f| {
+                pin_call_conventions(f);
+            });
+            assert!(report.allocation.is_some());
+        }
+        allocation_count() - before
+    };
+
+    // Two warm-up rounds, then two measured ones.
+    round();
+    round();
+    let (first, second) = (round(), round());
+    assert_eq!(first, second, "warm pipeline rounds allocated {first} then {second} times");
+    let per_function = first as f64 / inputs.len() as f64;
+    #[cfg(not(debug_assertions))]
+    assert!(per_function <= 20.0, "a warm pipeline allocated {per_function} times per function");
+    eprintln!("warm pipeline: {per_function} allocations per function");
+}
+
 /// The pristine-snapshot half of the same claim: `checkout_clone_of` into a
 /// retired pool slot rebuilds every block inside the slot's own block
 /// storage, so once the slot has seen each shape a snapshot allocates
