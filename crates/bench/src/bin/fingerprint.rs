@@ -43,7 +43,8 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// The `Pipeline` row: the pre-SSA corpus (the functions `spec_like_corpus`
 /// converts to SSA) through one pipeline, hashing each function's printed
 /// output, CSSA verdict and allocation (locations in value order, spills).
-fn pipeline_row(scale: f64, text: &mut String) -> String {
+fn pipeline_row(scale: f64) -> String {
+    let mut text = String::new();
     let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let (mut queries, mut copies, mut coalesced, mut spills) = (0, 0, 0, 0);
@@ -157,7 +158,7 @@ fn main() -> ExitCode {
         }
         per_workload.push((name, queries));
     }
-    let line = pipeline_row(scale, &mut text);
+    let line = pipeline_row(scale);
     println!("{line}");
     let _ = writeln!(report, "{line}");
 

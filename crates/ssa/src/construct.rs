@@ -48,6 +48,10 @@ pub fn construct_ssa(func: &mut Function) -> SsaConstruction {
 /// caller*; only the instruction-dependent caches are invalidated. Liveness
 /// is computed twice exactly when entry definitions had to be inserted (a
 /// new instruction version).
+///
+/// Working storage comes from a fresh [`SsaScratch`] per call; a caller
+/// converting many functions keeps one scratch and calls
+/// [`construct_ssa_scratch`] instead.
 pub fn construct_ssa_cached(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,

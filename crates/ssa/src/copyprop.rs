@@ -46,7 +46,10 @@ pub fn propagate_copies_cached(
 }
 
 /// Cached-pipeline variant of [`propagate_copies_keeping`]; see
-/// [`propagate_copies_cached`] for the invalidation contract.
+/// [`propagate_copies_cached`] for the invalidation contract. Like
+/// [`propagate_copies_keeping`], it works in a fresh [`SsaScratch`]; a
+/// caller running many functions keeps one scratch, calls
+/// [`propagate_copies_keeping_scratch`] and declares the same invalidation.
 pub fn propagate_copies_keeping_cached(
     func: &mut Function,
     keep_every: usize,

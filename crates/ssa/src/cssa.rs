@@ -27,9 +27,9 @@ pub struct CssaViolation {
 /// φ congruence classes: the partition of values induced by "appears in the
 /// same φ-function", closed transitively.
 ///
-/// A dense union-find over value indices whose roots are the smallest
-/// member of their class, so classes come out ordered by their smallest
-/// members without a sort of the classes themselves.
+/// A dense union-find over value indices. Each class's root is its smallest
+/// member, so sorting `(root, member)` pairs lists the classes in the order
+/// of their smallest members.
 #[derive(Clone, Debug, Default)]
 pub struct PhiCongruence {
     /// Union-find parent of each value seen in a φ-function (a root is its

@@ -23,7 +23,10 @@ pub struct DeadCodeElimination {
 /// Like [`eliminate_dead_code`], declaring its invalidation against a shared
 /// analysis cache: DCE removes instructions inside existing blocks, so the
 /// CFG-level analyses stay valid and only the instruction-dependent caches
-/// are dropped — and only when an instruction was actually removed.
+/// are dropped — and only when an instruction was actually removed. It works
+/// in a fresh [`SsaScratch`]; a caller running many functions keeps one
+/// scratch, calls [`eliminate_dead_code_scratch`] and declares the same
+/// invalidation.
 pub fn eliminate_dead_code_cached(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,

@@ -468,8 +468,8 @@ fn warm_pooled_generate_ssa_translate_cycle_is_allocation_free() {
 /// with the pipeline's SSA scratch, analysis cache and translation scratch
 /// warm, a round of `Pipeline::run_with` over the same functions allocates
 /// exactly what the previous round did, and in release only a few times per
-/// function (the report's origin map, the CSSA check's class list and the
-/// allocation's working lists and result maps).
+/// function (the report's origin map, the CSSA check's union-find and member
+/// list, the allocator's working lists and result maps).
 #[test]
 fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
     use ossa_bench::alloc::allocation_count;
@@ -498,10 +498,15 @@ fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
     round();
     let (first, second) = (round(), round());
     assert_eq!(first, second, "warm pipeline rounds allocated {first} then {second} times");
-    let per_function = first as f64 / inputs.len() as f64;
+    // Debug builds also allocate in `debug_assert!`-only verification.
     #[cfg(not(debug_assertions))]
-    assert!(per_function <= 20.0, "a warm pipeline allocated {per_function} times per function");
-    eprintln!("warm pipeline: {per_function} allocations per function");
+    {
+        let per_function = first as f64 / inputs.len() as f64;
+        assert!(
+            per_function <= 20.0,
+            "a warm pipeline allocated {per_function} times per function"
+        );
+    }
 }
 
 /// The pristine-snapshot half of the same claim: `checkout_clone_of` into a
