@@ -386,16 +386,29 @@ impl Function {
         let insts = &mut self.blocks[block].insts;
         if let Some(pos) = insts.iter().position(|&i| i == inst) {
             insts.remove(pos);
-            match &mut self.insts[inst] {
-                InstData::ParallelCopy { copies } => self.pools.copies.retire(copies),
-                InstData::Phi { args, .. } => self.pools.phis.retire(args),
-                InstData::Call { args, .. } => self.pools.values.retire(args),
-                _ => {}
-            }
+            retire_operands(&mut self.insts[inst], &mut self.pools);
             true
         } else {
             false
         }
+    }
+
+    /// Removes every instruction of `block` for which `keep` returns `false`,
+    /// in one pass over the block, and returns how many were removed. Each
+    /// removed instruction's operand lists are retired as by
+    /// [`Function::remove_inst`], in block order.
+    pub fn retain_insts(&mut self, block: Block, mut keep: impl FnMut(Inst) -> bool) -> usize {
+        let Self { blocks, insts, pools, .. } = self;
+        let list = &mut blocks[block].insts;
+        let before = list.len();
+        list.retain(|&inst| {
+            let kept = keep(inst);
+            if !kept {
+                retire_operands(&mut insts[inst], pools);
+            }
+            kept
+        });
+        before - list.len()
     }
 
     /// The instruction sequence of `block`.
@@ -707,6 +720,17 @@ impl Function {
             }
         }
         uses
+    }
+}
+
+/// Retires the operand lists of a detached instruction into the pools' free
+/// lists, leaving the payload with empty handles.
+fn retire_operands(data: &mut InstData, pools: &mut IrPools) {
+    match data {
+        InstData::ParallelCopy { copies } => pools.copies.retire(copies),
+        InstData::Phi { args, .. } => pools.phis.retire(args),
+        InstData::Call { args, .. } => pools.values.retire(args),
+        _ => {}
     }
 }
 

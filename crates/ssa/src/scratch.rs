@@ -19,7 +19,7 @@
 //! counterparts: only where the working bytes live changes, never what is
 //! computed.
 
-use ossa_ir::entity::{Block, Inst, SecondaryMap, Value};
+use ossa_ir::entity::{Block, EntitySet, Inst, SecondaryMap, Value};
 use ossa_ir::PhiArg;
 
 /// Recycled working storage shared by [`crate::construct_ssa_scratch`],
@@ -67,6 +67,14 @@ pub struct SsaScratch {
     // --- dead-code elimination ------------------------------------------
     /// Use counts per value.
     pub(crate) use_counts: SecondaryMap<Value, u32>,
+    /// Defining instruction per value.
+    pub(crate) def_inst: SecondaryMap<Value, Option<Inst>>,
+    /// Instructions found dead.
+    pub(crate) dead: EntitySet<Inst>,
+    /// Dead instructions whose operands are not yet released.
+    pub(crate) dead_worklist: Vec<Inst>,
+    /// Per-instruction uses buffer.
+    pub(crate) use_tmp: Vec<Value>,
 }
 
 impl SsaScratch {
