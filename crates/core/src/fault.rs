@@ -216,10 +216,14 @@ pub struct Limits {
     pub max_values: Option<u64>,
     /// Maximum number of instructions of the input function.
     pub max_insts: Option<u64>,
-    /// Fixpoint-pass budget of the liveness solvers — bounds the only loops
-    /// of the pipeline whose trip count is data-dependent rather than
+    /// Fixpoint-pass budget of the liveness sets solver — bounds the only
+    /// loops of the pipeline whose trip count is data-dependent rather than
     /// structural, so a pathological input returns
     /// [`TranslateError::ResourceExhausted`] instead of hanging a worker.
+    /// Only translations that compute liveness sets spend it: the default
+    /// `InterCheckLiveCheck` translation of a reducible function runs no
+    /// fixpoint, while the `Graph` and `InterCheck` modes, the fallback
+    /// rungs and the irreducible-CFG demotion do.
     pub max_fixpoint_iters: Option<u64>,
 }
 

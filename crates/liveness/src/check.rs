@@ -10,18 +10,34 @@
 //! here: it is read from a shared [`LiveRangeInfo`], which the analysis
 //! manager invalidates independently when instructions change.
 //!
-//! The query `is_live_in(q, a)` is answered from:
+//! The query `is_live_in(q, a)` is answered from two bit-sets per block:
 //!
 //! * `reduced_reach[q]` — blocks reachable from `q` using only *forward*
 //!   edges (back edges, whose target dominates their source, are removed),
-//! * `back_targets[q]` — the transitive closure of back-edge targets
-//!   reachable from `q`.
+//! * `back_targets[q]` — the headers of the natural loops that contain `q`
+//!   (its enclosing loop headers).
 //!
 //! `a` is live-in at `q` iff the definition of `a` strictly dominates `q`
 //! (SSA live ranges live in the dominance region of their definition) and
-//! some use of `a` is reachable from `q`, or from a back-edge target
-//! dominated by the definition, in the reduced graph. φ uses count at the
-//! end of their predecessor block.
+//! some use of `a` lies in the reduced reach of one block: the outermost
+//! header in `back_targets[q]` that the definition strictly dominates, or
+//! `q` itself when there is none. φ uses count at the end of their
+//! predecessor block.
+//!
+//! A query probes that one block. The enclosing headers of `q` form a
+//! dominance chain, and on a reducible CFG a block's reduced reach covers
+//! every block it dominates. A path from `q` that avoids the definition can
+//! only climb back edges to headers of loops containing `q` inside the
+//! definition's region, and all of those lie in the reduced reach of the
+//! outermost one. This is the loop-nesting-forest view of SSA liveness
+//! (Boissinot et al., "A Non-iterative Data-Flow Algorithm for Computing
+//! Liveness Sets in Strict SSA Programs", APLAS 2011).
+//!
+//! The precomputation does not iterate. Reduced reachability is one pass in
+//! post-order, since the reduced graph is acyclic. The enclosing headers
+//! come from one backward walk per back edge `s → t`: from `s` over
+//! predecessors inside `t`'s dominance region until `t`, inserting `t` into
+//! the set of every block visited. That set is the walk's visited mark.
 //!
 //! The construction assumes a *reducible* CFG (every retreating edge has a
 //! target that dominates its source). The synthetic workloads of
@@ -43,33 +59,22 @@ use crate::BlockLiveness;
 pub struct FastLiveness {
     /// Reachability over forward (non-back) edges, including the block itself.
     reduced_reach: SecondaryMap<Block, EntitySet<Block>>,
-    /// Transitive closure of back-edge targets reachable from each block.
+    /// Headers of the natural loops containing each block.
     back_targets: SecondaryMap<Block, EntitySet<Block>>,
     num_blocks: usize,
-    /// Edge-classification and fixpoint working storage, kept so a recycled
-    /// checker ([`FastLiveness::recompute`]) performs no per-block
-    /// allocation; never read after the computation finishes.
+    /// Working storage, kept so a recycled checker
+    /// ([`FastLiveness::recompute`]) performs no allocation; never read
+    /// after the computation finishes.
     scratch: CheckScratch,
 }
 
 /// The recycled working storage of one checker computation.
 #[derive(Clone, Debug, Default)]
 struct CheckScratch {
-    forward_succs: SecondaryMap<Block, Vec<Block>>,
-    back_edge_targets_of: SecondaryMap<Block, Vec<Block>>,
-    direct_targets: SecondaryMap<Block, Vec<Block>>,
-    post_order: Vec<Block>,
+    /// The reduced reach under construction.
     set: EntitySet<Block>,
-}
-
-/// Clears every list slot of a recycled per-block map and sizes it for
-/// `num_blocks`, keeping the per-slot buffers (also beyond `num_blocks`, so
-/// a later, larger function reuses them — the per-slot reset is O(1)).
-fn reset_block_lists(map: &mut SecondaryMap<Block, Vec<Block>>, num_blocks: usize) {
-    for list in map.values_mut() {
-        list.clear();
-    }
-    map.resize(num_blocks);
+    /// Blocks of the natural loop walk whose predecessors are unvisited.
+    walk: Vec<Block>,
 }
 
 impl FastLiveness {
@@ -99,72 +104,24 @@ impl FastLiveness {
         self.back_targets.resize(num_blocks);
         self.num_blocks = num_blocks;
 
-        // Classify edges: an edge s -> t is a back edge when t dominates s.
-        let forward_succs = &mut self.scratch.forward_succs;
-        let back_edge_targets_of = &mut self.scratch.back_edge_targets_of;
-        reset_block_lists(forward_succs, num_blocks);
-        reset_block_lists(back_edge_targets_of, num_blocks);
-        for &block in cfg.reverse_post_order() {
+        // Post-order, so forward successors are final first: the reduced
+        // graph is acyclic for reducible CFGs. An edge s -> t is a back edge
+        // when t dominates s; each one marks its natural loop instead.
+        let Self { reduced_reach, back_targets, scratch, .. } = self;
+        let CheckScratch { set, walk } = scratch;
+        set.reset();
+        for block in cfg.post_order() {
+            set.clear();
+            set.insert(block);
             for &succ in cfg.succs(block) {
                 if domtree.dominates(succ, block) {
-                    back_edge_targets_of[block].push(succ);
+                    mark_natural_loop(cfg, domtree, back_targets, walk, block, succ);
                 } else {
-                    forward_succs[block].push(succ);
+                    set.insert(succ);
+                    set.union_with(&reduced_reach[succ]);
                 }
             }
-        }
-
-        // Reduced reachability: process blocks in reverse of the reverse
-        // post-order (i.e. post-order) so successors are ready first. The
-        // reduced graph is acyclic for reducible CFGs, so each stored set is
-        // final when written and successor sets can be unioned in directly
-        // (the seed cloned every successor set before the union).
-        let reduced_reach = &mut self.reduced_reach;
-        let post_order = &mut self.scratch.post_order;
-        post_order.clear();
-        post_order.extend(cfg.post_order());
-        let scratch = &mut self.scratch.set;
-        scratch.reset();
-        for &block in &*post_order {
-            scratch.clear();
-            scratch.insert(block);
-            for &succ in &forward_succs[block] {
-                scratch.insert(succ);
-                scratch.union_with(&reduced_reach[succ]);
-            }
-            reduced_reach[block].clone_from_set(scratch);
-        }
-
-        // Back-edge target closure: T[q] = ∪ { {t} ∪ T[t] | s ∈ R[q], (s→t) back edge }.
-        // The direct targets D[q] = { t | s ∈ R[q], (s→t) back edge } depend
-        // only on the (final) reduced reachability, so they are computed once
-        // instead of per fixpoint pass; the fixpoint itself then runs in
-        // place through one reusable scratch bit-set — no per-pass clones.
-        let direct_targets = &mut self.scratch.direct_targets;
-        reset_block_lists(direct_targets, num_blocks);
-        for &block in cfg.reverse_post_order() {
-            let targets = &mut direct_targets[block];
-            for s in reduced_reach[block].iter() {
-                for &t in &back_edge_targets_of[s] {
-                    if !targets.contains(&t) {
-                        targets.push(t);
-                    }
-                }
-            }
-        }
-        let back_targets = &mut self.back_targets;
-        let mut changed = true;
-        while changed {
-            crate::fuel::fixpoint_tick();
-            changed = false;
-            for &block in cfg.reverse_post_order() {
-                scratch.clear();
-                for &t in &direct_targets[block] {
-                    scratch.insert(t);
-                    scratch.union_with(&back_targets[t]);
-                }
-                changed |= back_targets[block].union_with(scratch);
-            }
+            reduced_reach[block].clone_from_set(set);
         }
     }
 
@@ -182,25 +139,20 @@ impl FastLiveness {
         def_block: Block,
         uses: &[UseSite],
     ) -> bool {
-        // Candidate source blocks: q plus every back-edge target reachable
-        // from q that stays inside the dominance region of the definition.
-        // A use is "reached" if it lies in the reduced reachability of one of
-        // those sources. Uses in the definition block itself only count when
-        // the query starts there via a cycle, which the back-target sources
-        // capture.
-        let hit = |source: Block| -> bool {
-            let reach = &self.reduced_reach[source];
-            uses.iter().any(|site| reach.contains(site.block))
-        };
-        if hit(q) {
-            return true;
-        }
+        // The definition and every enclosing header of q dominate q, so they
+        // lie on one dominator-tree path: a header is strictly dominated by
+        // the definition iff its preorder number is larger. The outermost
+        // such header has the smallest number.
+        let def_pre = domtree.preorder_number(def_block);
+        let (mut source, mut source_pre) = (q, u32::MAX);
         for t in self.back_targets[q].iter() {
-            if t != def_block && domtree.strictly_dominates(def_block, t) && hit(t) {
-                return true;
+            let pre = domtree.preorder_number(t);
+            if pre > def_pre && pre < source_pre {
+                (source, source_pre) = (t, pre);
             }
         }
-        false
+        let reach = &self.reduced_reach[source];
+        uses.iter().any(|site| reach.contains(site.block))
     }
 
     /// Returns `true` if `value` is live at the entry of `block`, reading the
@@ -273,6 +225,33 @@ impl FastLiveness {
                 self.reduced_reach[b].footprint_bytes() + self.back_targets[b].footprint_bytes()
             })
             .sum()
+    }
+}
+
+/// Inserts `header` into the enclosing-header set of every block of the
+/// natural loop of the back edge `latch -> header`: a walk backward over
+/// predecessors from `latch`, inside `header`'s dominance region, that stops
+/// at `header`. Blocks already holding `header` (from another back edge to
+/// it) are not walked again.
+fn mark_natural_loop(
+    cfg: &ControlFlowGraph,
+    domtree: &DominatorTree,
+    back_targets: &mut SecondaryMap<Block, EntitySet<Block>>,
+    walk: &mut Vec<Block>,
+    latch: Block,
+    header: Block,
+) {
+    back_targets[header].insert(header);
+    walk.clear();
+    if back_targets[latch].insert(header) {
+        walk.push(latch);
+    }
+    while let Some(block) = walk.pop() {
+        for &pred in cfg.preds(block) {
+            if domtree.dominates(header, pred) && back_targets[pred].insert(header) {
+                walk.push(pred);
+            }
+        }
     }
 }
 
@@ -442,6 +421,56 @@ mod tests {
         b.switch_to_block(exit);
         b.ret(Some(acc_outer));
         check_agreement(&b.finish());
+    }
+
+    #[test]
+    fn a_sibling_loop_the_definition_dominates_is_not_reached_from_outside() {
+        // An outer loop H whose body defines `a` in D, then runs an inner
+        // loop L that uses `a`, then reaches the latch M. From M, every path
+        // to L passes through D, so `a` is dead at M, although M reaches
+        // the back edge to H and H reaches L by forward edges.
+        let mut b = FunctionBuilder::new("siblings", 1);
+        let entry = b.create_block();
+        let h = b.create_block();
+        let d = b.create_block();
+        let l = b.create_block();
+        let body = b.create_block();
+        let m = b.create_block();
+        let exit = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let n = b.param(0);
+        let zero = b.iconst(0);
+        b.jump(h);
+        b.switch_to_block(h);
+        let i_next = b.declare_value();
+        let i = b.phi(vec![(entry, zero), (m, i_next)]);
+        let c = b.cmp(CmpOp::Lt, i, n);
+        b.branch(c, d, exit);
+        b.switch_to_block(d);
+        let a = b.binary(BinaryOp::Add, i, n);
+        b.jump(l);
+        b.switch_to_block(l);
+        let j_next = b.declare_value();
+        let j = b.phi(vec![(d, zero), (body, j_next)]);
+        let c2 = b.cmp(CmpOp::Lt, j, a);
+        b.branch(c2, body, m);
+        b.switch_to_block(body);
+        b.binary_to(BinaryOp::Add, j_next, j, n);
+        b.jump(l);
+        b.switch_to_block(m);
+        b.binary_to(BinaryOp::Add, i_next, i, n);
+        b.jump(h);
+        b.switch_to_block(exit);
+        b.ret(Some(i));
+        let f = b.finish();
+        check_agreement(&f);
+        let fast = FastLiveness::of(&f);
+        let cfg = ControlFlowGraph::compute(&f);
+        let domtree = DominatorTree::compute(&f, &cfg);
+        let info = LiveRangeInfo::compute(&f);
+        assert!(!fast.is_live_in_query(&domtree, &info, m, a));
+        assert!(fast.is_live_in_query(&domtree, &info, body, a));
     }
 
     #[test]

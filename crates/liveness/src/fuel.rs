@@ -82,7 +82,7 @@ pub fn cancel_tick() {
 
 /// Consumes one unit of fuel; unwinds with [`FuelExhausted`] when the budget
 /// is spent (and with [`Cancelled`] when a deadline has passed). Called once
-/// per fixpoint *pass* by the liveness solvers.
+/// per fixpoint *pass* by the liveness sets solver.
 #[inline]
 pub fn fixpoint_tick() {
     cancel_tick();

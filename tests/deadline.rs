@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    Engine, EngineWorker, Ladder, Limits, OutOfSsaOptions, Resource, TranslateError, ValidationMode,
+    Engine, EngineWorker, InterferenceMode, Ladder, Limits, OutOfSsaOptions, Resource,
+    TranslateError, ValidationMode,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::liveness::fuel;
@@ -23,6 +24,12 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn input(seed: u64) -> Function {
     generate_ssa_function(format!("dl_{seed}"), &GenConfig::default(), seed).0
+}
+
+/// Options whose liveness comes from the data-flow sets, the solver that
+/// still iterates and so spends fixpoint fuel.
+fn sets_options() -> OutOfSsaOptions {
+    OutOfSsaOptions::default().with_interference(InterferenceMode::InterCheck)
 }
 
 fn reference(seed: u64, validation: ValidationMode) -> Function {
@@ -40,11 +47,18 @@ fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
     let mut worker = EngineWorker::new();
     let pristine = input(3);
 
-    // Fuel: a deterministic property of the function under its limits.
+    // The default engine runs no fixpoint (its liveness checker's
+    // precomputation does not iterate), so even a zero budget translates.
+    let dry = Limits { max_fixpoint_iters: Some(0), ..Limits::UNBOUNDED };
+    let mut unfuelled = pristine.clone();
+    worker.try_translate(&mut unfuelled, &engine.clone().with_limits(dry)).unwrap();
+
+    // Fuel: a deterministic property of the function under its limits,
+    // spent by the liveness sets solver.
+    let sets = Engine::new(sets_options());
     let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
     let mut victim = pristine.clone();
-    let fuel_err =
-        worker.try_translate(&mut victim, &engine.clone().with_limits(starved)).unwrap_err();
+    let fuel_err = worker.try_translate(&mut victim, &sets.with_limits(starved)).unwrap_err();
     assert!(
         matches!(
             fuel_err,
@@ -83,6 +97,7 @@ fn fuel_exhaustion_through_the_service_is_typed_and_the_worker_is_recycled() {
 
     let service = TranslationService::start(ServiceConfig {
         workers: 1,
+        options: sets_options(),
         validation,
         retries: 2,
         limits: Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED },

@@ -9,7 +9,8 @@
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    Engine, EngineWorker, Limits, OutOfSsaOptions, Resource, TranslateError, TranslatePhase,
+    Engine, EngineWorker, InterferenceMode, Limits, OutOfSsaOptions, Resource, TranslateError,
+    TranslatePhase,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
@@ -88,12 +89,21 @@ fn fixpoint_fuel_returns_resource_exhausted_and_recovers() {
     let engine = Engine::new(OutOfSsaOptions::default());
     let mut worker = EngineWorker::new();
 
-    // A generated function with loops needs more than one liveness fixpoint
-    // pass, so a one-pass budget trips mid-translation.
+    // The default engine answers liveness with the fast checker, whose
+    // precomputation runs no fixpoint: it translates under a zero budget.
     let (func, _) = generate_ssa_function("fuel", &GenConfig::small(), 3);
+    let dry = Limits { max_fixpoint_iters: Some(0), ..Limits::UNBOUNDED };
+    let mut unfuelled = func.clone();
+    worker.try_translate(&mut unfuelled, &engine.clone().with_limits(dry)).unwrap();
+
+    // The liveness sets solver iterates: on a generated function with loops
+    // it needs more than one pass, so a one-pass budget trips
+    // mid-translation.
+    let sets =
+        Engine::new(OutOfSsaOptions::default().with_interference(InterferenceMode::InterCheck));
     let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
     let mut victim = func.clone();
-    let err = worker.try_translate(&mut victim, &engine.clone().with_limits(starved)).unwrap_err();
+    let err = worker.try_translate(&mut victim, &sets.with_limits(starved)).unwrap_err();
     assert_eq!(
         err,
         TranslateError::ResourceExhausted {

@@ -141,56 +141,67 @@ fn is_reducible(func: &Function, cfg: &ControlFlowGraph, domtree: &DominatorTree
     })
 }
 
-/// The optimized fast liveness checker (in-place worklist fixpoint with
-/// reusable scratch bit-sets) agrees with the naive reference data-flow
-/// analysis on randomly generated small CFGs, for every block × value
-/// query, both live-in and live-out. Irreducible graphs (which the
-/// checker's precomputation is documented not to support) are skipped — but
-/// must be rare enough that the property still exercises a large sample.
+/// The fast liveness checker is exact: it equals the reference data-flow
+/// sets on live-in and live-out, for every reachable block and every value,
+/// on generated functions of three shapes — `GenConfig::small()`, the
+/// default, and a depth-5 one (200 statements, 16 variables) with deeply
+/// nested sibling loops. Seed 27 of the default shape is the case that
+/// pinned the former back-edge-target closure's spurious live-in.
+/// Irreducible graphs (which the checker's precomputation is documented not
+/// to support) are skipped — but must be rare enough that the property
+/// still exercises a large sample.
 #[test]
 fn fast_liveness_matches_reference_dataflow_on_random_cfgs() {
-    let mut checked = 0usize;
-    for seed in 0..60u64 {
-        let (func, _) = generate_ssa_function(format!("live{seed}"), &GenConfig::small(), seed);
-        let cfg = ControlFlowGraph::compute(&func);
-        let domtree = DominatorTree::compute(&func, &cfg);
-        if !is_reducible(&func, &cfg, &domtree) {
-            continue;
-        }
-        checked += 1;
-        let reference = LivenessSets::compute(&func, &cfg);
-        let info = LiveRangeInfo::compute(&func);
-        let checker = FastLiveness::compute(&func, &cfg, &domtree);
-        let fast = checker.query(&cfg, &domtree, &info);
-        for block in func.blocks() {
-            if !cfg.is_reachable(block) {
+    let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
+    let shapes = [
+        ("live", GenConfig::small(), 200),
+        ("big", GenConfig::default(), 200),
+        ("deep", deep, 100),
+    ];
+    for (prefix, config, seeds) in shapes {
+        let mut checked = 0usize;
+        for seed in 0..seeds {
+            let (func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+            let cfg = ControlFlowGraph::compute(&func);
+            let domtree = DominatorTree::compute(&func, &cfg);
+            if !is_reducible(&func, &cfg, &domtree) {
                 continue;
             }
-            for value in func.values() {
-                assert_eq!(
-                    reference.is_live_in(block, value),
-                    fast.is_live_in(block, value),
-                    "seed {seed}: live-in mismatch for {value} at {block}\n{}",
-                    func.display()
-                );
-                assert_eq!(
-                    reference.is_live_out(block, value),
-                    fast.is_live_out(block, value),
-                    "seed {seed}: live-out mismatch for {value} at {block}\n{}",
-                    func.display()
-                );
+            checked += 1;
+            let reference = LivenessSets::compute(&func, &cfg);
+            let info = LiveRangeInfo::compute(&func);
+            let checker = FastLiveness::compute(&func, &cfg, &domtree);
+            let fast = checker.query(&cfg, &domtree, &info);
+            for block in func.blocks() {
+                if !cfg.is_reachable(block) {
+                    continue;
+                }
+                for value in func.values() {
+                    assert_eq!(
+                        reference.is_live_in(block, value),
+                        fast.is_live_in(block, value),
+                        "{prefix}{seed}: live-in mismatch for {value} at {block}\n{}",
+                        func.display()
+                    );
+                    assert_eq!(
+                        reference.is_live_out(block, value),
+                        fast.is_live_out(block, value),
+                        "{prefix}{seed}: live-out mismatch for {value} at {block}\n{}",
+                        func.display()
+                    );
+                }
             }
         }
+        assert!(
+            checked * 6 >= seeds as usize * 5,
+            "only {checked} of {seeds} {prefix} functions were reducible"
+        );
     }
-    assert!(checked >= 50, "only {checked} of 60 random functions were reducible");
 }
 
 /// On larger random CFGs the fast checker is *sound* with respect to the
 /// reference data flow: it never reports dead where the reference says
-/// live. (The converse can fail: deeply nested loops whose φ-def block lies
-/// on the only path to a closed back-edge target make the checker
-/// over-approximate — a quality, not correctness, matter, present since the
-/// seed and tracked in ROADMAP.md.)
+/// live. (Exactness, the converse too, is checked above.)
 #[test]
 fn fast_liveness_is_sound_on_larger_random_cfgs() {
     let mut checked = 0usize;
@@ -261,58 +272,6 @@ fn minimal_coalescing_is_sound_and_never_coalesces_more() {
             out.display()
         );
     }
-}
-
-/// Pins the known FastLiveness over-approximation repro tracked in
-/// ROADMAP.md ("fix FastLiveness precision"; seed `live27` of
-/// [`generate_ssa_function`] with the default [`GenConfig`]): the checker
-/// reports exactly one spurious liveness — one value live-in at one block
-/// where the reference data flow says dead — and misses nothing (sound).
-/// The conservative answer costs coalescing opportunities, not correctness.
-/// When the precision fix lands (its own PR, with fresh Figure 5/6 numbers
-/// and a deliberate `fingerprint --write`), this test fails and the
-/// expectation below flips to "no over-approximations" — an explicit
-/// decision instead of a silent behaviour change.
-#[test]
-fn fast_liveness_live27_over_approximation_is_pinned() {
-    let (func, _) = generate_ssa_function("live27", &GenConfig::default(), 27);
-    let cfg = ControlFlowGraph::compute(&func);
-    let domtree = DominatorTree::compute(&func, &cfg);
-    assert!(is_reducible(&func, &cfg, &domtree), "live27 repro must stay reducible");
-    let reference = LivenessSets::compute(&func, &cfg);
-    let info = LiveRangeInfo::compute(&func);
-    let checker = FastLiveness::compute(&func, &cfg, &domtree);
-    let fast = checker.query(&cfg, &domtree, &info);
-    let mut spurious: Vec<String> = Vec::new();
-    for block in func.blocks() {
-        if !cfg.is_reachable(block) {
-            continue;
-        }
-        for value in func.values() {
-            let (ref_in, fast_in) =
-                (reference.is_live_in(block, value), fast.is_live_in(block, value));
-            let (ref_out, fast_out) =
-                (reference.is_live_out(block, value), fast.is_live_out(block, value));
-            // Soundness first: the fast checker must never miss a liveness.
-            assert!(fast_in || !ref_in, "live27: fast checker misses live-in {value} at {block}");
-            assert!(
-                fast_out || !ref_out,
-                "live27: fast checker misses live-out {value} at {block}"
-            );
-            if fast_in && !ref_in {
-                spurious.push(format!("live-in {value} at {block}"));
-            }
-            if fast_out && !ref_out {
-                spurious.push(format!("live-out {value} at {block}"));
-            }
-        }
-    }
-    assert_eq!(
-        spurious,
-        vec!["live-in v65 at bb4".to_string()],
-        "live27 over-approximation changed — if this is the ROADMAP precision fix, \
-         flip this expectation to an empty list and refresh the Figure 5/6 numbers"
-    );
 }
 
 /// The batch engine and the serial per-function entry point are
