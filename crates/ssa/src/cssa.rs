@@ -12,7 +12,7 @@ use std::ops::ControlFlow;
 
 use ossa_ir::entity::{SecondaryMap, Value};
 use ossa_ir::{Function, InstData};
-use ossa_liveness::{FunctionAnalyses, IntersectionTest};
+use ossa_liveness::{BlockLiveness, FunctionAnalyses, IntersectionTest};
 
 /// A pair of values from the same φ congruence class whose live ranges
 /// intersect — a witness that the function is not in CSSA form.
@@ -117,10 +117,15 @@ pub fn cssa_violations(func: &Function) -> Vec<CssaViolation> {
     cssa_violations_cached(func, &FunctionAnalyses::new())
 }
 
-/// Like [`cssa_violations`], reading the dominator tree, liveness sets and
+/// Like [`cssa_violations`], reading the dominator tree, liveness and
 /// def/use index from a shared analysis cache instead of recomputing them.
 /// The check is read-only: nothing is invalidated, and whatever it computes
 /// stays cached for the next pass.
+///
+/// On a reducible CFG the intersection tests query the fast liveness
+/// checker, which depends only on the CFG and so survives later
+/// instruction-only invalidations; an irreducible CFG uses the liveness
+/// sets, as the translation does.
 pub fn cssa_violations_cached(func: &Function, analyses: &FunctionAnalyses) -> Vec<CssaViolation> {
     let mut violations = Vec::new();
     let _ = scan_violations(func, analyses, |violation| {
@@ -137,14 +142,27 @@ pub fn cssa_violations_cached(func: &Function, analyses: &FunctionAnalyses) -> V
 fn scan_violations<B>(
     func: &Function,
     analyses: &FunctionAnalyses,
-    mut on_violation: impl FnMut(CssaViolation) -> ControlFlow<B>,
+    on_violation: impl FnMut(CssaViolation) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     let domtree = analyses.domtree(func);
-    let liveness = analyses.liveness_sets(func);
     let info = analyses.live_range_info(func);
-    let intersect = IntersectionTest::new(func, domtree, liveness, info);
-
     let grouped = PhiCongruence::compute(func).grouped_members();
+    if analyses.is_reducible(func) {
+        let fast = analyses.fast_liveness(func).query(analyses.cfg(func), domtree, info);
+        scan_classes(&grouped, &IntersectionTest::new(func, domtree, &fast, info), on_violation)
+    } else {
+        let liveness = analyses.liveness_sets(func);
+        scan_classes(&grouped, &IntersectionTest::new(func, domtree, liveness, info), on_violation)
+    }
+}
+
+/// The pair scan of [`scan_violations`] over `(class root, member)` pairs
+/// sorted by class.
+fn scan_classes<L: BlockLiveness, B>(
+    grouped: &[(Value, Value)],
+    intersect: &IntersectionTest<'_, L>,
+    mut on_violation: impl FnMut(CssaViolation) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     for class in grouped.chunk_by(|x, y| x.0 == y.0) {
         for (i, &(_, a)) in class.iter().enumerate() {
             for &(_, b) in &class[i + 1..] {

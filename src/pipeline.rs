@@ -158,8 +158,10 @@ impl Pipeline {
     }
 
     /// Enables or disables the CSSA check between the optimizations and the
-    /// translation (it is a read-only diagnostic; disabling it also skips
-    /// computing the liveness sets it needs).
+    /// translation. It is a read-only diagnostic; disabling it skips its
+    /// liveness checker queries (the checker itself depends only on the CFG,
+    /// and the translation builds it anyway unless an irreducible CFG
+    /// demotes both to the liveness sets).
     pub fn with_cssa_check(mut self, check: bool) -> Self {
         self.passes.check_conventional = check;
         self
@@ -298,10 +300,11 @@ impl Passes {
         // Renaming constraints (pins, possibly instruction edits; see the
         // doc contract). The instruction-dependent caches are dropped after
         // the hook: the translation's per-block liveness repair only covers
-        // its *own* copy insertion, so liveness cached by the CSSA check
-        // must not survive arbitrary hook edits. (Pins-only hooks pay
-        // nothing extra: the translation recomputed liveness after its
-        // insertion anyway.)
+        // its *own* copy insertion, so the def/use index (and, on an
+        // irreducible CFG, the liveness sets) cached by the CSSA check must
+        // not survive arbitrary hook edits. The fast liveness checker reads
+        // only the CFG and survives. (Pins-only hooks pay nothing extra: the
+        // translation recomputed the index after its insertion anyway.)
         constrain(func);
         analyses.invalidate_instructions();
 
@@ -435,6 +438,25 @@ mod tests {
                 after.live_range_info - before.live_range_info <= inst_versions,
                 "def/use index recomputed for unchanged instructions"
             );
+        }
+    }
+
+    #[test]
+    fn liveness_sets_are_computed_twice_per_reducible_function() {
+        // Once for pruned SSA construction and once for register
+        // allocation: the CSSA check and the translation query the fast
+        // checker instead.
+        let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
+        for seed in 0..12u64 {
+            let config = if seed % 2 == 0 { GenConfig::small() } else { GenConfig::default() };
+            let mut func = generate_function(format!("sets{seed}"), &config, seed);
+            assert!(FunctionAnalyses::new().is_reducible(&func), "seed {seed}: irreducible");
+            let before = pipeline.counts().liveness_sets;
+            let report = pipeline.run_with(&mut func, |f| {
+                pin_call_conventions(f);
+            });
+            assert!(report.conventional_after_opt.is_some());
+            assert_eq!(pipeline.counts().liveness_sets - before, 2, "seed {seed}");
         }
     }
 

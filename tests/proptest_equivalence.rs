@@ -336,24 +336,28 @@ fn reference_phi_classes(func: &Function) -> Vec<Vec<Value>> {
     classes
 }
 
-/// The CSSA check's early exit and dense congruence classes change no
-/// verdict: over generated functions (SSA as built, partly copy-propagated
-/// and fully copy-propagated), the classes equal the brute-force
-/// components, the violations equal an all-pairs test of every class in
-/// order, and `is_conventional_cached` agrees with both.
+/// The CSSA check's backends, early exit and dense congruence classes change
+/// no verdict: over generated functions (SSA as built, partly
+/// copy-propagated and fully copy-propagated, plus copy-propagated
+/// irreducible ones), the classes equal the brute-force components, the
+/// violations equal an all-pairs test of every class in order over the
+/// liveness sets, and `is_conventional_cached` agrees with both. Reducible
+/// functions are checked by querying the fast liveness checker, irreducible
+/// ones over the liveness sets.
 #[test]
 fn cssa_check_matches_a_brute_force_all_pairs_check() {
+    let irreducible = GenConfig { irreducible_density: 0.6, ..GenConfig::default() };
     let configs = [GenConfig::small(), GenConfig::default()];
-    let (mut conventional, mut violated) = (0, 0);
-    for seed in 0..200u64 {
-        let config = &configs[seed as usize % 2];
-        let func = match seed % 3 {
-            0 => {
+    let (mut conventional, mut violated, mut demoted) = (0, 0, 0);
+    for seed in 0..360u64 {
+        let config = if seed >= 300 { &irreducible } else { &configs[seed as usize % 2] };
+        let func = match seed % 4 {
+            0 if seed < 300 => {
                 let mut func = generate_function(format!("built{seed}"), config, seed);
                 construct_ssa(&mut func);
                 func
             }
-            1 => generate_ssa_function(format!("kept{seed}"), config, seed).0,
+            1 if seed < 300 => generate_ssa_function(format!("kept{seed}"), config, seed).0,
             _ => {
                 let mut func = generate_function(format!("propagated{seed}"), config, seed);
                 construct_ssa(&mut func);
@@ -388,6 +392,13 @@ fn cssa_check_matches_a_brute_force_all_pairs_check() {
             expected.is_empty(),
             "seed {seed}: verdict"
         );
+        let counts = analyses.counts();
+        if is_reducible(&func, &cfg, &domtree) {
+            assert_eq!((counts.fast_liveness, counts.liveness_sets), (1, 0), "seed {seed}");
+        } else {
+            assert_eq!((counts.fast_liveness, counts.liveness_sets), (0, 1), "seed {seed}");
+            demoted += 1;
+        }
         if expected.is_empty() {
             conventional += 1;
         } else {
@@ -395,4 +406,5 @@ fn cssa_check_matches_a_brute_force_all_pairs_check() {
         }
     }
     assert!(conventional > 20 && violated > 20, "{conventional} CSSA, {violated} not");
+    assert!(demoted >= 40, "only {demoted} of 60 irreducible-config functions took the sets path");
 }
