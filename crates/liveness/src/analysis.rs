@@ -269,9 +269,9 @@ impl FunctionAnalyses {
 
     /// Returns `true` if the function's reachable CFG is reducible (every
     /// retreating edge's target dominates its source). Computed on first use
-    /// per CFG version and cached — the pipeline consults this before every
-    /// `FastLiveness`-backed translation, since the fast checker's reduced
-    /// graph is only acyclic (hence only *sound*) on reducible CFGs.
+    /// per CFG version and cached — the translation and the CSSA check
+    /// consult this before querying `FastLiveness`, since the fast checker's
+    /// reduced graph is only acyclic (hence only *sound*) on reducible CFGs.
     pub fn is_reducible(&self, func: &Function) -> bool {
         if let Some(verdict) = self.reducible.get() {
             return verdict;
