@@ -158,10 +158,10 @@ impl Pipeline {
     }
 
     /// Enables or disables the CSSA check between the optimizations and the
-    /// translation. It is a read-only diagnostic; disabling it skips its
-    /// liveness checker queries (the checker itself depends only on the CFG,
-    /// and the translation builds it anyway unless an irreducible CFG
-    /// demotes both to the liveness sets).
+    /// translation. It is a read-only diagnostic: disabling it skips its
+    /// intersection queries. On a reducible CFG they query the fast liveness
+    /// checker, which the default translation builds anyway; on an
+    /// irreducible one, the liveness sets.
     pub fn with_cssa_check(mut self, check: bool) -> Self {
         self.passes.check_conventional = check;
         self

@@ -145,9 +145,7 @@ fn is_reducible(func: &Function, cfg: &ControlFlowGraph, domtree: &DominatorTree
 /// sets on live-in and live-out, for every reachable block and every value,
 /// on generated functions of three shapes — `GenConfig::small()`, the
 /// default, and a depth-5 one (200 statements, 16 variables) with deeply
-/// nested sibling loops. Seed 27 of the default shape is the case that
-/// pinned the former back-edge-target closure's spurious live-in.
-/// Irreducible graphs (which the checker's precomputation is documented not
+/// nested sibling loops. Irreducible graphs (which the checker's precomputation is documented not
 /// to support) are skipped — but must be rare enough that the property
 /// still exercises a large sample.
 #[test]
