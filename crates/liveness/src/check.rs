@@ -242,7 +242,6 @@ fn mark_natural_loop(
     header: Block,
 ) {
     back_targets[header].insert(header);
-    walk.clear();
     if back_targets[latch].insert(header) {
         walk.push(latch);
     }
