@@ -238,6 +238,49 @@ fn fast_liveness_is_sound_on_larger_random_cfgs() {
     assert!(checked >= 30, "only {checked} of 40 larger random functions were reducible");
 }
 
+/// Pins the former FastLiveness over-approximation repro (seed `live27` of
+/// [`generate_ssa_function`] with the default [`GenConfig`]): the old
+/// checker reported `v65` live-in at `bb4` where the reference data flow
+/// says dead. The natural-loop precomputation answers it exactly, so the
+/// pin has flipped to "no over-approximation": the checker misses nothing
+/// (sound) and reports nothing spurious.
+#[test]
+fn fast_liveness_live27_over_approximation_is_pinned() {
+    let (func, _) = generate_ssa_function("live27", &GenConfig::default(), 27);
+    let cfg = ControlFlowGraph::compute(&func);
+    let domtree = DominatorTree::compute(&func, &cfg);
+    assert!(is_reducible(&func, &cfg, &domtree), "live27 repro must stay reducible");
+    let reference = LivenessSets::compute(&func, &cfg);
+    let info = LiveRangeInfo::compute(&func);
+    let checker = FastLiveness::compute(&func, &cfg, &domtree);
+    let fast = checker.query(&cfg, &domtree, &info);
+    let mut spurious: Vec<String> = Vec::new();
+    for block in func.blocks() {
+        if !cfg.is_reachable(block) {
+            continue;
+        }
+        for value in func.values() {
+            let (ref_in, fast_in) =
+                (reference.is_live_in(block, value), fast.is_live_in(block, value));
+            let (ref_out, fast_out) =
+                (reference.is_live_out(block, value), fast.is_live_out(block, value));
+            // Soundness first: the fast checker must never miss a liveness.
+            assert!(fast_in || !ref_in, "live27: fast checker misses live-in {value} at {block}");
+            assert!(
+                fast_out || !ref_out,
+                "live27: fast checker misses live-out {value} at {block}"
+            );
+            if fast_in && !ref_in {
+                spurious.push(format!("live-in {value} at {block}"));
+            }
+            if fast_out && !ref_out {
+                spurious.push(format!("live-out {value} at {block}"));
+            }
+        }
+    }
+    assert!(spurious.is_empty(), "live27 over-approximation is back: {spurious:?}");
+}
+
 /// The minimal-coalescing rung of the service's degradation ladder skips
 /// every affinity: it trades static copies for decision time but never
 /// behaviour. It issues no interference query, coalesces at most as many
