@@ -359,8 +359,6 @@ pub struct OutOfSsaOptions {
     pub interference: InterferenceMode,
     /// Class-to-class interference check.
     pub class_check: ClassCheck,
-    /// Weigh copies by statically estimated block frequencies.
-    pub weighted: bool,
     /// Sequentialize the remaining parallel copies at the end.
     pub sequentialize: bool,
     /// Skip the profitability-ordered affinity loop entirely; set only by
@@ -376,7 +374,6 @@ impl Default for OutOfSsaOptions {
             sharing: true,
             interference: InterferenceMode::InterCheckLiveCheck,
             class_check: ClassCheck::Linear,
-            weighted: true,
             sequentialize: true,
             minimal: false,
         }
@@ -500,8 +497,8 @@ impl OutOfSsaOptions {
     /// [`InterferenceMode::InterCheck`] backend with the quadratic class
     /// check — the simplest, most battle-tested path through the engine,
     /// avoiding the fast liveness checker, the value table and copy
-    /// sharing. Sequentialization and weighting are preserved from `self` so
-    /// the retry produces output of the shape the caller asked for.
+    /// sharing. Sequentialization is preserved from `self` so the retry
+    /// produces output of the shape the caller asked for.
     pub fn conservative_fallback(&self) -> Self {
         Self {
             strategy: Strategy::Intersect,
@@ -509,7 +506,6 @@ impl OutOfSsaOptions {
             sharing: false,
             interference: InterferenceMode::InterCheck,
             class_check: ClassCheck::Quadratic,
-            weighted: self.weighted,
             sequentialize: self.sequentialize,
             minimal: false,
         }
@@ -708,10 +704,13 @@ pub fn translate_out_of_ssa(func: &mut Function, options: &OutOfSsaOptions) -> O
 /// the engine drives, with one cache and one scratch per worker hoisted out
 /// of the per-function loop.
 ///
-/// Whatever the caller already computed (CFG, dominators, liveness) is
-/// reused where still valid; on return the cache holds analyses of the
-/// *translated* function with only the instruction-dependent parts dropped,
-/// so a downstream consumer (e.g. the register allocator) can keep using it.
+/// The CFG-level analyses the caller already computed (CFG, dominators,
+/// loops, the fast liveness checker) are reused unless copy insertion splits
+/// an edge; the instruction-dependent ones (liveness sets, the def/use
+/// index) are always rebuilt after copy insertion. On return the cache holds
+/// analyses of the *translated* function with only the instruction-dependent
+/// parts dropped, so a downstream consumer (e.g. the register allocator) can
+/// keep using it.
 pub fn translate_out_of_ssa_scratch(
     func: &mut Function,
     options: &OutOfSsaOptions,
@@ -725,7 +724,8 @@ pub fn translate_out_of_ssa_scratch(
 
     // Phase A: live-range splitting for renaming constraints, then Method I
     // copy insertion. Copy insertion may split edges (the br_dec corner
-    // case), so the CFG-level caches are invalidated afterwards. The
+    // case), which invalidates every analysis; otherwise it only edits
+    // instructions, which invalidates the instruction-dependent ones. The
     // insertion result is scratch-owned and recycled: taken out by value
     // here so `scratch` stays borrowable for `decide`, restored at the end.
     let mut insertion = std::mem::take(&mut scratch.insertion);
@@ -737,10 +737,6 @@ pub fn translate_out_of_ssa_scratch(
     stats.edges_split = insertion.edges_split;
     if insertion.edges_split > 0 {
         analyses.invalidate_cfg();
-    } else if insertion.dirty_blocks.len() * 4 < func.num_blocks() {
-        // Insertion confined to few blocks: repair cached liveness
-        // incrementally instead of recomputing it whole-function.
-        analyses.invalidate_instructions_in_blocks(func, &insertion.dirty_blocks);
     } else {
         analyses.invalidate_instructions();
     }
@@ -1006,8 +1002,6 @@ fn decide<L: BlockLiveness>(
         }
     }
 
-    let weight = |block: Block| if options.weighted { freqs.frequency(block) } else { 1.0 };
-
     // φ-web handling. In eager mode the φ moves seed the affinity work list
     // directly (the list the seed called `phi_move_set`).
     coalesce_probe(CoalesceStage::AffinityBuild);
@@ -1035,7 +1029,7 @@ fn decide<L: BlockLiveness>(
                 let result_move = web.moves[0];
                 arg_moves.clear();
                 arg_moves.extend_from_slice(&web.moves[1..]);
-                sort_moves_by_weight_desc(arg_moves, sort_buf, &weight);
+                sort_moves_by_weight_desc(arg_moves, sort_buf, freqs);
                 for m in arg_moves.iter().chain(std::iter::once(&result_move)) {
                     // The primed value of this move (its dst for argument
                     // copies, its src for the result copy).
@@ -1093,7 +1087,7 @@ fn decide<L: BlockLiveness>(
     // fused universe scan collected them in the same block/instruction
     // order the instruction walk here used to produce.
     affinities.extend_from_slice(plain_copies);
-    sort_moves_by_weight_desc(affinities, sort_buf, &weight);
+    sort_moves_by_weight_desc(affinities, sort_buf, freqs);
     coalesce_probe(CoalesceStage::Decide);
     // Minimal coalescing abandons the whole loop: only the φ-isolation
     // merges above happen.
@@ -1221,9 +1215,9 @@ fn decide<L: BlockLiveness>(
     *out_moves_coalesced = moves_coalesced;
 }
 
-/// Stable merge sort of a move list by decreasing block weight, through a
+/// Stable merge sort of a move list by decreasing block frequency, through a
 /// caller-owned merge buffer. Behaviourally identical to
-/// `items.sort_by(|a, b| weight(b.block).partial_cmp(&weight(a.block))…)` —
+/// `items.sort_by(|a, b| freq(b.block).partial_cmp(&freq(a.block))…)` —
 /// a stable sort's output is uniquely determined by its comparator — but
 /// without the std stable sort's internal allocation (its merge buffer is
 /// heap-allocated above ~20 elements), which was the last steady-state
@@ -1231,14 +1225,15 @@ fn decide<L: BlockLiveness>(
 fn sort_moves_by_weight_desc(
     items: &mut [InsertedMove],
     buf: &mut Vec<InsertedMove>,
-    weight: &impl Fn(Block) -> f64,
+    freqs: &ossa_ir::BlockFrequencies,
 ) {
     let n = items.len();
     if n < 2 {
         return;
     }
     let cmp = |a: &InsertedMove, b: &InsertedMove| {
-        weight(b.block).partial_cmp(&weight(a.block)).unwrap_or(std::cmp::Ordering::Equal)
+        let (wa, wb) = (freqs.frequency(a.block), freqs.frequency(b.block));
+        wb.partial_cmp(&wa).unwrap_or(std::cmp::Ordering::Equal)
     };
     let mut width = 1;
     while width < n {

@@ -168,16 +168,12 @@ pub struct CongruenceClasses {
     version: SecondaryMap<Value, u32>,
     /// Number of interference queries performed (statistics).
     queries: u64,
-    /// The slots written since the last reset ([`CongruenceClasses::reset_for`]
-    /// universe plus [`CongruenceClasses::add_value`] registrations): every
-    /// union-find, member, label, key, chain and version write lands on a
-    /// class member or affinity endpoint, all of which the universe covers.
+    /// The slots written since the last [`CongruenceClasses::reset_for`]
+    /// (its universe plus [`CongruenceClasses::add_value`] registrations):
+    /// every union-find, member, label, key, chain and version write lands on
+    /// a class member or affinity endpoint, all of which the universe covers.
     /// The next `reset_for` only has to scrub these slots.
     dirty: Vec<Value>,
-    /// Set by the full [`CongruenceClasses::reset`] path (which touches every
-    /// value): the dirty list is not exhaustive, so the next `reset_for`
-    /// falls back to the full scrub.
-    fully_dirty: bool,
 }
 
 impl CongruenceClasses {
@@ -186,40 +182,31 @@ impl CongruenceClasses {
     /// index instead of being recomputed.
     pub fn new(func: &Function, domtree: &DominatorTree, info: &LiveRangeInfo) -> Self {
         let mut this = Self::default();
-        this.reset(func, domtree, info);
+        let values: Vec<Value> = func.values().collect();
+        this.reset_for(func, domtree, info, &values);
         this
     }
 
     /// Re-initializes the classes for `func` in place, reusing the dense
-    /// maps, member lists and singleton pool of a previous function. The
-    /// resulting state — and every decision made from it — is identical to
-    /// a freshly constructed [`CongruenceClasses::new`]; only the heap
-    /// traffic differs. This is what lets [`TranslateScratch`] carry the
-    /// class storage across the functions of a corpus.
-    ///
-    /// [`TranslateScratch`]: crate::coalesce::TranslateScratch
-    pub fn reset(&mut self, func: &Function, domtree: &DominatorTree, info: &LiveRangeInfo) {
-        self.reset_clear(func);
-        for value in func.values() {
-            self.fill_value(value, func, domtree, info);
-        }
-        self.fully_dirty = true;
-    }
-
-    /// Like [`CongruenceClasses::reset`], but fills the definition keys and
-    /// register labels only for the values of `universe` (the copy-related
-    /// universe of the function). Valid because the decision phase reads
-    /// keys and labels only for class members and affinity/sharing
-    /// endpoints, all of which are copy-related (φ/copy operands) or pinned
-    /// — and the universe contains every pinned value by construction. The
-    /// remaining slots read as "no key / no label", exactly the default of a
-    /// fresh map, so any stale entry from a previous function is
-    /// unobservable.
+    /// maps, member lists and singleton pool of a previous function, and
+    /// fills the definition keys and register labels only for the values of
+    /// `universe` (the copy-related universe of the function). Valid because
+    /// the decision phase reads keys and labels only for class members and
+    /// affinity/sharing endpoints, all of which are copy-related (φ/copy
+    /// operands) or pinned — and the universe contains every pinned value by
+    /// construction. The remaining slots read as "no key / no label",
+    /// exactly the default of a fresh map, so any stale entry from a previous
+    /// function is unobservable, and every decision matches a fresh
+    /// [`CongruenceClasses::new`]; only the heap traffic differs. This is
+    /// what lets [`TranslateScratch`] carry the class storage across the
+    /// functions of a corpus.
     ///
     /// The scrub is equally restricted: between two `reset_for` calls every
     /// write lands on a slot of the `dirty` list (the previous universe plus
     /// `add_value` registrations), so only those slots need to be returned
     /// to their default — the rest never left it.
+    ///
+    /// [`TranslateScratch`]: crate::coalesce::TranslateScratch
     pub fn reset_for(
         &mut self,
         func: &Function,
@@ -227,17 +214,12 @@ impl CongruenceClasses {
         info: &LiveRangeInfo,
         universe: &[Value],
     ) {
-        if self.fully_dirty {
-            self.reset_clear(func);
-        } else {
-            self.reset_clear_dirty(func);
-        }
+        self.reset_clear_dirty(func);
         for &value in universe {
             self.fill_value(value, func, domtree, info);
         }
         self.dirty.clear();
         self.dirty.extend_from_slice(universe);
-        self.fully_dirty = false;
     }
 
     #[inline]
@@ -259,77 +241,11 @@ impl CongruenceClasses {
         self.labels[value] = func.pinned_reg(value);
     }
 
-    /// The shared clearing pass of [`CongruenceClasses::reset`] and
-    /// [`CongruenceClasses::reset_for`]: reclaim member buffers, truncate
-    /// and zero every dense map, and top up the identity pool.
-    fn reset_clear(&mut self, func: &Function) {
-        let num_values = func.num_values();
-        // Reclaim every member buffer into the free list in one pass (the
-        // buffers cycle through the pool, so no slot keeps one across
-        // functions), then truncate every map: the reset walks below touch
-        // only the current function's slots, so the per-function reset cost
-        // is O(current function), not O(largest function ever seen).
-        for i in 0..self.members.len() {
-            let slot = &mut self.members[Value::from_index(i)];
-            if slot.capacity() > 0 {
-                slot.clear();
-                self.free.push(std::mem::take(slot));
-            }
-        }
-        self.parent.truncate(num_values);
-        self.rank.truncate(num_values);
-        self.canon.truncate(num_values);
-        self.members.truncate(num_values);
-        self.labels.truncate(num_values);
-        self.keys.truncate(num_values);
-        self.equal_anc_in.truncate(num_values);
-        self.version.truncate(num_values);
-        // Restore default-equivalent state on every surviving slot without
-        // dropping the per-slot heap allocations.
-        for cell in self.parent.values_mut() {
-            cell.set(None);
-        }
-        for rank in self.rank.values_mut() {
-            *rank = 0;
-        }
-        for canon in self.canon.values_mut() {
-            *canon = None;
-        }
-        for label in self.labels.values_mut() {
-            *label = None;
-        }
-        for key in self.keys.values_mut() {
-            *key = None;
-        }
-        for anc in self.equal_anc_in.values_mut() {
-            *anc = None;
-        }
-        for version in self.version.values_mut() {
-            *version = 0;
-        }
-        self.queries = 0;
-
-        self.parent.resize(num_values);
-        self.rank.resize(num_values);
-        self.canon.resize(num_values);
-        self.members.resize(num_values);
-        self.labels.resize(num_values);
-        self.keys.resize(num_values);
-        self.equal_anc_in.resize(num_values);
-        self.version.resize(num_values);
-        if self.pool.len() < num_values {
-            self.pool.reserve_exact(num_values - self.pool.len());
-            while self.pool.len() < num_values {
-                self.pool.push(Value::from_index(self.pool.len()));
-            }
-        }
-    }
-
-    /// The restricted scrub of [`CongruenceClasses::reset_for`]: returns the
-    /// slots of the `dirty` list to their defaults while the maps still have
-    /// their previous length (every dirty index was valid then), then
-    /// truncates, resizes and tops up the identity pool exactly like the
-    /// full pass.
+    /// The scrub of [`CongruenceClasses::reset_for`]: returns the slots of
+    /// the `dirty` list to their defaults (reclaiming their member buffers)
+    /// while the maps still have their previous length (every dirty index
+    /// was valid then), then truncates and resizes every map to the current
+    /// function and tops up the identity pool.
     fn reset_clear_dirty(&mut self, func: &Function) {
         let num_values = func.num_values();
         for i in 0..self.dirty.len() {
@@ -376,9 +292,7 @@ impl CongruenceClasses {
     /// Registers a value created after construction (e.g. a materialized
     /// copy), giving it a singleton class.
     pub fn add_value(&mut self, value: Value, key: DefOrderKey, label: Option<u32>) {
-        if !self.fully_dirty {
-            self.dirty.push(value);
-        }
+        self.dirty.push(value);
         self.keys[value] = Some(key);
         self.parent[value] = Cell::new(None);
         self.rank[value] = 0;
@@ -1322,7 +1236,7 @@ mod tests {
         recycled.merge_group(&vals);
         let _ = recycled.interfere_quadratic(a, s, &intersect, Some(&values));
 
-        recycled.reset(&fx.func, &fx.domtree, &fx.info);
+        recycled.reset_for(&fx.func, &fx.domtree, &fx.info, &vals);
         let mut fresh = fx.classes();
         let mut scratch_a = EqualAncOut::new();
         let mut scratch_b = EqualAncOut::new();
@@ -1367,7 +1281,7 @@ mod tests {
             &[(t, c1), (a, u)],
         ];
         for (round, merges) in rounds.iter().enumerate() {
-            recycled.reset(&fx.func, &fx.domtree, &fx.info);
+            recycled.reset_for(&fx.func, &fx.domtree, &fx.info, &vals);
             let mut fresh = fx.classes();
             // Interleave a group merge so the pool sees both retirement
             // paths (pairwise merge and k-way group merge).

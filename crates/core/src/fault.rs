@@ -22,8 +22,8 @@
 //! [`TranslateError::Malformed`] and [`TranslateError::ResourceExhausted`].
 //!
 //! The `failpoints` cargo feature adds a deterministic, seeded fault
-//! injector ([`failpoints`]) that fires at the same phase boundaries; it is
-//! compiled out of default builds entirely.
+//! injector (the `failpoints` module) that fires at the same phase
+//! boundaries; it is compiled out of default builds entirely.
 
 use std::any::Any;
 use std::cell::Cell;

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use ossa_ir::entity::{Block, EntitySet, Inst, SecondaryMap, Value};
+use ossa_ir::entity::{Block, Inst, SecondaryMap, Value};
 use ossa_ir::instruction::callconv;
 use ossa_ir::{CopyList, CopyPair, DefSite, Function, InstData, PhiArg};
 use ossa_ssa::split_edge;
@@ -69,12 +69,6 @@ pub struct CopyInsertion {
     pub edges_split: usize,
     /// Number of fresh values created.
     pub values_created: usize,
-    /// Blocks whose instruction stream this insertion run touched, each
-    /// listed once — the dirty set the caller hands to the per-block
-    /// liveness invalidation when no edge was split.
-    pub dirty_blocks: Vec<Block>,
-    /// Membership set of `dirty_blocks`.
-    dirty_seen: EntitySet<Block>,
     /// Retired φ-webs whose member/move buffers the next run reuses.
     spare_webs: Vec<PhiWeb>,
     /// Per-run working storage of [`insert_phi_copies_into`].
@@ -113,18 +107,10 @@ impl CopyInsertion {
         self.moves.clear();
         self.edges_split = 0;
         self.values_created = 0;
-        self.dirty_blocks.clear();
-        self.dirty_seen.reset();
     }
 
     fn record_move(&mut self, dst: Value, src: Value, block: Block) {
         self.moves.push(InsertedMove { dst, src, block });
-    }
-
-    fn mark_dirty(&mut self, block: Block) {
-        if self.dirty_seen.insert(block) {
-            self.dirty_blocks.push(block);
-        }
     }
 
     fn take_web(&mut self, block: Block) -> PhiWeb {
@@ -327,7 +313,6 @@ pub fn insert_phi_copies_into(func: &mut Function, result: &mut CopyInsertion) {
         }
 
         let entry_pc = entry_parallel_copy(func, block, &mut scratch.entry_pcs);
-        result.mark_dirty(block);
 
         for &phi in &scratch.phis {
             // Read the φ shape without cloning its argument list.
@@ -361,7 +346,6 @@ pub fn insert_phi_copies_into(func: &mut Function, result: &mut CopyInsertion) {
                     *scratch.split_edges.get(&(arg.block, block)).unwrap_or(&arg.block);
                 let pc = pred_parallel_copy(func, copy_block, &mut scratch.pred_pcs);
                 push_move(func, pc, primed, arg.value);
-                result.mark_dirty(copy_block);
                 result.record_move(primed, arg.value, copy_block);
                 web.moves.push(InsertedMove { dst: primed, src: arg.value, block: copy_block });
                 web.members.push(primed);
@@ -456,7 +440,6 @@ pub fn isolate_pinned_values(func: &mut Function, out: &mut CopyInsertion) {
                 }
                 let copies = func.make_copy_list(&scratch.iso_pairs);
                 func.insert_inst(block, pos, InstData::ParallelCopy { copies });
-                out.mark_dirty(block);
                 pos += 1; // the constraining instruction moved one slot down
                 let inst = func.block_insts(block)[pos];
                 let args = func.call_args_mut(inst);
@@ -490,7 +473,6 @@ pub fn isolate_pinned_values(func: &mut Function, out: &mut CopyInsertion) {
                 scratch.iso_replacement = replacement;
                 let copies = func.make_copy_list(&scratch.iso_pairs);
                 func.insert_inst(block, pos + 1, InstData::ParallelCopy { copies });
-                out.mark_dirty(block);
                 for &d in &scratch.iso_defs {
                     unpin(func, d);
                 }

@@ -11,8 +11,13 @@
 //!   `br_dec` branch that *defines* a value (the paper's Figure 2 case),
 //! * the [`Function`] container and a [`builder::FunctionBuilder`],
 //! * CFG, dominator tree, dominance frontiers, loop nesting and static
-//!   block frequencies ([`cfg`], [`dominance`], [`loops`]),
-//! * a verifier ([`verify`]) and a printer ([`print`]).
+//!   block frequencies ([`mod@cfg`], [`dominance`], [`loops`]), each
+//!   computed on demand and rebuildable in place (`recompute`) so a cache
+//!   can recycle its storage,
+//! * a verifier ([`verify`]) and a printer ([`mod@print`]).
+//!
+//! The crate holds no cache: `ossa_liveness::FunctionAnalyses` computes each
+//! of these analyses at most once per function version.
 //!
 //! # Examples
 //!
@@ -36,7 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod builder;
 pub mod cfg;
 pub mod dominance;
@@ -49,7 +53,6 @@ pub mod pool;
 pub mod print;
 pub mod verify;
 
-pub use analysis::AnalysisManager;
 pub use cfg::ControlFlowGraph;
 pub use dominance::{DominanceFrontiers, DominatorTree};
 pub use entity::{Block, EntitySet, Inst, PrimaryMap, SecondaryMap, Value};

@@ -66,9 +66,9 @@ impl LoopAnalysis {
     /// Recomputes the analysis in place, reusing the per-block depth map and
     /// the loop body sets of a previous computation (possibly of a different
     /// function). Behaviourally identical to [`LoopAnalysis::compute`]; only
-    /// the heap traffic differs — this is what lets
-    /// [`crate::AnalysisManager`] recycle the analysis across the functions
-    /// of a corpus like every other CFG-level analysis.
+    /// the heap traffic differs — this is what lets an analysis cache
+    /// recycle the analysis across the functions of a corpus like every
+    /// other CFG-level analysis.
     pub fn recompute(&mut self, func: &Function, cfg: &ControlFlowGraph, domtree: &DominatorTree) {
         while let Some(mut body) = self.bodies.pop() {
             body.reset();

@@ -3,8 +3,9 @@
 //! Two levels of checking are provided:
 //!
 //! * [`verify_cfg`] — structural checks that hold for both pre-SSA and SSA
-//!   code (every block ends with a terminator, φ arguments match the
-//!   predecessors, parameters only in the entry block, …);
+//!   code (every block ends with a terminator, the entry block has no
+//!   predecessor, φ arguments match the predecessors, parameters only in the
+//!   entry block, …);
 //! * [`verify_ssa`] — the SSA invariants on top of the structural checks:
 //!   unique definitions and every use dominated by its definition (φ uses
 //!   are checked at the end of the corresponding predecessor, matching the
@@ -109,6 +110,12 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
     }
 
     let preds = func.predecessors();
+    // As in LLVM: a φ in the entry block would have no incoming value on
+    // function entry, and SSA construction's entry definitions would run on
+    // every pass around a loop through it.
+    if !preds[func.entry()].is_empty() {
+        errors.report(Some(func.entry()), None, "entry block has a predecessor");
+    }
     let mut scratch: Vec<Value> = Vec::new();
 
     for block in func.blocks() {
@@ -428,6 +435,24 @@ mod tests {
         let f = b.finish();
         let err = verify_cfg(&f).unwrap_err();
         assert!(err.0.iter().any(|e| e.message.contains("entry block")));
+    }
+
+    #[test]
+    fn entry_block_with_a_predecessor_is_reported() {
+        let mut b = FunctionBuilder::new("bad", 1);
+        let entry = b.create_block();
+        let exit = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let x = b.param(0);
+        b.branch(x, entry, exit);
+        b.switch_to_block(exit);
+        b.ret(Some(x));
+        let f = b.finish();
+        let err = verify_cfg(&f).unwrap_err();
+        assert_eq!(err.0.len(), 1);
+        assert_eq!(err.0[0].block, Some(entry));
+        assert_eq!(err.0[0].message, "entry block has a predecessor");
     }
 
     #[test]

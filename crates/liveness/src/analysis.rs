@@ -1,45 +1,83 @@
-//! Liveness-level analysis caching on top of [`ossa_ir::AnalysisManager`].
+//! The analysis cache of the out-of-SSA pipeline.
 //!
-//! [`FunctionAnalyses`] extends the CFG-level manager with the caches the
-//! out-of-SSA translation and the register allocator consume: data-flow
-//! liveness sets, the fast liveness checker and the per-value
-//! definition/use index. Invalidation is two-level:
+//! Every phase of the pipeline — SSA construction, the SSA optimizations,
+//! the CSSA check, the translation itself and register allocation — needs
+//! some subset of the same analyses. Recomputing them per phase is exactly
+//! the engineering cost the paper's Section IV is about avoiding, so
+//! [`FunctionAnalyses`] computes each analysis lazily, caches it, and hands
+//! out shared references until the caller declares a mutation.
+//!
+//! Invalidation has two tiers, mirroring the key observation of the fast
+//! liveness checker (Boissinot et al., CGO 2008) that some precomputations
+//! depend only on the CFG:
 //!
 //! * [`FunctionAnalyses::invalidate_instructions`] — instructions were
-//!   inserted, removed or rewritten inside existing blocks. The liveness
-//!   sets and the def/use index are dropped, but the CFG analyses *and the
-//!   fast liveness precomputation* survive — the latter is the central
-//!   engineering point of the `LiveCheck` option (its precomputation depends
-//!   only on the CFG);
+//!   inserted, removed or rewritten inside existing blocks (copy insertion,
+//!   renaming, sequentialization). The liveness sets and the def/use index
+//!   are dropped, but the CFG, dominator tree, dominance frontiers, loops,
+//!   block frequencies *and the fast liveness precomputation* survive — the
+//!   latter is the central engineering point of the `LiveCheck` option;
 //! * [`FunctionAnalyses::invalidate_cfg`] — the block structure changed
-//!   (edge splitting): everything is dropped.
+//!   (edge splitting, new blocks), or the cache moves on to another
+//!   function: everything is dropped.
+//!
+//! Invalidated analyses are not deallocated: each analysis keeps the
+//! storage of its last invalidated result, and the next computation
+//! rebuilds *into* it (its `recompute`), so a caller that reuses one cache
+//! across thousands of functions performs almost no per-function heap
+//! allocation for its analyses.
+//!
+//! The cache also counts how many times each analysis was actually computed
+//! and how many versions it has seen ([`FunctionAnalyses::counts`]), which is
+//! what lets the test suite *prove* the compute-once claim: over a whole
+//! pipeline, no analysis runs twice for the same version.
 
 use std::cell::{Cell, OnceCell};
+use std::fmt;
 
-use ossa_ir::analysis::{AnalysisManager, IrAnalysisCounts};
 use ossa_ir::{
-    BlockFrequencies, ControlFlowGraph, DominanceFrontiers, DominatorTree, Function, LoopAnalysis,
+    Block, BlockFrequencies, ControlFlowGraph, DominanceFrontiers, DominatorTree, Function,
+    LoopAnalysis,
 };
 
 use crate::check::FastLiveness;
 use crate::intersect::LiveRangeInfo;
 use crate::sets::LivenessSets;
 
-/// Cumulative compute counters of one [`FunctionAnalyses`]: the CFG-level
-/// counters of the underlying [`AnalysisManager`] plus the liveness-level
-/// analyses and the number of instruction versions seen.
+/// Compute counters of the CFG-level analyses of one [`FunctionAnalyses`].
+///
+/// `cfg_versions` counts the CFG versions the cache has seen (1 for a fresh
+/// cache, +1 per [`FunctionAnalyses::invalidate_cfg`]); the other fields
+/// count actual computations of each analysis.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IrAnalysisCounts {
+    /// Number of [`ControlFlowGraph`] computations.
+    pub cfg: u64,
+    /// Number of [`DominatorTree`] computations.
+    pub domtree: u64,
+    /// Number of [`DominanceFrontiers`] computations.
+    pub frontiers: u64,
+    /// Number of [`LoopAnalysis`] computations.
+    pub loops: u64,
+    /// Number of [`BlockFrequencies`] computations.
+    pub frequencies: u64,
+    /// Number of CFG versions seen (1 + number of CFG invalidations).
+    pub cfg_versions: u64,
+}
+
+/// Cumulative compute counters of one [`FunctionAnalyses`].
 ///
 /// A correctly threaded pipeline maintains, for the *same* function:
 ///
-/// * `fast_liveness <= ir.cfg_versions` — the fast checker's precomputation
-///   only depends on the CFG, so it is computed at most once per CFG
-///   version;
+/// * every counter of `ir`, and `fast_liveness`, `<= ir.cfg_versions` — these
+///   analyses only depend on the CFG, so each is computed at most once per
+///   CFG version;
 /// * `liveness_sets <= inst_versions` and `live_range_info <= inst_versions`
 ///   — the instruction-dependent analyses are computed at most once per
 ///   instruction version.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisCounts {
-    /// CFG-level counters of the underlying manager.
+    /// Counters of the CFG-level analyses.
     pub ir: IrAnalysisCounts,
     /// Number of [`LivenessSets`] computations.
     pub liveness_sets: u64,
@@ -50,33 +88,69 @@ pub struct AnalysisCounts {
     /// Number of instruction versions seen (1 + number of instruction-level
     /// invalidations; CFG invalidations count too, since they imply one).
     pub inst_versions: u64,
-    /// Number of incremental per-block liveness repairs performed
-    /// ([`FunctionAnalyses::invalidate_instructions_in_blocks`] with cached
-    /// sets): instruction versions whose liveness was repaired rather than
-    /// recomputed whole-function.
+    /// Always 0: liveness is never repaired per block, only recomputed
+    /// whole-function. Kept because the benchmark still reports it.
     pub liveness_incremental_repairs: u64,
-    /// Total number of blocks recomputed across all incremental repairs
-    /// (the sum of the repair-region sizes). `liveness_block_recomputes /
-    /// liveness_incremental_repairs` being well below the function's block
-    /// count is the proof that a single-block copy insertion no longer pays
-    /// a whole-function liveness recompute.
+    /// Always 0, like [`AnalysisCounts::liveness_incremental_repairs`].
     pub liveness_block_recomputes: u64,
 }
 
-/// Internal mutable half of [`AnalysisCounts`]: the liveness-level compute
-/// counters, bumped behind a `Cell` from the `&self` accessors.
-#[derive(Clone, Copy, Debug, Default)]
-struct LivenessCounts {
-    liveness_sets: u64,
-    fast_liveness: u64,
-    live_range_info: u64,
-    inst_invalidations: u64,
-    liveness_incremental_repairs: u64,
-    liveness_block_recomputes: u64,
+/// One cached analysis: the current result, the storage of the last
+/// invalidated one (which the next computation rebuilds into) and the
+/// number of computations.
+struct Slot<T> {
+    value: OnceCell<T>,
+    spare: Cell<Option<T>>,
+    computes: Cell<u64>,
+}
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Self { value: OnceCell::new(), spare: Cell::new(None), computes: Cell::new(0) }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Slot<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The spare is write-only storage behind a `Cell`.
+        f.debug_struct("Slot")
+            .field("value", &self.value)
+            .field("computes", &self.computes.get())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T> Slot<T> {
+    /// The cached result. On a miss, the spare storage is rebuilt by
+    /// `recompute`, or a fresh result is built by `compute` if there is no
+    /// spare.
+    fn get(&self, compute: impl FnOnce() -> T, recompute: impl FnOnce(&mut T)) -> &T {
+        self.value.get_or_init(|| {
+            self.computes.set(self.computes.get() + 1);
+            match self.spare.take() {
+                Some(mut spare) => {
+                    recompute(&mut spare);
+                    spare
+                }
+                None => compute(),
+            }
+        })
+    }
+
+    /// Drops the result, keeping its storage for the next computation.
+    fn invalidate(&mut self) {
+        if let Some(value) = self.value.take() {
+            *self.spare.get_mut() = Some(value);
+        }
+    }
 }
 
 /// Lazy cache of every analysis the out-of-SSA pipeline consumes for one
 /// function, from the CFG up to liveness.
+///
+/// The cache does not borrow the function; each accessor takes it as an
+/// argument and the caller is responsible for invalidating after mutations
+/// (the pass pipeline does this at its phase boundaries).
 ///
 /// # Examples
 ///
@@ -95,55 +169,39 @@ struct LivenessCounts {
 ///
 /// let analyses = FunctionAnalyses::new();
 /// assert!(!analyses.liveness_sets(&func).is_live_out(entry, y));
-/// // Dominator tree and CFG were computed once and are now cached.
-/// assert!(analyses.ir().is_cfg_cached());
+/// assert_eq!(analyses.domtree(&func).root(), entry);
+/// // The CFG was computed once and then served from the cache.
+/// assert_eq!(analyses.counts().ir.cfg, 1);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct FunctionAnalyses {
-    ir: AnalysisManager,
-    liveness: OnceCell<LivenessSets>,
-    fast: OnceCell<FastLiveness>,
-    info: OnceCell<LiveRangeInfo>,
-    /// Storage of an invalidated fast-liveness checker, recycled by the next
-    /// computation (the checker's per-block bit-sets are the largest
-    /// allocation of the default translation configuration).
-    spare_fast: Cell<Option<FastLiveness>>,
-    /// Storage of invalidated liveness sets, recycled by the next
-    /// computation. Liveness sets are dropped on *every* instruction
-    /// version, so without this slot the Graph/InterCheck engine variants
-    /// reallocate two bit-sets per block per version.
-    spare_liveness: Cell<Option<LivenessSets>>,
-    /// Storage of an invalidated def/use index, recycled likewise (the index
-    /// is recomputed on every instruction version in all configurations).
-    spare_info: Cell<Option<LiveRangeInfo>>,
+    cfg: Slot<ControlFlowGraph>,
+    domtree: Slot<DominatorTree>,
+    frontiers: Slot<DominanceFrontiers>,
+    loops: Slot<LoopAnalysis>,
+    frequencies: Slot<BlockFrequencies>,
+    /// The fast liveness checker reads only the CFG, so it lives in the CFG
+    /// tier; its per-block bit-sets are the largest allocation of the
+    /// default translation configuration.
+    fast: Slot<FastLiveness>,
+    liveness: Slot<LivenessSets>,
+    info: Slot<LiveRangeInfo>,
     /// Cached reducibility verdict of the current CFG version — one O(edges)
     /// scan per CFG, shared by every consumer that must decide between the
     /// fast liveness checker and the data-flow sets.
     reducible: Cell<Option<bool>>,
-    /// Liveness-level compute counters; the CFG-level ones live in `ir`.
-    counts: Cell<LivenessCounts>,
+    cfg_invalidations: u64,
+    inst_invalidations: u64,
     /// Shape of the function the CFG caches were computed for — block count,
     /// entry block, and a hash of the CFG edges (stable under
     /// instruction-only mutation) — to catch, in debug builds, a cache being
     /// reused for a *different* function without invalidation, which would
     /// silently return the wrong analyses.
-    stamp: std::cell::Cell<Option<(usize, ossa_ir::Block, u64)>>,
+    stamp: Cell<Option<(usize, Block, u64)>>,
     /// Instruction-level shape (instruction and value counts) the
     /// instruction-dependent caches were computed for; cleared by
     /// [`FunctionAnalyses::invalidate_instructions`].
-    inst_stamp: std::cell::Cell<Option<(usize, usize)>>,
-}
-
-impl std::fmt::Debug for FunctionAnalyses {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FunctionAnalyses")
-            .field("ir", &self.ir)
-            .field("liveness", &self.liveness)
-            .field("fast", &self.fast)
-            .field("info", &self.info)
-            .field("counts", &self.counts.get())
-            .finish_non_exhaustive()
-    }
+    inst_stamp: Cell<Option<(usize, usize)>>,
 }
 
 impl FunctionAnalyses {
@@ -152,30 +210,24 @@ impl FunctionAnalyses {
         Self::default()
     }
 
-    /// The underlying CFG-level manager.
-    pub fn ir(&self) -> &AnalysisManager {
-        &self.ir
-    }
-
-    /// The cumulative compute counters, CFG-level and liveness-level (see
-    /// [`AnalysisCounts`]).
+    /// The cumulative compute counters (see [`AnalysisCounts`]).
     pub fn counts(&self) -> AnalysisCounts {
-        let counts = self.counts.get();
         AnalysisCounts {
-            ir: self.ir.counts(),
-            liveness_sets: counts.liveness_sets,
-            fast_liveness: counts.fast_liveness,
-            live_range_info: counts.live_range_info,
-            inst_versions: counts.inst_invalidations + 1,
-            liveness_incremental_repairs: counts.liveness_incremental_repairs,
-            liveness_block_recomputes: counts.liveness_block_recomputes,
+            ir: IrAnalysisCounts {
+                cfg: self.cfg.computes.get(),
+                domtree: self.domtree.computes.get(),
+                frontiers: self.frontiers.computes.get(),
+                loops: self.loops.computes.get(),
+                frequencies: self.frequencies.computes.get(),
+                cfg_versions: self.cfg_invalidations + 1,
+            },
+            liveness_sets: self.liveness.computes.get(),
+            fast_liveness: self.fast.computes.get(),
+            live_range_info: self.info.computes.get(),
+            inst_versions: self.inst_invalidations + 1,
+            liveness_incremental_repairs: 0,
+            liveness_block_recomputes: 0,
         }
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut LivenessCounts)) {
-        let mut counts = self.counts.get();
-        f(&mut counts);
-        self.counts.set(counts);
     }
 
     #[cfg(debug_assertions)]
@@ -222,49 +274,40 @@ impl FunctionAnalyses {
     /// The control-flow graph, computed on first use.
     pub fn cfg(&self, func: &Function) -> &ControlFlowGraph {
         self.check_stamp(func);
-        self.ir.cfg(func)
+        self.cfg.get(|| ControlFlowGraph::compute(func), |cfg| cfg.recompute(func))
     }
 
     /// The dominator tree, computed on first use.
     pub fn domtree(&self, func: &Function) -> &DominatorTree {
-        self.check_stamp(func);
-        self.ir.domtree(func)
+        let cfg = self.cfg(func);
+        self.domtree.get(|| DominatorTree::compute(func, cfg), |tree| tree.recompute(func, cfg))
     }
 
     /// The dominance frontiers, computed on first use.
     pub fn frontiers(&self, func: &Function) -> &DominanceFrontiers {
-        self.check_stamp(func);
-        self.ir.frontiers(func)
+        let (cfg, domtree) = (self.cfg(func), self.domtree(func));
+        self.frontiers.get(
+            || DominanceFrontiers::compute(func, cfg, domtree),
+            |frontiers| frontiers.recompute(func, cfg, domtree),
+        )
     }
 
     /// The natural-loop analysis, computed on first use.
     pub fn loops(&self, func: &Function) -> &LoopAnalysis {
-        self.check_stamp(func);
-        self.ir.loops(func)
+        let (cfg, domtree) = (self.cfg(func), self.domtree(func));
+        self.loops.get(
+            || LoopAnalysis::compute(func, cfg, domtree),
+            |loops| loops.recompute(func, cfg, domtree),
+        )
     }
 
     /// The static block-frequency estimate, computed on first use.
     pub fn frequencies(&self, func: &Function) -> &BlockFrequencies {
-        self.check_stamp(func);
-        self.ir.frequencies(func)
-    }
-
-    /// Data-flow liveness sets, computed on first use, recycling the storage
-    /// of a previously invalidated computation when available.
-    pub fn liveness_sets(&self, func: &Function) -> &LivenessSets {
-        self.check_inst_stamp(func);
-        self.cfg(func);
-        self.liveness.get_or_init(|| {
-            self.bump(|c| c.liveness_sets += 1);
-            let cfg = self.ir.cfg(func);
-            match self.spare_liveness.take() {
-                Some(mut sets) => {
-                    sets.compute_into(func, cfg);
-                    sets
-                }
-                None => LivenessSets::compute(func, cfg),
-            }
-        })
+        let loops = self.loops(func);
+        self.frequencies.get(
+            || BlockFrequencies::from_loop_depths(func, loops),
+            |freqs| freqs.recompute_from_loop_depths(func, loops),
+        )
     }
 
     /// Returns `true` if the function's reachable CFG is reducible (every
@@ -281,111 +324,59 @@ impl FunctionAnalyses {
         verdict
     }
 
-    /// The CFG-only fast liveness checker, computed on first use, recycling
-    /// the storage of a previously invalidated checker when available.
+    /// The CFG-only fast liveness checker, computed on first use.
     pub fn fast_liveness(&self, func: &Function) -> &FastLiveness {
-        self.domtree(func);
-        self.fast.get_or_init(|| {
-            self.bump(|c| c.fast_liveness += 1);
-            let cfg = self.ir.cfg(func);
-            let domtree = self.ir.domtree(func);
-            match self.spare_fast.take() {
-                Some(mut fast) => {
-                    fast.recompute(func, cfg, domtree);
-                    fast
-                }
-                None => FastLiveness::compute(func, cfg, domtree),
-            }
-        })
+        let (cfg, domtree) = (self.cfg(func), self.domtree(func));
+        self.fast.get(
+            || FastLiveness::compute(func, cfg, domtree),
+            |fast| fast.recompute(func, cfg, domtree),
+        )
     }
 
-    /// The per-value definition and use index, computed on first use,
-    /// recycling the storage of a previously invalidated index when
-    /// available.
+    /// Data-flow liveness sets, computed on first use.
+    pub fn liveness_sets(&self, func: &Function) -> &LivenessSets {
+        self.check_inst_stamp(func);
+        let cfg = self.cfg(func);
+        self.liveness.get(|| LivenessSets::compute(func, cfg), |sets| sets.compute_into(func, cfg))
+    }
+
+    /// The per-value definition and use index, computed on first use.
     pub fn live_range_info(&self, func: &Function) -> &LiveRangeInfo {
         self.check_inst_stamp(func);
         self.check_stamp(func);
-        self.info.get_or_init(|| {
-            self.bump(|c| c.live_range_info += 1);
-            match self.spare_info.take() {
-                Some(mut info) => {
-                    info.recompute(func);
-                    info
-                }
-                None => LiveRangeInfo::compute(func),
-            }
-        })
+        self.info.get(|| LiveRangeInfo::compute(func), |info| info.recompute(func))
     }
 
     /// Drops the caches that depend on the instruction stream (liveness sets
-    /// and the def/use index). The CFG analyses and the fast liveness
-    /// precomputation stay valid: they only read block structure. The
-    /// dropped analyses' storage moves into spare slots and is recycled by
-    /// the next computation, so a translation pipeline that invalidates per
-    /// phase does not reallocate them per instruction version.
+    /// and the def/use index). Must be called after any instruction-only
+    /// mutation. The CFG analyses and the fast liveness precomputation stay
+    /// valid: they only read block structure. The dropped analyses' storage
+    /// is recycled by the next computation, so a pipeline that invalidates
+    /// per phase does not reallocate them per instruction version.
     pub fn invalidate_instructions(&mut self) {
-        if let Some(sets) = self.liveness.take() {
-            self.spare_liveness.set(Some(sets));
-        }
-        if let Some(info) = self.info.take() {
-            self.spare_info.set(Some(info));
-        }
-        self.inst_stamp.set(None);
-        self.bump(|c| c.inst_invalidations += 1);
-    }
-
-    /// Declares instruction-only mutations confined to the listed blocks —
-    /// the per-block half of the instruction-version invalidation contract.
-    ///
-    /// The def/use index is dropped (and recycled) like under
-    /// [`FunctionAnalyses::invalidate_instructions`], but cached liveness
-    /// sets are *repaired in place* by [`LivenessSets::update_blocks`]
-    /// instead of being recomputed whole-function: only the dirty blocks'
-    /// transfer functions are rebuilt and only the blocks whose live-in can
-    /// transitively change (the dirty blocks' predecessor closure) are
-    /// re-solved. The repaired sets are bit-identical to a full recompute.
-    ///
-    /// `blocks` must list every block whose instruction stream changed since
-    /// the sets were (re)computed; the block structure must be unchanged
-    /// (otherwise call [`FunctionAnalyses::invalidate_cfg`]). `func` is the
-    /// already-mutated function.
-    pub fn invalidate_instructions_in_blocks(
-        &mut self,
-        func: &Function,
-        blocks: &[ossa_ir::Block],
-    ) {
-        if let Some(mut sets) = self.liveness.take() {
-            let cfg = self.ir.cfg(func);
-            let region = sets.update_blocks(func, cfg, blocks);
-            self.bump(|c| {
-                c.liveness_incremental_repairs += 1;
-                c.liveness_block_recomputes += region as u64;
-            });
-            // Not `get_or_init`: the cell was just emptied by `take`.
-            let _ = self.liveness.set(sets);
-        }
-        if let Some(info) = self.info.take() {
-            self.spare_info.set(Some(info));
-        }
-        self.inst_stamp.set(None);
-        self.bump(|c| c.inst_invalidations += 1);
+        self.liveness.invalidate();
+        self.info.invalidate();
+        *self.inst_stamp.get_mut() = None;
+        self.inst_invalidations += 1;
     }
 
     /// Drops every cached analysis. Must be called after mutations that
     /// change the block structure (edge splitting, new blocks) and before
     /// reusing the cache for a different function.
     ///
-    /// The storage of the dropped CFG-level analyses and of the fast
-    /// liveness checker is kept and recycled by the next computation, so a
-    /// corpus driver can reuse one cache across many functions without
-    /// re-allocating per function.
+    /// The dropped analyses' storage is recycled by the next computation, so
+    /// one cache can serve the functions of a corpus without re-allocating
+    /// per function.
     pub fn invalidate_cfg(&mut self) {
-        self.ir.invalidate_cfg();
-        if let Some(fast) = self.fast.take() {
-            self.spare_fast.set(Some(fast));
-        }
-        self.reducible.set(None);
-        self.stamp.set(None);
+        self.cfg.invalidate();
+        self.domtree.invalidate();
+        self.frontiers.invalidate();
+        self.loops.invalidate();
+        self.frequencies.invalidate();
+        self.fast.invalidate();
+        *self.reducible.get_mut() = None;
+        *self.stamp.get_mut() = None;
+        self.cfg_invalidations += 1;
         self.invalidate_instructions();
     }
 }
@@ -411,14 +402,126 @@ mod tests {
         b.finish()
     }
 
+    fn loop_function() -> Function {
+        let mut b = FunctionBuilder::new("loop", 1);
+        let entry = b.create_block();
+        let header = b.create_block();
+        let body = b.create_block();
+        let exit = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let n = b.param(0);
+        b.jump(header);
+        b.switch_to_block(header);
+        b.branch(n, body, exit);
+        b.switch_to_block(body);
+        b.jump(header);
+        b.switch_to_block(exit);
+        b.ret(Some(n));
+        b.finish()
+    }
+
     #[test]
-    fn caches_are_shared_and_lazily_built() {
+    fn analyses_are_computed_lazily_and_cached() {
         let func = simple_function();
         let analyses = FunctionAnalyses::new();
+        assert_eq!(analyses.counts().ir.cfg, 0);
+        let freqs = analyses.frequencies(&func);
+        assert_eq!(freqs.frequency(func.entry()), 1.0);
+        // Cached results are stable across calls.
+        let cfg = analyses.cfg(&func) as *const ControlFlowGraph;
+        assert_eq!(cfg, analyses.cfg(&func) as *const ControlFlowGraph);
         let sets = analyses.liveness_sets(&func) as *const LivenessSets;
         assert_eq!(sets, analyses.liveness_sets(&func) as *const LivenessSets);
         let info = analyses.live_range_info(&func) as *const LiveRangeInfo;
         assert_eq!(info, analyses.live_range_info(&func) as *const LiveRangeInfo);
+        // Each analysis was computed exactly once; the unused ones never.
+        let counts = analyses.counts();
+        assert_eq!(counts.ir.cfg, 1);
+        assert_eq!(counts.ir.domtree, 1);
+        assert_eq!(counts.ir.frontiers, 0);
+        assert_eq!(counts.ir.loops, 1);
+        assert_eq!(counts.ir.frequencies, 1);
+        assert_eq!(counts.ir.cfg_versions, 1);
+        assert_eq!(counts.liveness_sets, 1);
+        assert_eq!(counts.live_range_info, 1);
+        assert_eq!(counts.fast_liveness, 0);
+    }
+
+    #[test]
+    fn invalidation_recomputes_for_the_mutated_function() {
+        let mut func = simple_function();
+        let mut analyses = FunctionAnalyses::new();
+        assert_eq!(analyses.cfg(&func).num_reachable(), 2);
+        // Add a block and re-point the entry jump at it.
+        let extra = func.add_block();
+        let entry = func.entry();
+        let term = func.terminator(entry).expect("terminator");
+        *func.inst_mut(term) = InstData::Jump { dest: extra };
+        func.append_inst(extra, InstData::Return { value: None });
+        analyses.invalidate_cfg();
+        assert_eq!(analyses.cfg(&func).num_reachable(), 2);
+        assert!(analyses.cfg(&func).is_reachable(extra));
+        let counts = analyses.counts();
+        assert_eq!(counts.ir.cfg, 2);
+        assert_eq!(counts.ir.cfg_versions, 2);
+    }
+
+    #[test]
+    fn domtree_and_loops_share_the_cached_cfg() {
+        let func = loop_function();
+        let analyses = FunctionAnalyses::new();
+        let header = func.blocks().nth(1).unwrap();
+        assert!(analyses.domtree(&func).dominates(func.entry(), header));
+        assert_eq!(analyses.loops(&func).num_loops(), 1);
+        assert_eq!(analyses.counts().ir.cfg, 1);
+        assert_eq!(analyses.counts().ir.domtree, 1);
+    }
+
+    #[test]
+    fn recycled_analyses_match_fresh_computations() {
+        // Run one cache over different functions with an invalidation in
+        // between (the streaming engine's per-worker pattern): each round
+        // reuses the previous round's storage and must be indistinguishable
+        // from a fresh computation, the fast checker's queries and reported
+        // footprint included.
+        let looped = loop_function();
+        let simple = simple_function();
+        let mut analyses = FunctionAnalyses::new();
+        for func in [&looped, &simple, &looped] {
+            analyses.invalidate_cfg();
+            let fresh_cfg = ControlFlowGraph::compute(func);
+            let fresh_dom = DominatorTree::compute(func, &fresh_cfg);
+            let fresh_front = DominanceFrontiers::compute(func, &fresh_cfg, &fresh_dom);
+            let fresh_fast = FastLiveness::of(func);
+            let cfg = analyses.cfg(func);
+            let domtree = analyses.domtree(func);
+            let fast = analyses.fast_liveness(func);
+            let info = LiveRangeInfo::compute(func);
+            assert_eq!(cfg.reverse_post_order(), fresh_cfg.reverse_post_order());
+            assert_eq!(domtree.preorder(), fresh_dom.preorder());
+            assert_eq!(fast.footprint_bytes(), fresh_fast.footprint_bytes());
+            for block in func.blocks() {
+                assert_eq!(cfg.succs(block), fresh_cfg.succs(block));
+                assert_eq!(cfg.preds(block), fresh_cfg.preds(block));
+                assert_eq!(cfg.is_reachable(block), fresh_cfg.is_reachable(block));
+                assert_eq!(domtree.idom(block), fresh_dom.idom(block));
+                assert_eq!(domtree.children(block), fresh_dom.children(block));
+                assert_eq!(analyses.frontiers(func).frontier(block), fresh_front.frontier(block));
+                for value in func.values() {
+                    assert_eq!(
+                        fast.is_live_in_query(domtree, &info, block, value),
+                        fresh_fast.is_live_in_query(domtree, &info, block, value),
+                        "live-in mismatch for {value} at {block}"
+                    );
+                    assert_eq!(
+                        fast.is_live_out_query(cfg, domtree, &info, block, value),
+                        fresh_fast.is_live_out_query(cfg, domtree, &info, block, value),
+                        "live-out mismatch for {value} at {block}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -443,65 +546,6 @@ mod tests {
         let exit = func.blocks().nth(1).unwrap();
         let y = Function::values(&func).nth(1).unwrap();
         assert!(analyses.liveness_sets(&func).is_live_in(exit, y));
-    }
-
-    #[test]
-    fn cfg_invalidation_drops_everything() {
-        let func = simple_function();
-        let mut analyses = FunctionAnalyses::new();
-        let _ = analyses.fast_liveness(&func);
-        assert!(analyses.ir().is_cfg_cached());
-        analyses.invalidate_cfg();
-        assert!(!analyses.ir().is_cfg_cached());
-    }
-
-    #[test]
-    fn recycled_fast_liveness_matches_fresh_computation() {
-        // Reusing one cache across two different functions (the streaming
-        // engine's per-worker pattern) recycles the checker storage; queries
-        // and the reported footprint must match a fresh computation exactly.
-        let mut b = FunctionBuilder::new("loop", 1);
-        let entry = b.create_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        let n = b.param(0);
-        b.jump(header);
-        b.switch_to_block(header);
-        b.branch(n, body, exit);
-        b.switch_to_block(body);
-        b.jump(header);
-        b.switch_to_block(exit);
-        b.ret(Some(n));
-        let looped = b.finish();
-        let simple = simple_function();
-
-        let mut analyses = FunctionAnalyses::new();
-        for func in [&looped, &simple, &looped] {
-            analyses.invalidate_cfg();
-            let fresh = FastLiveness::of(func);
-            let cached = analyses.fast_liveness(func);
-            assert_eq!(cached.footprint_bytes(), fresh.footprint_bytes());
-            let info = LiveRangeInfo::compute(func);
-            let cfg = analyses.ir().cfg(func);
-            let domtree = analyses.ir().domtree(func);
-            for block in func.blocks() {
-                for value in func.values() {
-                    assert_eq!(
-                        cached.is_live_in_query(domtree, &info, block, value),
-                        fresh.is_live_in_query(domtree, &info, block, value),
-                        "live-in mismatch for {value} at {block}"
-                    );
-                    assert_eq!(
-                        cached.is_live_out_query(cfg, domtree, &info, block, value),
-                        fresh.is_live_out_query(cfg, domtree, &info, block, value),
-                        "live-out mismatch for {value} at {block}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -539,6 +583,7 @@ mod tests {
         let _ = analyses.fast_liveness(&func);
         let counts = analyses.counts();
         assert_eq!(counts.ir.cfg_versions, 2);
+        assert_eq!(counts.inst_versions, 3);
         assert_eq!(counts.fast_liveness, 2);
         assert_eq!(counts.ir.cfg, 2);
         assert_eq!(counts.ir.domtree, 2);

@@ -48,7 +48,7 @@ pub mod uses;
 
 use ossa_ir::entity::{Block, Value};
 
-pub use analysis::{AnalysisCounts, FunctionAnalyses};
+pub use analysis::{AnalysisCounts, FunctionAnalyses, IrAnalysisCounts};
 pub use check::{FastLiveness, FastLivenessQuery};
 pub use intersect::{IntersectionTest, LiveRangeInfo};
 pub use sets::LivenessSets;

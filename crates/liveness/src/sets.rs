@@ -22,9 +22,9 @@ pub struct LivenessSets {
     scratch: SetsScratch,
 }
 
-/// The recycled working storage of one liveness computation. The per-block
-/// transfer functions (`gen`/`kill`/`edge_phi_uses`) survive between runs —
-/// they are what [`LivenessSets::update_blocks`] repairs incrementally.
+/// The recycled working storage of one liveness computation: the per-block
+/// transfer functions (`gen`/`kill`/`edge_phi_uses`) and the fixpoint
+/// temporaries.
 #[derive(Clone, Debug, Default)]
 struct SetsScratch {
     gen: SecondaryMap<Block, EntitySet<Value>>,
@@ -34,12 +34,6 @@ struct SetsScratch {
     uses: Vec<Value>,
     out: EntitySet<Value>,
     post_order: Vec<Block>,
-    /// Incremental repair: the affected region (dirty blocks plus their
-    /// transitive predecessors), its membership set, and the region in
-    /// post-order (so the fixpoint iterates the region, not the function).
-    region: Vec<Block>,
-    in_region: EntitySet<Block>,
-    region_post: Vec<Block>,
 }
 
 /// Empties every bit-set slot of a recycled per-block map and sizes it for
@@ -51,44 +45,6 @@ fn reset_block_sets(map: &mut SecondaryMap<Block, EntitySet<Value>>, num_blocks:
         set.reset();
     }
     map.resize(num_blocks);
-}
-
-/// Computes the transfer function (upward-exposed uses and kills) of one
-/// block into `gen[block]`/`kill[block]`, which must be empty on entry. φ
-/// handling matches the paper's semantics: φ uses belong to predecessors and
-/// the φ def kills the value locally (it is not upward exposed).
-fn compute_block_transfer(
-    func: &Function,
-    block: Block,
-    gen: &mut SecondaryMap<Block, EntitySet<Value>>,
-    kill: &mut SecondaryMap<Block, EntitySet<Value>>,
-    scratch_defs: &mut Vec<Value>,
-    scratch_uses: &mut Vec<Value>,
-) {
-    let gen_set = &mut gen[block];
-    for &inst in func.block_insts(block) {
-        let data = func.inst(inst);
-        if data.is_phi() {
-            scratch_defs.clear();
-            data.collect_defs(func.pools(), scratch_defs);
-            for &d in &*scratch_defs {
-                kill[block].insert(d);
-            }
-            continue;
-        }
-        scratch_uses.clear();
-        data.collect_uses(func.pools(), scratch_uses);
-        for &u in &*scratch_uses {
-            if !kill[block].contains(u) {
-                gen_set.insert(u);
-            }
-        }
-        scratch_defs.clear();
-        data.collect_defs(func.pools(), scratch_defs);
-        for &d in &*scratch_defs {
-            kill[block].insert(d);
-        }
-    }
 }
 
 impl LivenessSets {
@@ -111,7 +67,9 @@ impl LivenessSets {
         self.num_values = num_values;
         self.num_blocks = num_blocks;
 
-        // Per-block upward-exposed uses and definitions (φ handled specially).
+        // Per-block upward-exposed uses and kills. φ handling matches the
+        // paper's semantics: φ uses belong to predecessors and the φ def
+        // kills the value locally (it is not upward exposed).
         let scratch = &mut self.scratch;
         let gen = &mut scratch.gen;
         let kill = &mut scratch.kill;
@@ -121,7 +79,24 @@ impl LivenessSets {
         let scratch_defs = &mut scratch.defs;
         let scratch_uses = &mut scratch.uses;
         for &block in cfg.reverse_post_order() {
-            compute_block_transfer(func, block, gen, kill, scratch_defs, scratch_uses);
+            let (gen_set, kill_set) = (&mut gen[block], &mut kill[block]);
+            for &inst in func.block_insts(block) {
+                let data = func.inst(inst);
+                if !data.is_phi() {
+                    scratch_uses.clear();
+                    data.collect_uses(func.pools(), scratch_uses);
+                    for &u in &*scratch_uses {
+                        if !kill_set.contains(u) {
+                            gen_set.insert(u);
+                        }
+                    }
+                }
+                scratch_defs.clear();
+                data.collect_defs(func.pools(), scratch_defs);
+                for &d in &*scratch_defs {
+                    kill_set.insert(d);
+                }
+            }
         }
 
         reset_block_sets(&mut self.live_in, num_blocks);
@@ -180,133 +155,6 @@ impl LivenessSets {
                 }
             }
         }
-    }
-
-    /// Incrementally repairs the sets after instruction-only edits confined
-    /// to the `dirty` blocks, under the same CFG the sets were computed for.
-    /// Returns the number of blocks whose sets were recomputed — the repair
-    /// *region*: the reachable dirty blocks plus their transitive
-    /// predecessors (liveness flows backward, so no other block's sets can
-    /// change). Blocks outside the region keep their sets untouched; the
-    /// result is bit-identical to a full [`LivenessSets::compute_into`].
-    ///
-    /// Callers must list *every* block whose instruction stream changed
-    /// (including φ rewrites — the φ block's predecessors are in the region
-    /// by construction, so their edge uses are repaired too). Block-structure
-    /// mutations require a full recompute instead.
-    pub fn update_blocks(
-        &mut self,
-        func: &Function,
-        cfg: &ControlFlowGraph,
-        dirty: &[Block],
-    ) -> usize {
-        debug_assert_eq!(self.num_blocks, func.num_blocks(), "CFG changed; full recompute needed");
-        self.num_values = func.num_values();
-        let SetsScratch {
-            gen,
-            kill,
-            edge_phi_uses,
-            defs,
-            uses,
-            out,
-            post_order,
-            region,
-            in_region,
-            region_post,
-        } = &mut self.scratch;
-
-        // The affected region: reachable dirty blocks closed under
-        // predecessors.
-        region.clear();
-        in_region.reset();
-        for &block in dirty {
-            if cfg.is_reachable(block) && in_region.insert(block) {
-                region.push(block);
-            }
-        }
-        let mut i = 0;
-        while i < region.len() {
-            let block = region[i];
-            i += 1;
-            for &pred in cfg.preds(block) {
-                if cfg.is_reachable(pred) && in_region.insert(pred) {
-                    region.push(pred);
-                }
-            }
-        }
-        if region.is_empty() {
-            return 0;
-        }
-
-        // Recompute the transfer functions of the dirty blocks only (the
-        // other region blocks' instructions are unchanged).
-        for &block in dirty {
-            if !cfg.is_reachable(block) {
-                continue;
-            }
-            gen[block].reset();
-            kill[block].reset();
-            compute_block_transfer(func, block, gen, kill, defs, uses);
-        }
-
-        // Rebuild the φ edge-uses of every region block (its successors may
-        // include dirty φ blocks; non-region blocks have no dirty successor,
-        // so their entries are still exact).
-        for &block in region.iter() {
-            edge_phi_uses[block].clear();
-        }
-        for &block in region.iter() {
-            for &succ in cfg.succs(block) {
-                // Scan the whole block, exactly like the full computation:
-                // no assumption that φs form the leading group.
-                for &inst in func.block_insts(succ) {
-                    if let Some(args) = func.inst_phi_args(inst) {
-                        for arg in args {
-                            if arg.block == block {
-                                edge_phi_uses[block].push(arg.value);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Restricted fixpoint: reset the region's sets, seed live-in from
-        // gen, and iterate the backward transfer over region blocks only,
-        // reading the (final, unaffected) live-in of out-of-region
-        // successors where edges leave the region. Converges to the global
-        // least fixpoint restricted to the region.
-        for &block in region.iter() {
-            self.live_in[block].reset();
-            self.live_out[block].reset();
-            self.live_in[block].union_with(&gen[block]);
-        }
-        // Materialize the region in post-order once (one filter pass over
-        // the saved traversal), so each fixpoint pass costs O(region), not
-        // O(function).
-        region_post.clear();
-        region_post.extend(post_order.iter().copied().filter(|&b| in_region.contains(b)));
-        out.reset();
-        let mut changed = true;
-        while changed {
-            crate::fuel::fixpoint_tick();
-            changed = false;
-            for &block in region_post.iter() {
-                out.clear();
-                for &succ in cfg.succs(block) {
-                    out.union_with(&self.live_in[succ]);
-                }
-                for &value in &edge_phi_uses[block] {
-                    out.insert(value);
-                }
-                let out_grew = self.live_out[block].union_with(out);
-                if out_grew {
-                    self.live_in[block].union_with_andnot(out, &kill[block]);
-                    changed = true;
-                }
-            }
-        }
-        region.len()
     }
 
     /// Computes liveness sets, building the CFG internally.

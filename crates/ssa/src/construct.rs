@@ -34,6 +34,10 @@ pub struct SsaConstruction {
 /// live-in (pruned SSA). Variables that may be used before being defined are
 /// given an implicit `const 0` definition at the top of the entry block so
 /// that the result always satisfies the SSA dominance property.
+///
+/// The entry block must have no predecessor, which [`ossa_ir::verify_cfg`]
+/// checks: an entry definition runs on every pass through the entry block,
+/// so a loop back to the entry would overwrite the value it carries.
 pub fn construct_ssa(func: &mut Function) -> SsaConstruction {
     let mut analyses = FunctionAnalyses::new();
     construct_ssa_cached(func, &mut analyses)
@@ -80,18 +84,13 @@ pub fn construct_ssa_scratch(
     let entry = func.entry();
     scratch.entry_live_in.clear();
     scratch.entry_live_in.extend(analyses.liveness_sets(func).live_in(entry).iter());
-    let entry_defs_inserted = !scratch.entry_live_in.is_empty();
     for insert_at in 0..scratch.entry_live_in.len() {
         let variable = scratch.entry_live_in[insert_at];
         func.insert_inst(entry, insert_at, InstData::Const { dst: variable, imm: 0 });
     }
-    if entry_defs_inserted {
-        // Instruction-only mutation confined to the entry block: the cached
-        // liveness sets (just read above) are repaired per-block — the
-        // repair region is the entry block plus its predecessor closure,
-        // usually just the entry — instead of being recomputed
-        // whole-function before φ placement reads them again below.
-        analyses.invalidate_instructions_in_blocks(func, &[entry]);
+    if !scratch.entry_live_in.is_empty() {
+        // A new instruction version: φ placement below reads liveness again.
+        analyses.invalidate_instructions();
     }
 
     let num_values_before = func.num_values();

@@ -206,10 +206,8 @@ impl Pipeline {
     /// are not an analysis input. It must not change the block structure
     /// (the cache's debug-build shape stamp catches that). Instruction-level
     /// edits in the hook are tolerated — the pipeline drops every
-    /// instruction-dependent cache right after the hook, *before* the
-    /// translation's copy insertion (whose per-block liveness repair is only
-    /// valid for edits it made itself) — but the CSSA verdict in the report
-    /// describes the pre-hook code.
+    /// instruction-dependent cache right after the hook — but the CSSA
+    /// verdict in the report describes the pre-hook code.
     pub fn run_with(
         &mut self,
         func: &mut Function,
@@ -298,13 +296,12 @@ impl Passes {
             self.check_conventional.then(|| is_conventional_cached(func, analyses));
 
         // Renaming constraints (pins, possibly instruction edits; see the
-        // doc contract). The instruction-dependent caches are dropped after
-        // the hook: the translation's per-block liveness repair only covers
-        // its *own* copy insertion, so the def/use index (and, on an
-        // irreducible CFG, the liveness sets) cached by the CSSA check must
-        // not survive arbitrary hook edits. The fast liveness checker reads
-        // only the CFG and survives. (Pins-only hooks pay nothing extra: the
-        // translation recomputed the index after its insertion anyway.)
+        // doc contract). The hook may edit instructions, so it ends an
+        // instruction version like any other pass: the def/use index (and,
+        // on an irreducible CFG, the liveness sets) cached by the CSSA check
+        // are dropped, while the fast liveness checker reads only the CFG and
+        // survives. Pins-only hooks pay nothing extra: the translation
+        // rebuilds both after its copy insertion anyway.
         constrain(func);
         analyses.invalidate_instructions();
 
@@ -353,7 +350,9 @@ mod tests {
     use super::*;
     use ossa_cfggen::{generate_function, pin_call_conventions, GenConfig};
     use ossa_destruct::translate_out_of_ssa;
-    use ossa_interp::{same_behaviour, Interpreter};
+    use ossa_interp::{same_behaviour, ExecError, Interpreter};
+    use ossa_ir::builder::FunctionBuilder;
+    use ossa_ir::BinaryOp;
     use ossa_regalloc::{allocate, check_allocation};
     use ossa_ssa::{construct_ssa, eliminate_dead_code, is_conventional, propagate_copies};
 
@@ -401,6 +400,33 @@ mod tests {
         }
     }
 
+    /// Asserts that between `before` and `after` every analysis was computed
+    /// at most once per version it saw.
+    fn assert_computed_once_per_version(before: &AnalysisCounts, after: &AnalysisCounts) {
+        let cfg_versions = after.ir.cfg_versions - before.ir.cfg_versions + 1;
+        let inst_versions = after.inst_versions - before.inst_versions + 1;
+        assert!(after.ir.cfg - before.ir.cfg <= cfg_versions, "cfg recomputed");
+        assert!(after.ir.domtree - before.ir.domtree <= cfg_versions, "domtree recomputed");
+        assert!(after.ir.frontiers - before.ir.frontiers <= cfg_versions, "frontiers recomputed");
+        assert!(after.ir.loops - before.ir.loops <= cfg_versions, "loops recomputed");
+        assert!(
+            after.ir.frequencies - before.ir.frequencies <= cfg_versions,
+            "frequencies recomputed"
+        );
+        assert!(
+            after.fast_liveness - before.fast_liveness <= cfg_versions,
+            "fast liveness recomputed for an unchanged CFG"
+        );
+        assert!(
+            after.liveness_sets - before.liveness_sets <= inst_versions,
+            "liveness sets recomputed for unchanged instructions"
+        );
+        assert!(
+            after.live_range_info - before.live_range_info <= inst_versions,
+            "def/use index recomputed for unchanged instructions"
+        );
+    }
+
     #[test]
     fn no_analysis_is_computed_twice_per_version() {
         let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
@@ -410,35 +436,106 @@ mod tests {
             pipeline.run_with(&mut func, |f| {
                 pin_call_conventions(f);
             });
-            let after = pipeline.counts();
-
-            // Per-run deltas: computations vs versions seen during this run.
-            let cfg_versions = after.ir.cfg_versions - before.ir.cfg_versions + 1;
-            let inst_versions = after.inst_versions - before.inst_versions + 1;
-            assert!(after.ir.cfg - before.ir.cfg <= cfg_versions, "cfg recomputed");
-            assert!(after.ir.domtree - before.ir.domtree <= cfg_versions, "domtree recomputed");
-            assert!(
-                after.ir.frontiers - before.ir.frontiers <= cfg_versions,
-                "frontiers recomputed"
-            );
-            assert!(after.ir.loops - before.ir.loops <= cfg_versions, "loops recomputed");
-            assert!(
-                after.ir.frequencies - before.ir.frequencies <= cfg_versions,
-                "frequencies recomputed"
-            );
-            assert!(
-                after.fast_liveness - before.fast_liveness <= cfg_versions,
-                "fast liveness recomputed for an unchanged CFG"
-            );
-            assert!(
-                after.liveness_sets - before.liveness_sets <= inst_versions,
-                "liveness sets recomputed for unchanged instructions"
-            );
-            assert!(
-                after.live_range_info - before.live_range_info <= inst_versions,
-                "def/use index recomputed for unchanged instructions"
-            );
+            assert_computed_once_per_version(&before, &pipeline.counts());
         }
+    }
+
+    /// `x` is defined on one path only and carried around a loop:
+    ///
+    /// ```text
+    /// entry:  p, n = params; one = const 1; br p, def, header
+    /// def:    x = const 7; jump header
+    /// header: br n, body, exit
+    /// body:   x = x + one; n = n - one; jump header
+    /// exit:   return x
+    /// ```
+    fn partially_defined_loop_variable() -> Function {
+        let mut b = FunctionBuilder::new("partial", 2);
+        let [entry, def, header, body, exit] = [(); 5].map(|_| b.create_block());
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let p = b.param(0);
+        let n = b.param(1);
+        let one = b.iconst(1);
+        b.branch(p, def, header);
+        b.switch_to_block(def);
+        let x = b.iconst(7);
+        b.jump(header);
+        b.switch_to_block(header);
+        b.branch(n, body, exit);
+        b.switch_to_block(body);
+        b.binary_to(BinaryOp::Add, x, x, one);
+        b.binary_to(BinaryOp::Sub, n, n, one);
+        b.jump(header);
+        b.switch_to_block(exit);
+        b.ret(Some(x));
+        b.finish()
+    }
+
+    #[test]
+    fn construction_recomputes_liveness_after_inserting_entry_definitions() {
+        // The one path on which construction edits the function before it
+        // is done reading liveness: `x` is live-in at the entry, so it gets
+        // a zero entry definition and the liveness sets are recomputed for
+        // φ placement. Register allocation computes them a third time.
+        let input = partially_defined_loop_variable();
+        let mut func = input.clone();
+        let mut pipeline = Pipeline::new(OutOfSsaOptions::default()).with_registers(8);
+        let before = pipeline.counts();
+        let report = pipeline.run(&mut func);
+        let after = pipeline.counts();
+        assert_computed_once_per_version(&before, &after);
+        assert_eq!(after.liveness_sets - before.liveness_sets, 3);
+        check_allocation(&func, &report.allocation.expect("allocation configured"), 8)
+            .expect("allocation verifies");
+
+        for (args, expected) in [([1, 3], 10), ([1, 0], 7), ([0, 2], 2), ([0, 0], 0)] {
+            let output = Interpreter::new().run(&func, &args).expect("output runs");
+            assert_eq!(output.returned, Some(expected), "{args:?}");
+            match Interpreter::new().run(&input, &args) {
+                Ok(reference) => assert!(same_behaviour(&reference, &output), "{args:?}"),
+                // Where the input reads `x` undefined, the output reads the
+                // zero entry definition instead.
+                Err(err) => {
+                    assert_eq!(args[0], 0, "{args:?}: {err}");
+                    assert!(matches!(err, ExecError::UndefinedValue(_)), "{args:?}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_entry_block_with_a_predecessor_is_rejected_as_malformed() {
+        // entry: a = const 64; f = load a; store a, 1; br f, use, def
+        // def:   x = const 5; jump entry
+        // use:   return x
+        // The interpreter returns 5. A zero entry definition of `x` would
+        // run again on the way back from `def` and overwrite it.
+        let mut b = FunctionBuilder::new("entry_loop", 0);
+        let [entry, def, use_block] = [(); 3].map(|_| b.create_block());
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let a = b.iconst(64);
+        let f = b.load(a);
+        let stored = b.iconst(1);
+        b.store(a, stored);
+        b.branch(f, use_block, def);
+        b.switch_to_block(def);
+        let x = b.iconst(5);
+        b.jump(entry);
+        b.switch_to_block(use_block);
+        b.ret(Some(x));
+        let mut func = b.finish();
+        assert_eq!(Interpreter::new().run(&func, &[]).expect("input runs").returned, Some(5));
+
+        let err = Pipeline::new(OutOfSsaOptions::default())
+            .try_run(&mut func)
+            .expect_err("the entry block has a predecessor");
+        let TranslateError::Malformed { phase, detail } = err else {
+            panic!("expected Malformed, got {err:?}");
+        };
+        assert_eq!(phase, TranslatePhase::Verify);
+        assert!(detail.contains("entry block has a predecessor"), "{detail}");
     }
 
     #[test]

@@ -256,129 +256,6 @@ fn recycled_liveness_sets_and_info_match_fresh_under_random_mutation() {
     }
 }
 
-/// Incremental-vs-full liveness parity: after instruction insertions
-/// declared per block ([`FunctionAnalyses::invalidate_instructions_in_blocks`])
-/// — interleaved with edge splits declared as CFG invalidations — the
-/// incrementally repaired sets must be indistinguishable from a cache-free
-/// whole-function recomputation at every step.
-#[test]
-fn incremental_liveness_repair_matches_full_recompute_under_random_mutation() {
-    let mut rng = SmallRng::seed_from_u64(0x1bc5);
-    let mut analyses = FunctionAnalyses::new();
-    for seed in 0..10u64 {
-        let (mut func, _) = generate_ssa_function(format!("inc{seed}"), &GenConfig::small(), seed);
-        analyses.invalidate_cfg();
-        for step in 0..8 {
-            // Force the sets so the repair path (not a fresh compute) runs.
-            let _ = analyses.liveness_sets(&func);
-            if rng.below(4) == 0 {
-                // CFG mutation: split a random edge, full invalidation.
-                let edges: Vec<(Block, Block)> = analyses.cfg(&func).edges().collect();
-                if edges.is_empty() {
-                    continue;
-                }
-                let (pred, succ) = edges[rng.below(edges.len())];
-                split_edge(&mut func, pred, succ);
-                analyses.invalidate_cfg();
-            } else {
-                // Instruction insertion confined to one block, declared
-                // per block: a copy of a value right after its definition.
-                let info = LiveRangeInfo::compute(&func);
-                let candidates: Vec<(Block, usize, Value)> = func
-                    .values()
-                    .filter_map(|v| {
-                        let def = info.def(v)?;
-                        Some((def.block, def.pos + 1, v))
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let (block, pos, src) = candidates[rng.below(candidates.len())];
-                if pos > func.block_len(block).saturating_sub(1) {
-                    continue;
-                }
-                let dst = func.new_value();
-                func.insert_inst(block, pos, InstData::Copy { dst, src });
-                analyses.invalidate_instructions_in_blocks(&func, &[block]);
-            }
-            let fresh = LivenessSets::of(&func);
-            let repaired = analyses.liveness_sets(&func);
-            for b in func.blocks() {
-                assert_eq!(
-                    repaired.ordered_live_in(b),
-                    fresh.ordered_live_in(b),
-                    "seed {seed} step {step}: repaired live-in({b}) diverged"
-                );
-                assert_eq!(
-                    repaired.ordered_live_out(b),
-                    fresh.ordered_live_out(b),
-                    "seed {seed} step {step}: repaired live-out({b}) diverged"
-                );
-            }
-            assert_eq!(repaired.total_entries(), fresh.total_entries());
-        }
-    }
-}
-
-/// The counter proof of the per-block claim: a copy inserted into a block
-/// with a small predecessor closure repairs only that closure — the
-/// liveness sets are *not* recomputed whole-function (the full-compute
-/// counter stays put) and the repair region is far below the block count.
-#[test]
-fn single_block_insertion_repairs_liveness_per_block_not_whole_function() {
-    use out_of_ssa::ir::builder::FunctionBuilder;
-    // entry -> b1 -> b2 -> ... -> b19 -> return; the entry block has no
-    // predecessors, so its repair region is exactly itself.
-    let mut b = FunctionBuilder::new("chain", 1);
-    let entry = b.create_block();
-    let tail: Vec<Block> = (0..19).map(|_| b.create_block()).collect();
-    b.set_entry(entry);
-    b.switch_to_block(entry);
-    let x = b.param(0);
-    b.jump(tail[0]);
-    for i in 0..tail.len() {
-        b.switch_to_block(tail[i]);
-        match tail.get(i + 1) {
-            Some(&next) => {
-                b.jump(next);
-            }
-            None => {
-                b.ret(Some(x));
-            }
-        }
-    }
-    let mut func = b.finish();
-
-    let mut analyses = FunctionAnalyses::new();
-    let _ = analyses.liveness_sets(&func);
-    let before = analyses.counts();
-    assert_eq!(before.liveness_sets, 1);
-
-    // Insert one copy into the entry block and declare it per block.
-    let dst = func.new_value();
-    func.insert_inst(entry, 1, InstData::Copy { dst, src: x });
-    analyses.invalidate_instructions_in_blocks(&func, &[entry]);
-    let repaired = analyses.liveness_sets(&func);
-    assert!(repaired.live_out(entry).contains(x), "x flows to the return through the chain");
-
-    let after = analyses.counts();
-    assert_eq!(
-        after.liveness_sets, before.liveness_sets,
-        "per-block invalidation must not trigger a whole-function recompute"
-    );
-    assert_eq!(after.inst_versions, before.inst_versions + 1);
-    assert_eq!(after.liveness_incremental_repairs, before.liveness_incremental_repairs + 1);
-    let region = after.liveness_block_recomputes - before.liveness_block_recomputes;
-    assert_eq!(region, 1, "the entry block's repair region is itself alone");
-    assert!((region as usize) < func.num_blocks());
-
-    // A later full invalidation still recomputes exactly once.
-    analyses.invalidate_instructions();
-    let _ = analyses.liveness_sets(&func);
-    assert_eq!(analyses.counts().liveness_sets, before.liveness_sets + 1);
-}
-
 /// The allocation half of the steady-state claim, stage by stage: once the
 /// pool, the generator scratch, the analysis cache and the translation
 /// scratch are warm, one full cycle — build a function into a recycled pool
