@@ -4,12 +4,13 @@
 //! a slice in place on one or more threads, or drains a [`PooledSource`] on a
 //! caller-owned [`EngineWorker`]. The `run*` entry points use the unchecked
 //! step; `try_run*` use the checked one, [`EngineWorker::try_translate`],
-//! which costs a release-mode SSA verification per function. Results are
-//! bit-identical at any thread count and kept in input order.
+//! which verifies each function on the worker's analysis cache before
+//! translating it on the same cache. Results are bit-identical at any
+//! thread count and kept in input order.
 
 use std::sync::{Mutex, PoisonError};
 
-use ossa_ir::{Function, FunctionPool};
+use ossa_ir::{verify_ssa_scratch, Function, FunctionPool, VerifyScratch};
 use ossa_liveness::FunctionAnalyses;
 use ossa_ssa::SsaScratch;
 
@@ -32,6 +33,8 @@ pub struct EngineWorker {
     /// Working storage of the SSA passes, for callers that run them on this
     /// worker before the translation (the pass pipeline).
     pub ssa: SsaScratch,
+    /// Working storage of the checked steps' verifier.
+    pub verify: VerifyScratch,
     /// Retired `Function` storage, for pooled sources and pristine snapshots.
     pub pool: FunctionPool,
 }
@@ -77,11 +80,17 @@ impl EngineWorker {
         pristine: Option<&Function>,
     ) -> Result<OutOfSsaStats, TranslateError> {
         self.attempt(func, rung, limits, pristine, |worker, func| {
-            ossa_ir::verify_ssa(func).map_err(|errors| TranslateError::Malformed {
-                phase: TranslatePhase::Verify,
-                detail: errors.to_string(),
+            // The verifier computes the CFG and dominator tree into the
+            // cache, and the translation's liveness phase finds them built.
+            worker.analyses.invalidate_cfg();
+            verify_ssa_scratch(func, &worker.analyses, &mut worker.verify).map_err(|errors| {
+                TranslateError::Malformed {
+                    phase: TranslatePhase::Verify,
+                    detail: errors.to_string(),
+                }
             })?;
-            Ok(worker.translate(func, &rung.options))
+            let EngineWorker { analyses, scratch, .. } = worker;
+            Ok(translate_out_of_ssa_scratch(func, &rung.options, analyses, scratch))
         })
     }
 

@@ -14,7 +14,8 @@
 //!   block frequencies ([`mod@cfg`], [`dominance`], [`loops`]), each
 //!   computed on demand and rebuildable in place (`recompute`) so a cache
 //!   can recycle its storage,
-//! * a verifier ([`verify`]) and a printer ([`mod@print`]).
+//! * a verifier ([`verify`]) that reads the CFG and dominator tree from the
+//!   caller's analyses, and a printer ([`mod@print`]).
 //!
 //! The crate holds no cache: `ossa_liveness::FunctionAnalyses` computes each
 //! of these analyses at most once per function version.
@@ -63,4 +64,6 @@ pub use instruction::{
 };
 pub use loops::{BlockFrequencies, LoopAnalysis};
 pub use pool::{IrPools, ListPool, PoolList};
-pub use verify::{verify_cfg, verify_ssa};
+pub use verify::{
+    verify_cfg, verify_cfg_scratch, verify_ssa, verify_ssa_scratch, CfgAnalyses, VerifyScratch,
+};

@@ -4,19 +4,27 @@
 //!
 //! * [`verify_cfg`] — structural checks that hold for both pre-SSA and SSA
 //!   code (every block ends with a terminator, the entry block has no
-//!   predecessor, φ arguments match the predecessors, parameters only in the
-//!   entry block, …);
+//!   predecessor and no φ, φ arguments match the predecessors, parameters
+//!   only in the entry block, …);
 //! * [`verify_ssa`] — the SSA invariants on top of the structural checks:
 //!   unique definitions and every use dominated by its definition (φ uses
 //!   are checked at the end of the corresponding predecessor, matching the
 //!   parallel-copy semantics of φ-functions).
+//!
+//! Both build a throwaway CFG, dominator tree and [`VerifyScratch`].
+//! [`verify_cfg_scratch`] and [`verify_ssa_scratch`] read the CFG and
+//! dominator tree from the caller's [`CfgAnalyses`] instead, and work in the
+//! caller's recycled scratch: the engine and the pipeline verify on their
+//! worker's analysis cache, which the translation then reuses, so a checked
+//! step costs no allocation and no analysis beyond an unchecked one.
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use crate::cfg::ControlFlowGraph;
 use crate::dominance::DominatorTree;
 use crate::entity::{Block, Inst, SecondaryMap, Value};
-use crate::function::Function;
+use crate::function::{DefSite, Function};
 use crate::instruction::InstData;
 
 /// A verifier diagnostic.
@@ -80,43 +88,147 @@ impl fmt::Display for VerifierErrors {
 
 impl std::error::Error for VerifierErrors {}
 
-/// Runs the structural (non-SSA) checks on `func`.
+/// The CFG-level analyses the verifier reads, supplied by the caller.
+///
+/// `ossa_liveness::FunctionAnalyses` implements it, so a checked step can
+/// verify on the same cache its translation then reuses. The one-shot
+/// [`verify_cfg`] and [`verify_ssa`] build throwaway analyses instead.
+pub trait CfgAnalyses {
+    /// The control-flow graph of `func`.
+    fn cfg(&self, func: &Function) -> &ControlFlowGraph;
+    /// The dominator tree of `func`, over [`CfgAnalyses::cfg`].
+    fn domtree(&self, func: &Function) -> &DominatorTree;
+}
+
+/// The throwaway analyses of the one-shot wrappers, computed on first use.
+#[derive(Default)]
+struct OneShot {
+    cfg: OnceCell<ControlFlowGraph>,
+    domtree: OnceCell<DominatorTree>,
+}
+
+impl CfgAnalyses for OneShot {
+    fn cfg(&self, func: &Function) -> &ControlFlowGraph {
+        self.cfg.get_or_init(|| ControlFlowGraph::compute(func))
+    }
+
+    fn domtree(&self, func: &Function) -> &DominatorTree {
+        let cfg = self.cfg(func);
+        self.domtree.get_or_init(|| DominatorTree::compute(func, cfg))
+    }
+}
+
+/// Working storage of the verifier, reused across functions: once it has
+/// grown to the largest function seen, verifying a function that passes
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct VerifyScratch {
+    /// First definition site of every value, in layout order.
+    def_sites: SecondaryMap<Value, Option<DefSite>>,
+    /// Number of definitions of every value.
+    def_counts: SecondaryMap<Value, u32>,
+    /// Operand buffer of the per-instruction walks.
+    operands: Vec<Value>,
+}
+
+impl VerifyScratch {
+    /// Creates empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Runs the structural (non-SSA) checks on `func`, building its own CFG.
 ///
 /// # Errors
 /// Returns every structural violation found.
 pub fn verify_cfg(func: &Function) -> Result<(), VerifierErrors> {
-    let mut errors = VerifierErrors::default();
-    structural_checks(func, &mut errors);
-    errors.into_result()
+    verify_cfg_scratch(func, &OneShot::default(), &mut VerifyScratch::new())
 }
 
-/// Runs the structural checks plus the SSA invariants on `func`.
+/// Runs the structural checks plus the SSA invariants on `func`, building
+/// its own CFG and dominator tree.
 ///
 /// # Errors
 /// Returns every violation found.
 pub fn verify_ssa(func: &Function) -> Result<(), VerifierErrors> {
+    verify_ssa_scratch(func, &OneShot::default(), &mut VerifyScratch::new())
+}
+
+/// [`verify_cfg`] on the caller's CFG, in recycled `scratch`.
+///
+/// # Errors
+/// Returns every structural violation found.
+pub fn verify_cfg_scratch(
+    func: &Function,
+    analyses: &impl CfgAnalyses,
+    scratch: &mut VerifyScratch,
+) -> Result<(), VerifierErrors> {
     let mut errors = VerifierErrors::default();
-    structural_checks(func, &mut errors);
+    structural_checks(func, analyses, &mut scratch.operands, &mut errors);
+    errors.into_result()
+}
+
+/// [`verify_ssa`] on the caller's CFG and dominator tree, in recycled
+/// `scratch`.
+///
+/// # Errors
+/// Returns every violation found.
+pub fn verify_ssa_scratch(
+    func: &Function,
+    analyses: &impl CfgAnalyses,
+    scratch: &mut VerifyScratch,
+) -> Result<(), VerifierErrors> {
+    let mut errors = VerifierErrors::default();
+    structural_checks(func, analyses, &mut scratch.operands, &mut errors);
     if errors.is_ok() {
-        ssa_checks(func, &mut errors);
+        ssa_checks(func, analyses.cfg(func), analyses.domtree(func), scratch, &mut errors);
     }
     errors.into_result()
 }
 
-fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
+/// Predecessor lists: the caller's CFG, or a one-off scan for a function
+/// that branches to an unallocated block, which a CFG cannot represent.
+enum Preds<'a> {
+    Cfg(&'a ControlFlowGraph),
+    Scan(SecondaryMap<Block, Vec<Block>>),
+}
+
+impl Preds<'_> {
+    fn of(&self, block: Block) -> &[Block] {
+        match self {
+            Preds::Cfg(cfg) => cfg.preds(block),
+            Preds::Scan(preds) => &preds[block],
+        }
+    }
+}
+
+fn structural_checks(
+    func: &Function,
+    analyses: &impl CfgAnalyses,
+    operands: &mut Vec<Value>,
+    errors: &mut VerifierErrors,
+) {
     if !func.has_entry() {
         errors.report(None, None, "function has no entry block");
         return;
     }
+    let entry = func.entry();
 
-    let preds = func.predecessors();
-    // As in LLVM: a φ in the entry block would have no incoming value on
-    // function entry, and SSA construction's entry definitions would run on
-    // every pass around a loop through it.
-    if !preds[func.entry()].is_empty() {
-        errors.report(Some(func.entry()), None, "entry block has a predecessor");
+    // `ControlFlowGraph::recompute` indexes by successor, so the caller's
+    // CFG is asked for only once every block's targets exist. Its lists
+    // equal `Function::predecessors`, order included: blocks are laid out
+    // in index order.
+    let in_range = func
+        .blocks()
+        .all(|block| func.successors_iter(block).all(|succ| succ.index() < func.num_blocks()));
+    let preds =
+        if in_range { Preds::Cfg(analyses.cfg(func)) } else { Preds::Scan(func.predecessors()) };
+    // As in LLVM. Otherwise SSA construction's entry definitions would run
+    // again on every pass around a loop through the entry.
+    if !preds.of(entry).is_empty() {
+        errors.report(Some(entry), None, "entry block has a predecessor");
     }
-    let mut scratch: Vec<Value> = Vec::new();
 
     for block in func.blocks() {
         let insts = func.block_insts(block);
@@ -128,20 +240,26 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
         if !func.inst(last).is_terminator() {
             errors.report(Some(block), Some(last), "block does not end with a terminator");
         }
+        let first_non_phi = func.first_non_phi(block);
         for (pos, &inst) in insts.iter().enumerate() {
             let data = func.inst(inst);
             if data.is_terminator() && pos + 1 != insts.len() {
                 errors.report(Some(block), Some(inst), "terminator in the middle of a block");
             }
-            if data.is_phi() && pos >= func.first_non_phi(block) {
+            if data.is_phi() && pos >= first_non_phi {
                 errors.report(
                     Some(block),
                     Some(inst),
                     "phi instruction outside the leading phi group",
                 );
             }
+            // As in LLVM: control enters the entry block along no edge, so a
+            // φ there has no incoming value (the interpreter's `PhiInEntry`).
+            if data.is_phi() && block == entry {
+                errors.report(Some(block), Some(inst), "phi in the entry block");
+            }
             if let InstData::Param { index, .. } = data {
-                if block != func.entry() {
+                if block != entry {
                     errors.report(
                         Some(block),
                         Some(inst),
@@ -157,10 +275,10 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
                 }
             }
             // All referenced values must have been allocated.
-            scratch.clear();
-            data.collect_defs(func.pools(), &mut scratch);
-            data.collect_uses(func.pools(), &mut scratch);
-            for &value in &scratch {
+            operands.clear();
+            data.collect_defs(func.pools(), operands);
+            data.collect_uses(func.pools(), operands);
+            for &value in operands.iter() {
                 if value.index() >= func.num_values() {
                     errors.report(
                         Some(block),
@@ -182,19 +300,18 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
         }
 
         // φ arguments must match the predecessor set exactly.
-        for inst in func.phis(block) {
-            let Some(args) = func.inst_phi_args(inst) else { continue };
-            let mut seen: Vec<Block> = Vec::new();
-            for arg in args {
-                if seen.contains(&arg.block) {
+        let preds = preds.of(block);
+        for &inst in &insts[..first_non_phi] {
+            let args = func.inst_phi_args(inst).expect("the leading group holds φs");
+            for (i, arg) in args.iter().enumerate() {
+                if args[..i].iter().any(|earlier| earlier.block == arg.block) {
                     errors.report(
                         Some(block),
                         Some(inst),
                         format!("duplicate phi argument for predecessor {}", arg.block),
                     );
                 }
-                seen.push(arg.block);
-                if !preds[block].contains(&arg.block) {
+                if !preds.contains(&arg.block) {
                     errors.report(
                         Some(block),
                         Some(inst),
@@ -202,8 +319,8 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
                     );
                 }
             }
-            for &pred in &preds[block] {
-                if !seen.contains(&pred) {
+            for &pred in preds {
+                if !args.iter().any(|arg| arg.block == pred) {
                     errors.report(
                         Some(block),
                         Some(inst),
@@ -215,36 +332,53 @@ fn structural_checks(func: &Function, errors: &mut VerifierErrors) {
     }
 }
 
-fn ssa_checks(func: &Function, errors: &mut VerifierErrors) {
-    let cfg = ControlFlowGraph::compute(func);
-    let domtree = DominatorTree::compute(func, &cfg);
+fn ssa_checks(
+    func: &Function,
+    cfg: &ControlFlowGraph,
+    domtree: &DominatorTree,
+    scratch: &mut VerifyScratch,
+    errors: &mut VerifierErrors,
+) {
+    let VerifyScratch { def_sites, def_counts, operands } = scratch;
 
-    // Unique definitions.
-    let counts = func.def_counts();
-    for value in func.values() {
-        if counts[value] > 1 {
-            errors.report(None, None, format!("value {value} has {} definitions", counts[value]));
+    // One definition walk: every value's definition count and its first
+    // definition site in layout order.
+    def_sites.truncate(0);
+    def_sites.resize(func.num_values());
+    def_counts.truncate(0);
+    def_counts.resize(func.num_values());
+    for block in func.blocks() {
+        for (pos, &inst) in func.block_insts(block).iter().enumerate() {
+            operands.clear();
+            func.collect_inst_defs(inst, operands);
+            for &value in operands.iter() {
+                def_counts[value] += 1;
+                if def_sites[value].is_none() {
+                    def_sites[value] = Some(DefSite { block, inst, pos });
+                }
+            }
         }
     }
 
-    let defs = func.def_sites();
-    let mut def_reachable: SecondaryMap<Value, bool> = SecondaryMap::new();
-    def_reachable.resize(func.num_values());
+    // Unique definitions.
     for value in func.values() {
-        if let Some(site) = defs[value] {
-            def_reachable[value] = cfg.is_reachable(site.block);
+        if def_counts[value] > 1 {
+            errors.report(
+                None,
+                None,
+                format!("value {value} has {} definitions", def_counts[value]),
+            );
         }
     }
 
     // Every use must be dominated by its definition.
-    let mut scratch: Vec<Value> = Vec::new();
     for &block in cfg.reverse_post_order() {
         for (pos, &inst) in func.block_insts(block).iter().enumerate() {
             let data = func.inst(inst);
             if let Some(args) = data.phi_args(func.pools()) {
                 // φ uses happen at the end of the predecessor block.
                 for arg in args {
-                    let Some(site) = defs[arg.value] else {
+                    let Some(site) = def_sites[arg.value] else {
                         errors.report(
                             Some(block),
                             Some(inst),
@@ -268,10 +402,10 @@ fn ssa_checks(func: &Function, errors: &mut VerifierErrors) {
                     }
                 }
             } else {
-                scratch.clear();
-                data.collect_uses(func.pools(), &mut scratch);
-                for &value in &scratch {
-                    let Some(site) = defs[value] else {
+                operands.clear();
+                data.collect_uses(func.pools(), operands);
+                for &value in operands.iter() {
+                    let Some(site) = def_sites[value] else {
                         errors.report(
                             Some(block),
                             Some(inst),
@@ -279,7 +413,7 @@ fn ssa_checks(func: &Function, errors: &mut VerifierErrors) {
                         );
                         continue;
                     };
-                    if !def_reachable[value] {
+                    if !cfg.is_reachable(site.block) {
                         errors.report(
                             Some(block),
                             Some(inst),
@@ -453,6 +587,32 @@ mod tests {
         assert_eq!(err.0.len(), 1);
         assert_eq!(err.0[0].block, Some(entry));
         assert_eq!(err.0[0].message, "entry block has a predecessor");
+    }
+
+    /// `entry: v0 = φ(); v1 = param 0; v2 = add v0, v1; return v2`
+    fn phi_in_entry() -> Function {
+        let mut b = FunctionBuilder::new("bad", 1);
+        let entry = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let phi = b.phi(vec![]);
+        let x = b.param(0);
+        let sum = b.binary(BinaryOp::Add, phi, x);
+        b.ret(Some(sum));
+        b.finish()
+    }
+
+    #[test]
+    fn phi_in_the_entry_block_is_reported() {
+        let f = phi_in_entry();
+        let entry = f.entry();
+        let expected = VerifierErrors(vec![VerifierError {
+            block: Some(entry),
+            inst: Some(f.block_insts(entry)[0]),
+            message: "phi in the entry block".into(),
+        }]);
+        assert_eq!(verify_cfg(&f), Err(expected.clone()));
+        assert_eq!(verify_ssa(&f), Err(expected));
     }
 
     #[test]

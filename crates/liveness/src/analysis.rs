@@ -36,8 +36,8 @@ use std::cell::{Cell, OnceCell};
 use std::fmt;
 
 use ossa_ir::{
-    Block, BlockFrequencies, ControlFlowGraph, DominanceFrontiers, DominatorTree, Function,
-    LoopAnalysis,
+    Block, BlockFrequencies, CfgAnalyses, ControlFlowGraph, DominanceFrontiers, DominatorTree,
+    Function, LoopAnalysis,
 };
 
 use crate::check::FastLiveness;
@@ -238,7 +238,7 @@ impl FunctionAnalyses {
         let mut edges = 0xcbf2_9ce4_8422_2325u64;
         for block in func.blocks() {
             edges = (edges ^ block.index() as u64).wrapping_mul(0x1000_0000_01b3);
-            for succ in func.successors(block) {
+            for succ in func.successors_iter(block) {
                 edges = (edges ^ succ.index() as u64).wrapping_mul(0x1000_0000_01b3);
             }
         }
@@ -378,6 +378,18 @@ impl FunctionAnalyses {
         *self.stamp.get_mut() = None;
         self.cfg_invalidations += 1;
         self.invalidate_instructions();
+    }
+}
+
+/// The verifier reads the cached CFG and dominator tree, so a checked step
+/// verifies on the cache its translation then reuses.
+impl CfgAnalyses for FunctionAnalyses {
+    fn cfg(&self, func: &Function) -> &ControlFlowGraph {
+        FunctionAnalyses::cfg(self, func)
+    }
+
+    fn domtree(&self, func: &Function) -> &DominatorTree {
+        FunctionAnalyses::domtree(self, func)
     }
 }
 

@@ -6,8 +6,11 @@
 //! [`Pipeline`] is the pass-manager layer that makes the compute-once claim
 //! hold for the *whole* flow, not just the translation: it owns a single
 //! [`EngineWorker`] — one [`FunctionAnalyses`] cache, one SSA-pass scratch,
-//! one translation scratch and one function pool — and runs
+//! one translation scratch, one verifier scratch and one function pool —
+//! and runs
 //!
+//! 0. [`verify_cfg_scratch`] — the structural check of the input, in the
+//!    `try_run*` entry points only,
 //! 1. [`construct_ssa_scratch`] — pruned SSA construction,
 //! 2. [`propagate_copies_keeping_scratch`] — the optimization that breaks
 //!    conventionality,
@@ -54,7 +57,7 @@ use ossa_destruct::{
     translate_out_of_ssa_scratch, EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats,
     TranslateError,
 };
-use ossa_ir::Function;
+use ossa_ir::{verify_cfg_scratch, Function};
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
 use ossa_regalloc::{allocate_cached, Allocation};
 use ossa_ssa::{
@@ -213,6 +216,8 @@ impl Pipeline {
         func: &mut Function,
         constrain: impl FnOnce(&mut Function),
     ) -> PipelineReport {
+        // A new function: drop (and recycle) everything from the previous one.
+        self.worker.analyses.invalidate_cfg();
         self.passes.run(func, constrain, self.ladder.options(), &mut self.worker)
     }
 
@@ -249,11 +254,15 @@ impl Pipeline {
             worker.attempt(func, rung, limits, pristine.as_ref(), |worker, func| {
                 // The pipeline ingests virtual-register (pre-SSA) code, so
                 // only the structural verifier applies here; SSA invariants
-                // are established by the construction pass itself.
-                ossa_ir::verify_cfg(func).map_err(|errors| TranslateError::Malformed {
-                    phase: TranslatePhase::Verify,
-                    detail: errors.to_string(),
-                })?;
+                // are established by the construction pass itself, which
+                // reuses the CFG the verifier computed into the cache.
+                worker.analyses.invalidate_cfg();
+                verify_cfg_scratch(func, &worker.analyses, &mut worker.verify).map_err(
+                    |errors| TranslateError::Malformed {
+                        phase: TranslatePhase::Verify,
+                        detail: errors.to_string(),
+                    },
+                )?;
                 Ok(passes.run(func, &mut constrain, &rung.options, worker))
             })
         });
@@ -272,9 +281,8 @@ impl Passes {
         options: &OutOfSsaOptions,
         worker: &mut EngineWorker,
     ) -> PipelineReport {
+        // The caller invalidated the cache for this function.
         let EngineWorker { analyses, ssa, scratch, .. } = worker;
-        // A new function: drop (and recycle) everything from the previous one.
-        analyses.invalidate_cfg();
 
         // Middle end, in the worker's recycled SSA scratch. These are all
         // instruction-only mutations, invalidated as the `_cached` wrappers

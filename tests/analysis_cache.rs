@@ -386,6 +386,91 @@ fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
     }
 }
 
+/// The checked steps verify on their worker's analysis cache, in its
+/// recycled verifier scratch, so verification costs no allocation: once
+/// warm, a round of `try_translate` (one unvalidated rung, so no snapshot)
+/// allocates exactly as often as a round of the unchecked step, and
+/// `Pipeline::try_run` exactly as often as `Pipeline::run_with`.
+#[test]
+fn warm_checked_steps_allocate_as_often_as_unchecked_ones() {
+    use ossa_bench::alloc::allocation_count;
+    use out_of_ssa::destruct::{translate_out_of_ssa_scratch, Engine, EngineWorker};
+
+    let options = OutOfSsaOptions::default();
+    let engine = Engine::new(options.clone());
+    let ssa_inputs: Vec<Function> = (0..16u64)
+        .map(|seed| {
+            let (mut func, _) =
+                generate_ssa_function(format!("chk{seed}"), &GenConfig::small(), seed);
+            pin_call_conventions(&mut func);
+            func
+        })
+        .collect();
+    let mut worker = EngineWorker::new();
+    // Each input is copied into a pooled slot, translated and retired.
+    let mut engine_round = |checked: bool| {
+        let before = allocation_count();
+        for input in &ssa_inputs {
+            let mut func = worker.pool.checkout_clone_of(input);
+            if checked {
+                worker.try_translate(&mut func, &engine).expect("healthy input");
+            } else {
+                worker.analyses.invalidate_cfg();
+                let _ = translate_out_of_ssa_scratch(
+                    &mut func,
+                    &options,
+                    &mut worker.analyses,
+                    &mut worker.scratch,
+                );
+            }
+            worker.pool.retire(func);
+        }
+        allocation_count() - before
+    };
+    for checked in [false, true, false, true] {
+        engine_round(checked);
+    }
+    let engine_rounds = [false, true, false, true].map(&mut engine_round);
+
+    let inputs: Vec<Function> = (0..16u64)
+        .map(|seed| generate_function(format!("chk{seed}"), &GenConfig::small(), seed))
+        .collect();
+    let mut outputs = inputs.clone();
+    let mut pipeline = Pipeline::new(options).with_registers(8);
+    let mut pipeline_round = |checked: bool| {
+        for (output, input) in outputs.iter_mut().zip(&inputs) {
+            output.clone_from(input);
+        }
+        let before = allocation_count();
+        for output in &mut outputs {
+            let report = if checked {
+                pipeline.try_run(output).expect("healthy input")
+            } else {
+                pipeline.run_with(output, |_| {})
+            };
+            assert!(report.allocation.is_some());
+        }
+        allocation_count() - before
+    };
+    for checked in [false, true, false, true] {
+        pipeline_round(checked);
+    }
+    let pipeline_rounds = [false, true, false, true].map(&mut pipeline_round);
+
+    // Debug builds also allocate in `debug_assert!`-only verification, but
+    // the same in both steps, so the equality holds in every build.
+    for (name, [unchecked, checked, unchecked_again, checked_again]) in
+        [("engine", engine_rounds), ("pipeline", pipeline_rounds)]
+    {
+        assert_eq!(unchecked, unchecked_again, "{name}: unchecked rounds drifted");
+        assert_eq!(checked, checked_again, "{name}: checked rounds drifted");
+        assert_eq!(
+            checked, unchecked,
+            "{name}: a warm checked round allocated {checked} times, an unchecked one {unchecked}"
+        );
+    }
+}
+
 /// The pristine-snapshot half of the same claim: `checkout_clone_of` into a
 /// retired pool slot rebuilds every block inside the slot's own block
 /// storage, so once the slot has seen each shape a snapshot allocates

@@ -141,6 +141,34 @@ fn malformed_input_is_reported_as_a_verify_error() {
 }
 
 #[test]
+fn a_phi_in_the_entry_block_is_reported_as_a_verify_error() {
+    use out_of_ssa::interp::{InterpError, Interpreter};
+    use out_of_ssa::ir::builder::FunctionBuilder;
+    use out_of_ssa::ir::BinaryOp;
+    let _guard = serialised();
+    // entry: v0 = φ(); v1 = param 0; v2 = add v0, v1; return v2
+    let mut b = FunctionBuilder::new("entry_phi", 1);
+    let entry = b.create_block();
+    b.set_entry(entry);
+    b.switch_to_block(entry);
+    let phi = b.phi(vec![]);
+    let x = b.param(0);
+    let sum = b.binary(BinaryOp::Add, phi, x);
+    b.ret(Some(sum));
+    let mut func = b.finish();
+    assert_eq!(Interpreter::new().run(&func, &[1]).unwrap_err(), InterpError::PhiInEntry(entry));
+
+    // Translated, the φ would vanish and leave a read of an undefined value.
+    let engine = Engine::new(OutOfSsaOptions::default());
+    let err = EngineWorker::new().try_translate(&mut func, &engine).unwrap_err();
+    let TranslateError::Malformed { phase, detail } = err else {
+        panic!("expected Malformed, got {err:?}");
+    };
+    assert_eq!(phase, TranslatePhase::Verify);
+    assert_eq!(detail, "bb0/inst0: phi in the entry block");
+}
+
+#[test]
 fn a_poisoned_function_never_affects_its_corpus_neighbours() {
     let _guard = serialised();
     let engine = Engine::new(OutOfSsaOptions::default());

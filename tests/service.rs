@@ -12,8 +12,11 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
-use out_of_ssa::destruct::{Engine, EngineWorker, Ladder, OutOfSsaOptions, ValidationMode};
-use out_of_ssa::ir::Function;
+use out_of_ssa::destruct::{
+    Engine, EngineWorker, Ladder, OutOfSsaOptions, TranslateError, TranslatePhase, ValidationMode,
+};
+use out_of_ssa::ir::builder::FunctionBuilder;
+use out_of_ssa::ir::{BinaryOp, Function};
 use out_of_ssa::service::{
     AdmissionPolicy, DegradationConfig, ServiceConfig, ServiceError, SubmitError,
     TranslationService,
@@ -145,6 +148,35 @@ fn deadline_expiring_in_the_queue_is_typed_and_skips_translation() {
     assert_eq!(stats.expired_in_queue, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.resolved(), 2);
+}
+
+#[test]
+fn a_phi_in_the_entry_block_is_refused_as_malformed_and_handed_back() {
+    // entry: v0 = φ(); v1 = param 0; v2 = add v0, v1; return v2
+    let mut b = FunctionBuilder::new("entry_phi", 1);
+    let entry = b.create_block();
+    b.set_entry(entry);
+    b.switch_to_block(entry);
+    let phi = b.phi(vec![]);
+    let x = b.param(0);
+    let sum = b.binary(BinaryOp::Add, phi, x);
+    b.ret(Some(sum));
+    let func = b.finish();
+
+    // The default configuration: no validation and two retries, every one
+    // of which rejects the input.
+    let service = TranslationService::start(ServiceConfig::default());
+    let response = service.submit(func.clone()).expect("admitted").wait();
+    let Err(ServiceError::Translate(TranslateError::Malformed { phase, detail })) =
+        response.outcome
+    else {
+        panic!("expected a Malformed reply, got {:?}", response.outcome);
+    };
+    assert_eq!(phase, TranslatePhase::Verify);
+    assert!(detail.contains("phi in the entry block"), "{detail}");
+    assert_eq!(response.returned, Some(func), "the input is handed back unchanged");
+    let stats = service.shutdown();
+    assert_eq!((stats.completed, stats.failed), (0, 1));
 }
 
 #[test]
