@@ -188,7 +188,8 @@ pub fn verify_ssa_scratch(
 }
 
 /// Predecessor lists: the caller's CFG, or a one-off scan for a function
-/// that branches to an unallocated block, which a CFG cannot represent.
+/// whose entry or branch target is an unallocated block, which a CFG cannot
+/// represent.
 enum Preds<'a> {
     Cfg(&'a ControlFlowGraph),
     Scan(SecondaryMap<Block, Vec<Block>>),
@@ -215,13 +216,13 @@ fn structural_checks(
     }
     let entry = func.entry();
 
-    // `ControlFlowGraph::recompute` indexes by successor, so the caller's
-    // CFG is asked for only once every block's targets exist. Its lists
-    // equal `Function::predecessors`, order included: blocks are laid out
-    // in index order.
-    let in_range = func
-        .blocks()
-        .all(|block| func.successors_iter(block).all(|succ| succ.index() < func.num_blocks()));
+    // `ControlFlowGraph::recompute` indexes by the entry and by successor,
+    // so the caller's CFG is asked for only once those blocks all exist. Its
+    // lists equal `Function::predecessors`, order included: blocks are laid
+    // out in index order.
+    let exists = |block: Block| block.index() < func.num_blocks();
+    let in_range =
+        exists(entry) && func.blocks().all(|block| func.successors_iter(block).all(exists));
     let preds =
         if in_range { Preds::Cfg(analyses.cfg(func)) } else { Preds::Scan(func.predecessors()) };
     // As in LLVM. Otherwise SSA construction's entry definitions would run

@@ -495,6 +495,17 @@ fn valid_functions_verify_as_the_reference_does() {
     assert_eq!(checker.rejected, 0, "the generators build valid functions");
 }
 
+/// An entry block that was never allocated: the CFG cannot represent it
+/// either, so the structural checks take the predecessor scan.
+#[test]
+fn an_unallocated_entry_block_gets_the_reference_diagnostics() {
+    let mut checker = Checker::new();
+    for mut func in pre_ssa_inputs() {
+        func.set_entry(Block::from_index(func.num_blocks()));
+        checker.check_cfg(&func, &func.name);
+    }
+}
+
 /// A diagnostic's rule: its message with every number replaced by `#`.
 fn rule(error: &VerifierError) -> String {
     let mut rule = String::new();
