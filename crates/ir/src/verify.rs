@@ -15,8 +15,9 @@
 //! [`verify_cfg_scratch`] and [`verify_ssa_scratch`] read the CFG and
 //! dominator tree from the caller's [`CfgAnalyses`] instead, and work in the
 //! caller's recycled scratch: the engine and the pipeline verify on their
-//! worker's analysis cache, which the translation then reuses, so a checked
-//! step costs no allocation and no analysis beyond an unchecked one.
+//! worker's analysis cache, which the translation then reuses, so a warm
+//! checked step computes no extra analysis and allocates no more than an
+//! unchecked one.
 
 use std::cell::OnceCell;
 use std::fmt;
