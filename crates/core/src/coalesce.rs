@@ -53,7 +53,7 @@ pub struct TranslateScratch {
     seq: SeqScratch,
     /// `equal_anc_out` scratch of the linear class-interference check.
     equal_anc: EqualAncOut,
-    /// Congruence-class storage, [`CongruenceClasses::reset`] per function.
+    /// Congruence-class storage, [`CongruenceClasses::reset_for`] per function.
     classes: CongruenceClasses,
     /// Decision-phase output: the class snapshot maps, value table and
     /// sharing bookkeeping, recycled across functions.
@@ -92,8 +92,6 @@ pub struct TranslateScratch {
     /// stable sort's internal allocation — the last steady-state allocation
     /// of the decision phase).
     sort_buf: Vec<InsertedMove>,
-    /// Memoized positive class-interference verdicts, re-armed per function.
-    verdicts: VerdictCache,
 }
 
 impl TranslateScratch {
@@ -101,143 +99,6 @@ impl TranslateScratch {
     /// afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Memoized `true` verdicts of [`classes_interfere`], keyed on the two class
-/// roots and their merge versions ([`CongruenceClasses::class_version`]).
-///
-/// Only *positive* verdicts are stored. Classes only ever grow, and both
-/// ingredients of a positive verdict are monotone under growth: an
-/// interfering member pair is still present in any later superset of the
-/// classes, and labels only transition from unpinned to pinned (a merge
-/// never combines two distinct labels — such classes always interfere). So a
-/// recorded "interferes" can never be invalidated by later merges, while a
-/// "does not interfere" verdict is immediately consumed by a merge that
-/// destroys one of the keyed classes (and, on the linear path, comes with
-/// `equal_anc_out` chains the merge needs — a cache hit could not supply
-/// them). The version half of the key makes hits exact regardless: a lookup
-/// only matches while *neither* side's class has changed since the verdict
-/// was computed, which is the ISSUE's invalidation contract.
-///
-/// The table is open-addressed (FNV-1a over the packed key, linear probing,
-/// ≤50% load) with generation-stamped slots: [`VerdictCache::begin_round`]
-/// re-arms the whole table in O(1) per function instead of zeroing it.
-#[derive(Debug, Default)]
-struct VerdictCache {
-    /// `(packed low key, packed high key, generation)` per slot; a slot is
-    /// empty for the current round unless its stamp matches `generation`.
-    slots: Vec<(u64, u64, u32)>,
-    generation: u32,
-    /// Entries stored in the current round, for the load-factor check.
-    live: usize,
-}
-
-/// Normalized key of one class pair: `(root, version)` of both sides, the
-/// lower root index first (interference is symmetric).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct VerdictKey(u64, u64);
-
-impl VerdictKey {
-    fn new(ra: Value, va: u32, rb: Value, vb: u32) -> Self {
-        let a = ((ra.index() as u64) << 32) | va as u64;
-        let b = ((rb.index() as u64) << 32) | vb as u64;
-        if a <= b {
-            Self(a, b)
-        } else {
-            Self(b, a)
-        }
-    }
-
-    fn hash(self) -> u64 {
-        // FNV-1a over the 16 key bytes.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in [self.0, self.1] {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-}
-
-impl VerdictCache {
-    /// Re-arms the cache for the next `decide()` round without touching the
-    /// slots: bumping the generation makes every existing entry stale.
-    fn begin_round(&mut self) {
-        self.live = 0;
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // The stamp wrapped around: entries from 2³² rounds ago would
-            // alias the new generation, so flush the slots for real.
-            for slot in &mut self.slots {
-                *slot = (0, 0, 0);
-            }
-            self.generation = 1;
-        }
-    }
-
-    /// Returns `true` if a positive verdict is recorded for `key`.
-    fn contains(&self, key: VerdictKey) -> bool {
-        if self.live == 0 {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = key.hash() as usize & mask;
-        loop {
-            let (lo, hi, stamp) = self.slots[i];
-            if stamp != self.generation {
-                return false;
-            }
-            if (lo, hi) == (key.0, key.1) {
-                return true;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Records a positive verdict for `key`.
-    fn insert(&mut self, key: VerdictKey) {
-        if self.slots.is_empty() {
-            self.slots.resize(256, (0, 0, 0));
-            if self.generation == 0 {
-                self.generation = 1;
-            }
-        } else if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = key.hash() as usize & mask;
-        loop {
-            let (lo, hi, stamp) = self.slots[i];
-            if stamp != self.generation {
-                self.slots[i] = (key.0, key.1, self.generation);
-                self.live += 1;
-                return;
-            }
-            if (lo, hi) == (key.0, key.1) {
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the table, re-inserting the current round's entries.
-    fn grow(&mut self) {
-        let doubled = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0, 0); doubled]);
-        let mask = self.slots.len() - 1;
-        for (lo, hi, stamp) in old {
-            if stamp != self.generation {
-                continue;
-            }
-            let mut i = VerdictKey(lo, hi).hash() as usize & mask;
-            while self.slots[i].2 == self.generation {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = (lo, hi, self.generation);
-        }
     }
 }
 
@@ -954,7 +815,6 @@ fn decide<L: BlockLiveness>(
         grouped,
         range_of,
         sort_buf,
-        verdicts,
         ..
     } = scratch;
     let Decisions {
@@ -969,7 +829,6 @@ fn decide<L: BlockLiveness>(
     values_slot.compute_into(func, domtree);
     let values: &ValueTable = values_slot;
     classes.reset_for(func, domtree, intersect.info(), universe);
-    verdicts.begin_round();
     let scratch = equal_anc;
     let mut moves_coalesced = 0usize;
     let no_anc = EqualAncOut::new();
@@ -982,9 +841,9 @@ fn decide<L: BlockLiveness>(
     // are disjoint singleton classes at this point, so the register-sorted
     // group order leaves every decision unchanged while replacing the scan
     // that was quadratic in distinct pinned registers.
-    // Every pinned value is a universe member (`copy_related_universe_into`
-    // collects them explicitly), so the scan runs over the universe instead
-    // of all values; the sort restores the same total order either way.
+    // Every pinned value is a universe member (the universe scan collects
+    // them explicitly), so the scan runs over the universe instead of all
+    // values; the sort restores the same total order either way.
     pinned.clear();
     for &value in universe {
         if let Some(reg) = func.pinned_reg(value) {
@@ -1046,7 +905,6 @@ fn decide<L: BlockLiveness>(
                         (options.strategy == Strategy::SreedharI).then_some((primed, original));
                     let interferes = classes_interfere(
                         options, classes, node, original, intersect, values, graph, skip, scratch,
-                        verdicts,
                     );
                     let virtual_conflict = !interferes
                         && virtual_copy_conflict(
@@ -1099,7 +957,7 @@ fn decide<L: BlockLiveness>(
         }
         let skip = (options.strategy == Strategy::SreedharI).then_some((m.dst, m.src));
         let interferes = classes_interfere(
-            options, classes, m.dst, m.src, intersect, values, graph, skip, scratch, verdicts,
+            options, classes, m.dst, m.src, intersect, values, graph, skip, scratch,
         );
         if !interferes {
             classes.merge(m.dst, m.src, scratch);
@@ -1168,7 +1026,6 @@ fn decide<L: BlockLiveness>(
                         // and drop the copy.
                         let interferes = classes_interfere(
                             options, classes, b, c, intersect, values, graph, None, scratch,
-                            verdicts,
                         );
                         if !interferes {
                             classes.merge(b, c, scratch);
@@ -1185,13 +1042,12 @@ fn decide<L: BlockLiveness>(
     // Snapshot the classes into the scratch-owned dense maps for the rewrite
     // phase. Only copy-related universe members can ever be merged (every
     // merge endpoint is a φ/copy operand or a pinned value, and
-    // `copy_related_universe_into` collects both), so the union-find and
-    // def/use lookups run over the universe only; every other value keeps the
-    // `None` entry written by the wholesale clear below, which the rewrite
-    // reads as "renames to itself". The clear also guarantees stale entries
-    // from a previous function are never observed. The rename target is the
-    // *canonical* representative, which is independent of the union-by-rank
-    // tree shape.
+    // `copy_related_universe_and_sites_into` collects both), so the
+    // union-find and def/use lookups run over the universe only; every other
+    // value keeps the `None` entry written by the wholesale clear below,
+    // which the rewrite reads as "renames to itself". The clear also
+    // guarantees stale entries from a previous function are never observed.
+    // The rename target is the class root.
     coalesce_probe(CoalesceStage::Snapshot);
     class_rep.resize(func.num_values());
     for slot in class_rep.values_mut() {
@@ -1337,37 +1193,23 @@ fn classes_interfere<L: BlockLiveness>(
     graph: Option<&InterferenceGraph>,
     skip_pair: Option<(Value, Value)>,
     scratch: &mut EqualAncOut,
-    cache: &mut VerdictCache,
 ) -> bool {
     scratch.clear();
     // Resolve both class roots once; every class query below (labels,
-    // members, versions) re-finds its argument, and a root resolves in one
-    // parent probe — so the walks run on `(ra, rb)` instead of repeating
-    // the full path per lookup. The classes of `a` and `b` are unchanged,
-    // so every verdict is too.
+    // members) re-finds its argument, and a root resolves in one parent
+    // probe — so the walks run on `(ra, rb)` instead of repeating the full
+    // path per lookup. The classes of `a` and `b` are unchanged, so every
+    // verdict is too.
     let (ra, rb) = (classes.find(a), classes.find(b));
     if classes.labels_conflict(ra, rb) {
         return true;
-    }
-    // Verdict memoization. Only exact snapshots hit: the key carries both
-    // roots *and* their merge versions, so a hit means neither class has
-    // changed since the verdict was computed. Excluded when Sreedhar I's
-    // candidate-pair exemption is in play — the verdict then depends on the
-    // exempted pair, not only on the two classes.
-    let cache_key = skip_pair
-        .is_none()
-        .then(|| VerdictKey::new(ra, classes.class_version(ra), rb, classes.class_version(rb)));
-    if let Some(key) = cache_key {
-        if cache.contains(key) {
-            return true;
-        }
     }
     let use_values = options.strategy == Strategy::Value;
 
     // The linear check is only valid when classes are internally
     // intersection-free up to value equality, which holds for the Intersect
     // and Value strategies.
-    let interferes = if options.class_check == ClassCheck::Linear
+    if options.class_check == ClassCheck::Linear
         && skip_pair.is_none()
         && graph.is_none()
         && matches!(options.strategy, Strategy::Intersect | Strategy::Value)
@@ -1392,13 +1234,7 @@ fn classes_interfere<L: BlockLiveness>(
             }
         };
         classes.interfere_sweep(ra, rb, skip_pair, &mut pair_interferes, scratch)
-    };
-    if interferes {
-        if let Some(key) = cache_key {
-            cache.insert(key);
-        }
     }
-    interferes
 }
 
 /// One entry of the parallel-copy deduplication scratch of [`rewrite`].

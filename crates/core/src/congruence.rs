@@ -19,13 +19,11 @@
 //! All per-value state is held in dense [`SecondaryMap`]s — the class
 //! operations sit on the hot path of every coalescing decision. The
 //! union-find uses path compression (through interior mutability, so lookups
-//! stay `&self`) and union by rank; because rank-based linking makes the
-//! *tree root* an implementation detail, the externally meaningful class
-//! identity — the value every member is renamed to — is tracked separately
-//! as the class's *canonical representative*
-//! ([`CongruenceClasses::representative`]), which is always the root the
-//! seed's rank-free linking would have chosen, keeping the translated output
-//! bit-identical.
+//! stay `&self`) and links without ranks: a merge always hangs the second
+//! operand's root under the first's. Each class therefore has exactly one
+//! name, its union-find root ([`CongruenceClasses::find`]), which is also
+//! the value the rewrite renames every member to
+//! ([`CongruenceClasses::representative`]).
 
 use std::cell::Cell;
 
@@ -133,12 +131,6 @@ pub struct CongruenceClasses {
     /// Union-find parent links. `Cell` so that [`CongruenceClasses::find`]
     /// can compress paths behind a `&self` borrow.
     parent: SecondaryMap<Value, Cell<Option<Value>>>,
-    /// Union-by-rank upper bound on the tree height, stored at roots.
-    rank: SecondaryMap<Value, u32>,
-    /// Canonical representative of a class, stored at the tree root when it
-    /// differs from the root itself (`None` = the root is canonical). This
-    /// is the value the rewrite renames every member to.
-    canon: SecondaryMap<Value, Option<Value>>,
     /// Members of each class, stored at the class root, sorted by
     /// [`DefOrderKey`]. Empty at roots of *singleton* classes — the
     /// one-element list is read from `pool` instead, so construction
@@ -161,17 +153,12 @@ pub struct CongruenceClasses {
     /// For the value-based linear test: nearest dominating member of the
     /// same class with the same value that intersects the value.
     equal_anc_in: SecondaryMap<Value, Option<Value>>,
-    /// Merge version of each class, stored at roots: bumped every time the
-    /// class gains members. `(root, version)` names an immutable snapshot of
-    /// a class — the key the coalescer's verdict cache is invalidated by
-    /// (see [`CongruenceClasses::class_version`]).
-    version: SecondaryMap<Value, u32>,
     /// Number of interference queries performed (statistics).
     queries: u64,
     /// The slots written since the last [`CongruenceClasses::reset_for`]
     /// (its universe plus [`CongruenceClasses::add_value`] registrations):
-    /// every union-find, member, label, key, chain and version write lands on
-    /// a class member or affinity endpoint, all of which the universe covers.
+    /// every union-find, member, label, key and chain write lands on a class
+    /// member or affinity endpoint, all of which the universe covers.
     /// The next `reset_for` only has to scrub these slots.
     dirty: Vec<Value>,
 }
@@ -256,31 +243,22 @@ impl CongruenceClasses {
                 self.free.push(std::mem::take(slot));
             }
             self.parent[value].set(None);
-            self.rank[value] = 0;
-            self.canon[value] = None;
             self.labels[value] = None;
             self.keys[value] = None;
             self.equal_anc_in[value] = None;
-            self.version[value] = 0;
         }
         self.queries = 0;
 
         self.parent.truncate(num_values);
-        self.rank.truncate(num_values);
-        self.canon.truncate(num_values);
         self.members.truncate(num_values);
         self.labels.truncate(num_values);
         self.keys.truncate(num_values);
         self.equal_anc_in.truncate(num_values);
-        self.version.truncate(num_values);
         self.parent.resize(num_values);
-        self.rank.resize(num_values);
-        self.canon.resize(num_values);
         self.members.resize(num_values);
         self.labels.resize(num_values);
         self.keys.resize(num_values);
         self.equal_anc_in.resize(num_values);
-        self.version.resize(num_values);
         if self.pool.len() < num_values {
             self.pool.reserve_exact(num_values - self.pool.len());
             while self.pool.len() < num_values {
@@ -295,10 +273,7 @@ impl CongruenceClasses {
         self.dirty.push(value);
         self.keys[value] = Some(key);
         self.parent[value] = Cell::new(None);
-        self.rank[value] = 0;
-        self.canon[value] = None;
         self.equal_anc_in[value] = None;
-        self.version[value] = 0;
         self.members[value].clear();
         self.labels[value] = label;
         while self.pool.len() <= value.index() {
@@ -307,9 +282,8 @@ impl CongruenceClasses {
     }
 
     /// The union-find root of the class of `value`, compressing the walked
-    /// path. The root is an internal identity (stable key for the member,
-    /// label and canon storage); the externally meaningful class name is
-    /// [`CongruenceClasses::representative`].
+    /// path. The root names the class: it keys the member and label storage
+    /// and is the value the rewrite renames every member to.
     pub fn find(&self, value: Value) -> Value {
         let mut root = value;
         while let Some(up) = self.parent.get(root).get() {
@@ -327,12 +301,11 @@ impl CongruenceClasses {
         root
     }
 
-    /// The canonical representative of the class of `value`: the value every
-    /// member is renamed to by the rewrite. Identical to the tree root the
-    /// seed's rank-free linking produced, independent of rank decisions.
+    /// The representative of the class of `value`: the value every member is
+    /// renamed to by the rewrite. It is the class root,
+    /// [`CongruenceClasses::find`].
     pub fn representative(&self, value: Value) -> Value {
-        let root = self.find(value);
-        self.canon.get(root).unwrap_or(root)
+        self.find(value)
     }
 
     /// Returns `true` if `a` and `b` are already coalesced.
@@ -370,21 +343,6 @@ impl CongruenceClasses {
         self.queries
     }
 
-    /// The merge version of the class whose *root* is `root` (callers pass a
-    /// [`CongruenceClasses::find`] result). The version is bumped exactly
-    /// when the class gains members, and a class's interference-relevant
-    /// state — member list, label, members' `equal_anc_in` chains — changes
-    /// only then, so `(root, version)` pins an immutable snapshot: equal
-    /// pairs on both sides guarantee a cached verdict is still exact.
-    pub fn class_version(&self, root: Value) -> u32 {
-        *self.version.get(root)
-    }
-
-    /// Adds externally performed pair queries to the statistics counter.
-    pub fn add_queries(&mut self, count: u64) {
-        self.queries += count;
-    }
-
     /// The nearest same-class, same-value, intersecting dominating ancestor
     /// recorded for `value`.
     pub fn equal_anc_in(&self, value: Value) -> Option<Value> {
@@ -403,15 +361,14 @@ impl CongruenceClasses {
     /// Merges the classes of `a` and `b` without checking interference.
     /// The member lists are merged in definition order and the
     /// equal-intersecting-ancestor chains are combined as in the paper.
-    /// The canonical representative of the combined class is the one of
-    /// `a`'s class; the tree root is chosen by rank.
+    /// `b`'s root is linked under `a`'s, which stays the name of the
+    /// combined class.
     pub fn merge(&mut self, a: Value, b: Value, equal_anc_out: &EqualAncOut) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
             return;
         }
-        let canonical = self.canon.get(ra).unwrap_or(ra);
         // Label propagation: as in the seed, a label on `b`'s class wins
         // over one on `a`'s (differently labeled classes always interfere,
         // so conditional merges never see two distinct labels).
@@ -480,26 +437,16 @@ impl CongruenceClasses {
             }
         }
 
-        // Union by rank; the canonical representative rides along with the
-        // winning root so the class keeps its external identity.
-        let (root, child) = if self.rank[ra] >= self.rank[rb] { (ra, rb) } else { (rb, ra) };
-        if self.rank[ra] == self.rank[rb] {
-            self.rank[root] += 1;
-        }
-        self.parent[child] = Cell::new(Some(root));
-        self.labels[root] = label;
-        self.canon[root] = (canonical != root).then_some(canonical);
-        self.members[root] = merged;
-        // The surviving root now names a different class: advance its
-        // version so cached verdicts keyed on the old snapshot miss. The
-        // losing root can never be a root again, so its slot needs no bump.
-        self.version[root] = self.version[root].wrapping_add(1);
+        self.parent[rb] = Cell::new(Some(ra));
+        self.labels[ra] = label;
+        self.members[ra] = merged;
     }
 
     /// Merges every value of `group` into one class without interference
     /// checks — the unconditional pre-coalescing of φ-webs (Lemma 1) and
     /// same-register pinned values. One sort instead of `k` incremental
-    /// sorted-list merges.
+    /// sorted-list merges. Every other root is linked under the root of
+    /// `group[0]`, which names the combined class.
     pub fn merge_group(&mut self, group: &[Value]) {
         let Some((&first, rest)) = group.split_first() else { return };
         let ra = self.find(first);
@@ -516,7 +463,6 @@ impl CongruenceClasses {
             self.group_roots = roots;
             return;
         }
-        let canonical = self.canon.get(ra).unwrap_or(ra);
         // Buffers in the free list keep their stale contents (only their
         // capacity matters); every consumer clears before filling.
         let mut merged = self.free.pop().unwrap_or_default();
@@ -538,23 +484,9 @@ impl CongruenceClasses {
         // and orders exactly like the seed's stable sort; undefined values
         // (no key) fall back to the value index explicitly.
         merged.sort_unstable_by_key(|&v| (self.keys[v], v.index()));
-        // Link everything under the highest-rank root (ties resolved to the
-        // first, keeping the choice deterministic).
-        let mut root = roots[0];
-        for &r in &roots[1..] {
-            if self.rank[r] > self.rank[root] {
-                root = r;
-            }
-        }
-        let top_rank = self.rank[root];
-        let mut label = self.labels[root];
-        let mut bump = false;
-        for &other in &roots {
-            if other == root {
-                continue;
-            }
-            bump |= self.rank[other] == top_rank;
-            self.parent[other] = Cell::new(Some(root));
+        let mut label = self.labels[ra];
+        for &other in &roots[1..] {
+            self.parent[other] = Cell::new(Some(ra));
             if let Some(reg) = self.labels[other] {
                 debug_assert!(
                     label.is_none_or(|r| r == reg),
@@ -563,16 +495,9 @@ impl CongruenceClasses {
                 label = Some(reg);
             }
         }
-        if bump {
-            self.rank[root] = top_rank + 1;
-        }
-        self.labels[root] = label;
-        self.canon[root] = (canonical != root).then_some(canonical);
-        let displaced = std::mem::replace(&mut self.members[root], merged);
-        if displaced.capacity() > 0 {
-            self.free.push(displaced);
-        }
-        self.version[root] = self.version[root].wrapping_add(1);
+        self.labels[ra] = label;
+        // The loop above took every root's list, `ra`'s included.
+        self.members[ra] = merged;
         self.group_roots = roots;
     }
 
@@ -1184,36 +1109,81 @@ mod tests {
         assert_eq!(classes.representative(b1), a);
     }
 
+    /// The rank-free union-find against a partition oracle: seeded random
+    /// sequences of `merge` and `merge_group` over the copy-related universe
+    /// of generated functions. The oracle names a combined class after its
+    /// first operand's class, which is the name the rewrite renames to, so
+    /// after every operation `representative` must return the oracle's name,
+    /// `same_class` must agree with it and `members` must list the oracle's
+    /// class in definition order. One instance is recycled across all
+    /// functions through `reset_for`.
     #[test]
-    fn union_find_ranks_grow_monotonically_and_bound_children() {
-        let (f, vals) = copies_function();
-        let fx = Fixture::new(f);
-        let mut classes = fx.classes();
+    fn union_find_matches_a_partition_oracle_on_generated_functions() {
+        use ossa_cfggen::rng::SmallRng;
+        use ossa_cfggen::{generate_ssa_function, GenConfig};
+        use std::collections::HashMap;
+
         let none = EqualAncOut::new();
-        let mut last_root_rank = 0u32;
-        for window in vals.windows(2) {
-            let [x, y] = window[..] else { panic!() };
-            classes.merge(x, y, &none);
-            let root = classes.find(x);
-            let rank = classes.rank[root];
-            // Root rank never decreases as the class grows.
-            assert!(rank >= last_root_rank, "rank decreased: {rank} < {last_root_rank}");
-            last_root_rank = rank;
-        }
-        // Every non-root has a strictly smaller rank than its parent (the
-        // union-by-rank invariant).
-        let root = classes.find(vals[0]);
-        for &v in &vals {
-            if v != root {
-                let parent = classes.parent.get(v).get().expect("linked");
-                assert!(
-                    classes.rank[v] < classes.rank[parent],
-                    "rank[{v}] = {} not below rank of parent {parent} = {}",
-                    classes.rank[v],
-                    classes.rank[parent],
-                );
+        let mut classes = CongruenceClasses::default();
+        let mut checked_ops = 0usize;
+        for (prefix, config, seeds) in
+            [("uf", GenConfig::small(), 60), ("UF", GenConfig::default(), 20)]
+        {
+            for seed in 0..seeds {
+                let (func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+                let universe = crate::interference::copy_related_universe(&func);
+                if universe.len() < 2 {
+                    continue;
+                }
+                let cfg = ControlFlowGraph::compute(&func);
+                let domtree = DominatorTree::compute(&func, &cfg);
+                let info = LiveRangeInfo::compute(&func);
+                classes.reset_for(&func, &domtree, &info, &universe);
+                let mut name: HashMap<Value, Value> = universe.iter().map(|&v| (v, v)).collect();
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+                let pick = |rng: &mut SmallRng| universe[rng.below(universe.len())];
+                for op in 0..3 * universe.len() {
+                    if rng.below(4) == 0 {
+                        let len = rng.range_inclusive(1, 5);
+                        let group: Vec<Value> = (0..len).map(|_| pick(&mut rng)).collect();
+                        let target = name[&group[0]];
+                        let absorbed: Vec<Value> = group.iter().map(|v| name[v]).collect();
+                        for class in name.values_mut() {
+                            if absorbed.contains(class) {
+                                *class = target;
+                            }
+                        }
+                        classes.merge_group(&group);
+                    } else {
+                        let (a, b) = (pick(&mut rng), pick(&mut rng));
+                        let (na, nb) = (name[&a], name[&b]);
+                        for class in name.values_mut() {
+                            if *class == nb {
+                                *class = na;
+                            }
+                        }
+                        classes.merge(a, b, &none);
+                    }
+                    checked_ops += 1;
+
+                    let mut oracle: HashMap<Value, Vec<Value>> = HashMap::new();
+                    for &v in &universe {
+                        oracle.entry(name[&v]).or_default().push(v);
+                    }
+                    for list in oracle.values_mut() {
+                        list.sort_by_key(|&v| (classes.key(v), v.index()));
+                    }
+                    for &v in &universe {
+                        let w = pick(&mut rng);
+                        let ctx = format!("{prefix}{seed} op {op}: {v}");
+                        assert_eq!(classes.representative(v), name[&v], "{ctx}: class name");
+                        assert_eq!(classes.same_class(v, w), name[&v] == name[&w], "{ctx} ~ {w}");
+                        assert_eq!(classes.members(v), &oracle[&name[&v]][..], "{ctx}: members");
+                    }
+                }
             }
         }
+        assert!(checked_ops >= 2_000, "only {checked_ops} union-find operations were checked");
     }
 
     #[test]

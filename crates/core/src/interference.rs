@@ -152,55 +152,29 @@ impl InterferenceGraph {
 
 /// Collects the universe the paper restricts liveness/interference
 /// information to: values that appear in φ-functions or copies (sequential
-/// or parallel), i.e. the values the coalescer may actually merge.
+/// or parallel), i.e. the values the coalescer may actually merge. A
+/// one-shot form of [`copy_related_universe_and_sites_into`], the scan the
+/// translation runs.
 pub fn copy_related_universe(func: &Function) -> Vec<Value> {
     let mut universe = Vec::new();
-    let mut seen = ossa_ir::EntitySet::new();
-    let mut scratch = Vec::new();
-    copy_related_universe_into(func, &mut universe, &mut seen, &mut scratch);
+    copy_related_universe_and_sites_into(
+        func,
+        &mut universe,
+        &mut ossa_ir::EntitySet::new(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
     universe
 }
 
-/// Like [`copy_related_universe`], collecting into recycled buffers: the
-/// output vector, the dedup bit-set and the def/use scratch keep their
-/// storage across functions when threaded through a corpus driver's
-/// scratch.
-pub fn copy_related_universe_into(
-    func: &Function,
-    universe: &mut Vec<Value>,
-    seen: &mut ossa_ir::EntitySet<Value>,
-    scratch: &mut Vec<Value>,
-) {
-    universe.clear();
-    seen.reset();
-    for block in func.blocks() {
-        for &inst in func.block_insts(block) {
-            let data = func.inst(inst);
-            if data.is_phi() || data.is_copy_like() {
-                scratch.clear();
-                data.collect_defs(func.pools(), scratch);
-                data.collect_uses(func.pools(), scratch);
-                for &v in scratch.iter() {
-                    if seen.insert(v) {
-                        universe.push(v);
-                    }
-                }
-            }
-        }
-    }
-    // Pinned values are also copy-related (they get isolated by copies).
-    for v in func.values() {
-        if func.pinned_reg(v).is_some() && seen.insert(v) {
-            universe.push(v);
-        }
-    }
-}
-
-/// Pipeline variant of [`copy_related_universe_into`] that fuses the other
-/// two instruction scans of the decision phase into the same pass over the
-/// function: the pre-existing plain copies (affinity candidates) and the
-/// positions of the parallel copies (copy-sharing sites), both in
-/// block/instruction order — the order the separate scans produced.
+/// Collects the copy-related universe into recycled buffers, fusing the
+/// other two instruction scans of the decision phase into the same pass
+/// over the function: the pre-existing plain copies (affinity candidates)
+/// and the positions of the parallel copies (copy-sharing sites), both in
+/// block/instruction order. The output vectors, the dedup bit-set and the
+/// def/use scratch keep their storage across functions when threaded
+/// through a corpus driver's scratch.
 pub fn copy_related_universe_and_sites_into(
     func: &Function,
     universe: &mut Vec<Value>,
@@ -241,6 +215,7 @@ pub fn copy_related_universe_and_sites_into(
             }
         }
     }
+    // Pinned values are also copy-related (they get isolated by copies).
     for v in func.values() {
         if func.pinned_reg(v).is_some() && seen.insert(v) {
             universe.push(v);

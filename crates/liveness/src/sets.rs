@@ -217,8 +217,9 @@ impl BlockLiveness for LivenessSets {
 }
 
 /// Reference implementation of a per-block liveness query by explicit path
-/// search, used to cross-check both [`LivenessSets`] and
-/// [`crate::check::FastLiveness`] in tests. `O(blocks)` per query.
+/// search, with no data flow. The workspace tests check [`LivenessSets`]
+/// against it on generated functions, and [`crate::check::FastLiveness`]
+/// against the sets. `O(blocks)` per query.
 pub fn is_live_in_by_search(
     func: &Function,
     cfg: &ControlFlowGraph,

@@ -33,20 +33,11 @@ pub fn propagate_copies(func: &mut Function) -> CopyPropagation {
     propagate_copies_keeping(func, 0)
 }
 
-/// Like [`propagate_copies`], declaring its invalidation against a shared
-/// analysis cache: copy propagation rewrites and removes instructions inside
-/// existing blocks, so the CFG-level analyses stay valid and only the
-/// instruction-dependent caches are dropped — and only when the pass
-/// actually changed something.
-pub fn propagate_copies_cached(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-) -> CopyPropagation {
-    propagate_copies_keeping_cached(func, 0, analyses)
-}
-
-/// Cached-pipeline variant of [`propagate_copies_keeping`]; see
-/// [`propagate_copies_cached`] for the invalidation contract. Like
+/// Cached-pipeline variant of [`propagate_copies_keeping`], declaring its
+/// invalidation against a shared analysis cache: copy propagation rewrites
+/// and removes instructions inside existing blocks, so the CFG-level
+/// analyses stay valid and only the instruction-dependent caches are
+/// dropped — and only when the pass actually changed something. Like
 /// [`propagate_copies_keeping`], it works in a fresh [`SsaScratch`]; a
 /// caller running many functions keeps one scratch, calls
 /// [`propagate_copies_keeping_scratch`] and declares the same invalidation.

@@ -63,8 +63,8 @@ pub mod scratch;
 
 pub use construct::{construct_ssa, construct_ssa_cached, construct_ssa_scratch, SsaConstruction};
 pub use copyprop::{
-    propagate_copies, propagate_copies_cached, propagate_copies_keeping,
-    propagate_copies_keeping_cached, propagate_copies_keeping_scratch, CopyPropagation,
+    propagate_copies, propagate_copies_keeping, propagate_copies_keeping_cached,
+    propagate_copies_keeping_scratch, CopyPropagation,
 };
 pub use cssa::{
     cssa_violations, cssa_violations_cached, is_conventional, is_conventional_cached,

@@ -110,7 +110,6 @@ pub struct Pipeline {
 #[derive(Clone, Copy, Debug)]
 struct Passes {
     num_regs: Option<u32>,
-    keep_copy_every: usize,
     check_conventional: bool,
 }
 
@@ -133,7 +132,7 @@ impl Pipeline {
             ladder: ladder.into(),
             limits: Limits::UNBOUNDED,
             deadline: None,
-            passes: Passes { num_regs: None, keep_copy_every: 0, check_conventional: true },
+            passes: Passes { num_regs: None, check_conventional: true },
             worker: EngineWorker::new(),
         }
     }
@@ -149,14 +148,6 @@ impl Pipeline {
     /// as the final pass.
     pub fn with_registers(mut self, num_regs: u32) -> Self {
         self.passes.num_regs = Some(num_regs);
-        self
-    }
-
-    /// Keeps every `keep_every`-th copy during copy propagation (`0` keeps
-    /// none) — real optimization pipelines rarely remove every copy, and the
-    /// remaining ones are where the coalescing strategies differ.
-    pub fn with_kept_copies(mut self, keep_every: usize) -> Self {
-        self.passes.keep_copy_every = keep_every;
         self
     }
 
@@ -292,7 +283,7 @@ impl Passes {
         let (phis_inserted, values_created) = construct_ssa_scratch(func, analyses, ssa);
         let construction =
             SsaConstruction { origin: ssa.origin().clone(), phis_inserted, values_created };
-        let copy_propagation = propagate_copies_keeping_scratch(func, self.keep_copy_every, ssa);
+        let copy_propagation = propagate_copies_keeping_scratch(func, 0, ssa);
         if copy_propagation != CopyPropagation::default() {
             analyses.invalidate_instructions();
         }
@@ -582,8 +573,7 @@ mod tests {
 
     #[test]
     fn pipeline_without_allocation_or_check_still_translates() {
-        let mut pipeline =
-            Pipeline::new(OutOfSsaOptions::sharing()).with_cssa_check(false).with_kept_copies(3);
+        let mut pipeline = Pipeline::new(OutOfSsaOptions::sharing()).with_cssa_check(false);
         let mut func = generate_function("bare", &GenConfig::small(), 7);
         let report = pipeline.run(&mut func);
         assert_eq!(func.count_phis(), 0);
