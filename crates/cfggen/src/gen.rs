@@ -13,7 +13,7 @@ use ossa_ir::{BinaryOp, CmpOp, Function, InstData};
 use ossa_liveness::FunctionAnalyses;
 use ossa_ssa::{
     construct_ssa, construct_ssa_scratch, eliminate_dead_code, eliminate_dead_code_scratch,
-    propagate_copies_keeping, propagate_copies_keeping_scratch, CopyPropagation, SsaScratch,
+    propagate_copies_keeping, propagate_copies_keeping_scratch, SsaScratch,
 };
 
 use crate::rng::SmallRng;
@@ -456,14 +456,8 @@ pub fn to_optimized_ssa_cached(
     scratch: &mut GenScratch,
 ) -> OptimizedSsaStats {
     let (phis, _values_created) = construct_ssa_scratch(func, analyses, &mut scratch.ssa);
-    let prop = propagate_copies_keeping_scratch(func, 3, &mut scratch.ssa);
-    if prop != CopyPropagation::default() {
-        analyses.invalidate_instructions();
-    }
-    let dce = eliminate_dead_code_scratch(func, &mut scratch.ssa);
-    if dce.insts_removed > 0 {
-        analyses.invalidate_instructions();
-    }
+    let prop = propagate_copies_keeping_scratch(func, 3, analyses, &mut scratch.ssa);
+    let dce = eliminate_dead_code_scratch(func, analyses, &mut scratch.ssa);
     OptimizedSsaStats {
         phis,
         copies_propagated: prop.copies_removed,

@@ -52,11 +52,16 @@ pub struct DefOrderKey {
     pub block_postorder: u32,
 }
 
-/// Definition-point dominance decided from two cached keys — exactly
-/// [`IntersectionTest::def_dominates`]: values without a key (no definition)
-/// or defined in unreachable blocks (pre-order `u32::MAX`) dominate nothing,
-/// same-block points compare by position, and distinct blocks use the DFS
-/// interval of the dominator tree.
+/// Definition-point dominance decided from two cached keys: values without a
+/// key (no definition) or defined in unreachable blocks (pre-order
+/// `u32::MAX`) dominate nothing, same-block points compare by position, and
+/// distinct blocks use the DFS interval of the dominator tree.
+///
+/// This agrees with [`IntersectionTest::def_dominates`] except for two
+/// definitions in one unreachable block: the dominator tree compares their
+/// positions without a reachability check, while the keys say neither
+/// dominates. The class tests, which read the keys, therefore never pair two
+/// such values, and may merge values that intersect in code that never runs.
 #[inline]
 pub fn key_def_dominates(a: Option<DefOrderKey>, b: Option<DefOrderKey>) -> bool {
     let (Some(a), Some(b)) = (a, b) else { return false };
@@ -67,6 +72,61 @@ pub fn key_def_dominates(a: Option<DefOrderKey>, b: Option<DefOrderKey>) -> bool
         return a.pos <= b.pos;
     }
     a.block_preorder < b.block_preorder && b.block_postorder <= a.block_postorder
+}
+
+/// The dominance-stack walk behind every interference sweep: for each item,
+/// pop the stack down to the nearest entry whose definition `dominates` the
+/// item's, call `visit(item, tag, stack)`, then push the item. Stops and
+/// returns `true` as soon as a visit does.
+///
+/// When `items` come in dominator-tree pre-order of their definitions, the
+/// stack at each visit holds exactly the visited items whose definitions
+/// dominate the current one, nearest on top: pre-order visits every
+/// dominator before the values it dominates, and the values a definition
+/// dominates form one contiguous run, so an entry that still dominates is
+/// never popped early. Since two values can only intersect when one
+/// definition dominates the other, testing an item against the stack covers
+/// every pair that can interfere. The stack may enter non-empty, holding
+/// entries that dominate every item.
+pub(crate) fn dominance_walk<T: Copy>(
+    stack: &mut Vec<(Value, T)>,
+    items: impl IntoIterator<Item = (Value, T)>,
+    mut dominates: impl FnMut(Value, Value) -> bool,
+    mut visit: impl FnMut(Value, T, &[(Value, T)]) -> bool,
+) -> bool {
+    for (current, tag) in items {
+        while let Some(&(top, _)) = stack.last() {
+            if dominates(top, current) {
+                break;
+            }
+            stack.pop();
+        }
+        if visit(current, tag, stack) {
+            return true;
+        }
+        stack.push((current, tag));
+    }
+    false
+}
+
+/// Two definition-ordered member lists merged into one definition-ordered
+/// sequence, each value tagged `true` when it came from `red`. On equal keys
+/// (values without a key) the red value goes first.
+fn merged<'a>(
+    mut red: &'a [Value],
+    mut blue: &'a [Value],
+    keys: &'a SecondaryMap<Value, Option<DefOrderKey>>,
+) -> impl Iterator<Item = (Value, bool)> + 'a {
+    std::iter::from_fn(move || {
+        let from_blue = match (red.first(), blue.first()) {
+            (Some(&r), Some(&b)) => keys[b] < keys[r],
+            (r, _) => r.is_none(),
+        };
+        let list = if from_blue { &mut blue } else { &mut red };
+        let (&value, rest) = list.split_first()?;
+        *list = rest;
+        Some((value, !from_blue))
+    })
 }
 
 /// Scratch map recording, for each value walked by the linear interference
@@ -80,9 +140,9 @@ pub fn key_def_dominates(a: Option<DefOrderKey>, b: Option<DefOrderKey>) -> bool
 pub struct EqualAncOut {
     map: SecondaryMap<Value, Option<Value>>,
     touched: Vec<Value>,
-    /// Reusable dominance stack for the linear walk (`(value, came from the
-    /// red list)`), so repeated queries neither allocate nor re-derive list
-    /// membership by scanning.
+    /// Reusable dominance stack (`(value, came from the red list)`) of the
+    /// linear test and of [`CongruenceClasses::interfere_sweep`], so repeated
+    /// queries neither allocate nor re-derive list membership by scanning.
     dom: Vec<(Value, bool)>,
 }
 
@@ -518,19 +578,10 @@ impl CongruenceClasses {
     /// buffer from the free list; cleared here, filled sorted).
     fn merge_sorted_into(&self, a: &[Value], b: &[Value], out: &mut Vec<Value>) {
         out.clear();
+        // `merged` reports no size hint, so reserve up front: a warm merge
+        // must not grow the buffer.
         out.reserve(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if self.keys[a[i]] <= self.keys[b[j]] {
-                out.push(a[i]);
-                i += 1;
-            } else {
-                out.push(b[j]);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        out.extend(merged(a, b, &self.keys).map(|(value, _)| value));
     }
 
     /// Reference quadratic interference test between the classes of `a` and
@@ -576,8 +627,8 @@ impl CongruenceClasses {
     /// classes interfere. When they do not and the caller decides to merge
     /// them, the scratch `equal_anc_out` (cleared and filled by this call)
     /// must be passed to [`CongruenceClasses::merge`]. Definition-point
-    /// dominance is read from the oracle's own dominator tree
-    /// ([`IntersectionTest::def_dominates`]).
+    /// dominance is read from the cached definition keys
+    /// ([`key_def_dominates`]).
     pub fn interfere_linear<L: BlockLiveness>(
         &mut self,
         a: Value,
@@ -593,14 +644,15 @@ impl CongruenceClasses {
         // The member lists are borrowed, not cloned: the whole walk is
         // read-only on `self` (the query counter is folded in at the end),
         // and the dominance stack comes from the reusable scratch.
-        let queries = std::cell::Cell::new(0u64);
-        let mut dom: Vec<(Value, bool)> = std::mem::take(&mut equal_anc_out.dom);
+        let mut queries = 0u64;
+        let mut dom = std::mem::take(&mut equal_anc_out.dom);
         dom.clear();
         let interference_found = {
             let red = self.members(a);
             let blue = self.members(b);
             let keys = &self.keys;
             let equal_anc_in = &self.equal_anc_in;
+            let dominates = |x: Value, y: Value| key_def_dominates(keys[x], keys[y]);
 
             // One step of Algorithm 2: test `current` against its nearest
             // dominating stack ancestor `parent`, walking the equal-ancestor
@@ -608,18 +660,13 @@ impl CongruenceClasses {
             // `current`'s nearest intersecting equal ancestor in the scratch.
             // Shared by the full merged walk and the singleton fast path, so
             // the two are the same computation by construction.
-            let step = |current: Value,
-                        current_in_red: bool,
-                        parent: Option<(Value, bool)>,
-                        equal_anc_out: &mut EqualAncOut|
-             -> bool {
-                let Some((parent, parent_in_red)) = parent else {
-                    equal_anc_out.set(current, None);
+            let mut step = |current: Value, in_red: bool, parent: Option<&(Value, bool)>| {
+                equal_anc_out.set(current, None);
+                let Some(&(parent, parent_in_red)) = parent else {
                     return false;
                 };
                 // interference(current, parent)
-                equal_anc_out.set(current, None);
-                let same_set = current_in_red == parent_in_red;
+                let same_set = in_red == parent_in_red;
                 let mut b_chain: Option<Value> = Some(parent);
                 if same_set {
                     b_chain = equal_anc_out.get(parent);
@@ -642,7 +689,7 @@ impl CongruenceClasses {
                     // loop of the default engine's class-interference check.
                     let mut y_opt = b_chain;
                     while let Some(y) = y_opt {
-                        queries.set(queries.get() + 1);
+                        queries += 1;
                         if intersect.intersect_dominating(y, current) {
                             return true;
                         }
@@ -654,7 +701,7 @@ impl CongruenceClasses {
                     // intersecting equal ancestor in the other chain.
                     let mut tmp = b_chain;
                     while let Some(t) = tmp {
-                        queries.set(queries.get() + 1);
+                        queries += 1;
                         if intersect.intersect_dominating(t, current) {
                             break;
                         }
@@ -692,88 +739,33 @@ impl CongruenceClasses {
             if let Some((v, v_in_red, big, big_in_red)) = singleton {
                 let kv = keys[v];
                 let idx = big.partition_point(|&x| keys[x] < kv);
-                let parent = big[..idx]
-                    .iter()
-                    .rev()
-                    .copied()
-                    .find(|&x| key_def_dominates(keys[x], kv))
-                    .map(|x| (x, big_in_red));
-                let mut found = step(v, v_in_red, parent, equal_anc_out);
-                if !found {
+                let parent =
+                    big[..idx].iter().rev().find(|&&x| dominates(x, v)).map(|&x| (x, big_in_red));
+                step(v, v_in_red, parent.as_ref()) || {
                     dom.push((v, v_in_red));
-                    for &x in &big[idx..] {
-                        let kx = keys[x];
-                        if !key_def_dominates(kv, kx) {
-                            break;
-                        }
-                        while let Some(&(top, _)) = dom.last() {
-                            if key_def_dominates(keys[top], kx) {
-                                break;
-                            }
-                            dom.pop();
-                        }
-                        let parent = dom.last().copied();
-                        if step(x, big_in_red, parent, equal_anc_out) {
-                            found = true;
-                            break;
-                        }
-                        dom.push((x, big_in_red));
-                    }
+                    let run = big[idx..].iter().take_while(|&&x| dominates(v, x));
+                    dominance_walk(&mut dom, run.map(|&x| (x, big_in_red)), dominates, |x, r, s| {
+                        step(x, r, s.last())
+                    })
                 }
-                found
             } else {
-                // Merged walk in ≺ order with a dominance stack. The walk
-                // knows which list every value was popped from, so list
+                // The walk knows which list every value came from, so list
                 // membership rides along on the stack instead of being
                 // re-derived by a member-list scan per step (which was
                 // quadratic in class size).
-                let (mut ir, mut ib) = (0usize, 0usize);
-                let mut interference_found = false;
-                'walk: while ir < red.len() || ib < blue.len() {
-                    let (current, current_in_red) = if ir == red.len() {
-                        let v = blue[ib];
-                        ib += 1;
-                        (v, false)
-                    } else if ib == blue.len() {
-                        let v = red[ir];
-                        ir += 1;
-                        (v, true)
-                    } else if keys[blue[ib]] < keys[red[ir]] {
-                        let v = blue[ib];
-                        ib += 1;
-                        (v, false)
-                    } else {
-                        let v = red[ir];
-                        ir += 1;
-                        (v, true)
-                    };
-
-                    // Pop the stack until the top dominates `current`.
-                    let kc = keys[current];
-                    while let Some(&(top, _)) = dom.last() {
-                        if key_def_dominates(keys[top], kc) {
-                            break;
-                        }
-                        dom.pop();
-                    }
-                    let parent = dom.last().copied();
-                    if step(current, current_in_red, parent, equal_anc_out) {
-                        interference_found = true;
-                        break 'walk;
-                    }
-                    dom.push((current, current_in_red));
-                }
-                interference_found
+                dominance_walk(&mut dom, merged(red, blue, keys), dominates, |x, r, s| {
+                    step(x, r, s.last())
+                })
             }
         };
         equal_anc_out.dom = dom;
-        self.queries += queries.get();
+        self.queries += queries;
         interference_found
     }
 
     /// Batched interference test between the classes of `a` and `b` for the
-    /// pairwise strategies: one merged walk of the two definition-ordered
-    /// member lists with a dominance stack, testing each value against the
+    /// pairwise strategies: one dominance-stack walk over the two merged
+    /// definition-ordered member lists, testing each value against the
     /// *opposite-class* stack entries — its dominating ancestors — instead
     /// of issuing all `|X| × |Y|` pair queries.
     ///
@@ -784,16 +776,12 @@ impl CongruenceClasses {
     /// interference requires an intersection; Chaitin-style interference
     /// requires one value live at the other's definition, which in strict
     /// SSA implies its definition dominates that point; interference-graph
-    /// edges are built from intersections). With the lists sorted by
-    /// definition order, a value's dominating ancestors are exactly the
-    /// stack contents when it is reached — a dominator is never popped
-    /// before its dominated successors, by the pre-order interval property
-    /// of the dominator tree — so every potentially interfering pair is
-    /// tested exactly once, and pairs with no dominance relation are
-    /// skipped *unqueried*. That skip is where the query reduction comes
-    /// from. Values without a definition sort first, dominate nothing and
-    /// are dominated by nothing, so they never pair up; they cannot
-    /// interfere under any strategy.
+    /// edges are built from intersections). So every potentially
+    /// interfering pair is tested exactly once, and pairs with no dominance
+    /// relation are skipped *unqueried*. That skip is where the query
+    /// reduction comes from. Values without a definition sort first,
+    /// dominate nothing and are dominated by nothing, so they never pair
+    /// up; they cannot interfere under any strategy.
     ///
     /// `pair_interferes` is always called as `(member of a's class, member
     /// of b's class)`, preserving the quadratic loop's orientation, and
@@ -815,46 +803,20 @@ impl CongruenceClasses {
         stack: &mut EqualAncOut,
     ) -> bool {
         let mut queries = 0u64;
-        let mut dom: Vec<(Value, bool)> = std::mem::take(&mut stack.dom);
+        let mut dom = std::mem::take(&mut stack.dom);
         dom.clear();
-        let found = {
-            let red = self.members(a);
-            let blue = self.members(b);
-            let keys = &self.keys;
-            let (mut ir, mut ib) = (0usize, 0usize);
-            let mut found = false;
-            'walk: while ir < red.len() || ib < blue.len() {
-                let (current, current_in_red) = if ir == red.len() {
-                    let v = blue[ib];
-                    ib += 1;
-                    (v, false)
-                } else if ib == blue.len() {
-                    let v = red[ir];
-                    ir += 1;
-                    (v, true)
-                } else if keys[blue[ib]] < keys[red[ir]] {
-                    let v = blue[ib];
-                    ib += 1;
-                    (v, false)
-                } else {
-                    let v = red[ir];
-                    ir += 1;
-                    (v, true)
-                };
-
-                let kc = keys[current];
-                while let Some(&(top, _)) = dom.last() {
-                    if key_def_dominates(keys[top], kc) {
-                        break;
-                    }
-                    dom.pop();
-                }
+        let keys = &self.keys;
+        let found = dominance_walk(
+            &mut dom,
+            merged(self.members(a), self.members(b), keys),
+            |x, y| key_def_dominates(keys[x], keys[y]),
+            |current, current_in_red, ancestors| {
                 // Nearest ancestor first: an interference, if any, is most
                 // likely with the closest dominator still live across
                 // `current`, so testing top-down reaches the early exit with
                 // fewer queries. The verdict is existential — the test order
                 // cannot change it, only the count.
-                for &(anc, anc_in_red) in dom.iter().rev() {
+                for &(anc, anc_in_red) in ancestors.iter().rev() {
                     if anc_in_red == current_in_red {
                         continue;
                     }
@@ -866,14 +828,12 @@ impl CongruenceClasses {
                     }
                     queries += 1;
                     if pair_interferes(x, y) {
-                        found = true;
-                        break 'walk;
+                        return true;
                     }
                 }
-                dom.push((current, current_in_red));
-            }
-            found
-        };
+                false
+            },
+        );
         stack.dom = dom;
         self.queries += queries;
         found

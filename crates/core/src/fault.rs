@@ -388,20 +388,7 @@ pub mod failpoints {
         if config.phase.is_some_and(|p| p != phase) {
             return false;
         }
-        // FNV-1a over (seed, name, tagged phase); the 0x40 bias keeps the
-        // tag byte disjoint from both the panic injector's phase bytes and
-        // the corruption injector's 0x80-biased kind bytes, so all three
-        // campaigns poison independent subsets under one seed.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |byte: u8| hash = (hash ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
-        for byte in config.seed.to_le_bytes() {
-            mix(byte);
-        }
-        for byte in func_name.bytes() {
-            mix(byte);
-        }
-        mix(0x40 | phase as u8);
-        (hash % 1000) < config.rate_per_mille as u64
+        site_selected(config.seed, config.rate_per_mille, func_name, 0x40 | phase as u8)
     }
 
     /// Sleeps out an injected stall in 1 ms slices, checking the request's
@@ -428,17 +415,25 @@ pub mod failpoints {
         if config.phase.is_some_and(|p| p != phase) {
             return false;
         }
-        // FNV-1a over (seed, name, phase): stable across runs and platforms.
+        site_selected(config.seed, config.rate_per_mille, func_name, phase as u8)
+    }
+
+    /// Whether a campaign selects the site (`func_name`, `tag`): FNV-1a over
+    /// (seed, name, tag byte), stable across runs and platforms. The tag is
+    /// the phase for panics, `0x40 | phase` for stalls and `0x80 | kind` for
+    /// corruption; the biases keep the three tag ranges disjoint, so the
+    /// campaigns poison independent subsets under one seed.
+    fn site_selected(seed: u64, rate_per_mille: u32, func_name: &str, tag: u8) -> bool {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |byte: u8| hash = (hash ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
-        for byte in config.seed.to_le_bytes() {
+        for byte in seed.to_le_bytes() {
             mix(byte);
         }
         for byte in func_name.bytes() {
             mix(byte);
         }
-        mix(phase as u8);
-        (hash % 1000) < config.rate_per_mille as u64
+        mix(tag);
+        (hash % 1000) < rate_per_mille as u64
     }
 
     /// Phase-boundary hook: panics with a deterministic message when the
@@ -530,19 +525,7 @@ pub mod failpoints {
         if config.kind != kind {
             return false;
         }
-        // FNV-1a over (seed, name, kind tag); the 0x80 bias keeps the tag
-        // byte disjoint from the `should_fail` phase bytes so the two
-        // injectors poison independent subsets under one seed.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |byte: u8| hash = (hash ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
-        for byte in config.seed.to_le_bytes() {
-            mix(byte);
-        }
-        for byte in func_name.bytes() {
-            mix(byte);
-        }
-        mix(0x80 | kind as u8);
-        (hash % 1000) < config.rate_per_mille as u64
+        site_selected(config.seed, config.rate_per_mille, func_name, 0x80 | kind as u8)
     }
 
     /// Emission-site hook: `true` exactly once per (function, attempt-0)

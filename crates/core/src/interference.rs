@@ -10,6 +10,7 @@ use ossa_ir::entity::Value;
 use ossa_ir::{DominatorTree, Function};
 use ossa_liveness::{BlockLiveness, IntersectionTest};
 
+use crate::congruence::dominance_walk;
 use crate::value::ValueTable;
 
 /// Half bit-matrix interference graph over a restricted universe of values.
@@ -27,16 +28,11 @@ impl InterferenceGraph {
     ///
     /// Instead of querying all `n·(n-1)/2` pairs, the universe is sorted by
     /// definition point (dominator-tree pre-order, then position) and swept
-    /// with a dominance stack — the paper's linear-intersection idea applied
-    /// at build time. In SSA, two live ranges can only intersect when one
-    /// definition dominates the other, and after the stack is popped down to
-    /// the dominators of the current value it contains *exactly* the
-    /// already-seen values whose definition dominates the current one
-    /// (pre-order visits every dominator before the dominated value, and
-    /// pre-order subtree ranges are contiguous, so a still-dominating entry
-    /// is never popped early). Hence querying current-vs-stack covers every
-    /// pair the quadratic loop would have found interfering; values with no
-    /// definition never intersect anything and are skipped up front.
+    /// with the class tests' dominance-stack walk — the paper's
+    /// linear-intersection idea applied at build time — so each value is
+    /// queried only against the values whose definitions dominate its own.
+    /// Values with no definition never intersect anything and are skipped up
+    /// front.
     pub fn build<L: BlockLiveness>(
         func: &Function,
         universe: &[Value],
@@ -58,9 +54,11 @@ impl InterferenceGraph {
         // all share pre-order `u32::MAX`) so that same-block values stay
         // adjacent — same-block definition points dominate by position even
         // when the block is unreachable, and the oracle calls such values
-        // intersecting, so the sweep must visit them as one chain. The value
-        // index tie-break keeps the sweep deterministic for values defined
-        // by the same instruction (e.g. one parallel copy).
+        // intersecting, so the sweep must visit them as one chain (and pops
+        // with the dominator tree's `def_dominates`, not the class tests'
+        // keys, which let nothing in an unreachable block dominate). The
+        // value index tie-break keeps the sweep deterministic for values
+        // defined by the same instruction (e.g. one parallel copy).
         let mut order: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(n);
         for &v in universe {
             if let Some(def) = info.def(v) {
@@ -74,24 +72,21 @@ impl InterferenceGraph {
         }
         order.sort_unstable();
 
-        let mut stack: Vec<Value> = Vec::new();
-        for &(_, _, _, raw) in &order {
-            let current = Value::from_index(raw as usize);
-            while let Some(&top) = stack.last() {
-                if intersect.def_dominates(top, current) {
-                    break;
+        dominance_walk(
+            &mut Vec::new(),
+            order.iter().map(|&(_, _, _, raw)| (Value::from_index(raw as usize), ())),
+            |top, current| intersect.def_dominates(top, current),
+            |current, (), dominators| {
+                for &(above, ()) in dominators {
+                    let interferes = intersect.intersect(above, current)
+                        && values.is_none_or(|table| !table.same_value(above, current));
+                    if interferes {
+                        graph.set(graph.index_of[above.index()], graph.index_of[current.index()]);
+                    }
                 }
-                stack.pop();
-            }
-            for &above in &stack {
-                let interferes = intersect.intersect(above, current)
-                    && values.is_none_or(|table| !table.same_value(above, current));
-                if interferes {
-                    graph.set(graph.index_of[above.index()], graph.index_of[current.index()]);
-                }
-            }
-            stack.push(current);
-        }
+                false
+            },
+        );
         graph
     }
 
@@ -252,6 +247,35 @@ mod tests {
         (cfg, domtree, liveness, info)
     }
 
+    /// Builds the graph over every value of `f`, with and without the value
+    /// table, and checks it against the pairwise oracle. Returns the
+    /// interfering ordered pairs, over both tables.
+    fn assert_graph_matches_pairwise_oracle(f: &Function) -> Vec<(Value, Value)> {
+        let (_, domtree, liveness, info) = analyses(f);
+        let intersect = IntersectionTest::new(f, &domtree, &liveness, &info);
+        let values = ValueTable::of(f);
+        let universe: Vec<Value> = f.values().collect();
+        let mut interfering = Vec::new();
+        for table in [None, Some(&values)] {
+            let graph = InterferenceGraph::build(f, &universe, &intersect, table);
+            for &p in &universe {
+                for &q in &universe {
+                    if p == q {
+                        continue;
+                    }
+                    let expected =
+                        intersect.intersect(p, q) && table.is_none_or(|t| !t.same_value(p, q));
+                    assert_eq!(graph.interfere(p, q), expected, "pair ({p}, {q})");
+                    assert_eq!(graph.interfere(p, q), graph.interfere(q, p));
+                    if expected {
+                        interfering.push((p, q));
+                    }
+                }
+            }
+        }
+        interfering
+    }
+
     #[test]
     fn graph_matches_pairwise_oracle() {
         let mut b = FunctionBuilder::new("graph", 1);
@@ -264,25 +288,39 @@ mod tests {
         let s = b.binary(BinaryOp::Add, a, c);
         let t = b.binary(BinaryOp::Add, s, x);
         b.ret(Some(t));
-        let f = b.finish();
-        let (_, domtree, liveness, info) = analyses(&f);
-        let intersect = IntersectionTest::new(&f, &domtree, &liveness, &info);
-        let values = ValueTable::of(&f);
-        let universe: Vec<Value> = f.values().collect();
-        for table in [None, Some(&values)] {
-            let graph = InterferenceGraph::build(&f, &universe, &intersect, table);
-            for &p in &universe {
-                for &q in &universe {
-                    if p == q {
-                        continue;
-                    }
-                    let expected =
-                        intersect.intersect(p, q) && table.is_none_or(|t| !t.same_value(p, q));
-                    assert_eq!(graph.interfere(p, q), expected, "pair ({p}, {q})");
-                    assert_eq!(graph.interfere(p, q), graph.interfere(q, p));
-                }
-            }
-        }
+        assert_graph_matches_pairwise_oracle(&b.finish());
+    }
+
+    /// Definitions in an unreachable block are where the build's pop
+    /// predicate (`def_dominates`, which orders same-block definitions by
+    /// position whether or not the block is reachable) and the class tests'
+    /// keys (under which nothing there dominates) disagree. The oracle calls
+    /// such values intersecting, so the graph must record them.
+    #[test]
+    fn graph_matches_pairwise_oracle_over_an_unreachable_block() {
+        let mut b = FunctionBuilder::new("unreachable", 1);
+        let entry = b.create_block();
+        let dead = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let x = b.param(0);
+        let a = b.copy(x);
+        let s = b.binary(BinaryOp::Add, a, x);
+        b.ret(Some(s));
+        b.switch_to_block(dead);
+        let u = b.iconst(3);
+        let v = b.copy(u);
+        let w = b.copy(v);
+        let t = b.binary(BinaryOp::Add, v, u);
+        let r = b.binary(BinaryOp::Add, t, w);
+        b.ret(Some(r));
+        let interfering = assert_graph_matches_pairwise_oracle(&b.finish());
+        let dead_values = [u, v, w, t, r];
+        let in_dead_block = interfering
+            .iter()
+            .filter(|(p, q)| dead_values.contains(p) && dead_values.contains(q))
+            .count();
+        assert!(in_dead_block > 0, "no interference inside the unreachable block: {interfering:?}");
     }
 
     #[test]

@@ -234,8 +234,8 @@ impl<'a, L: BlockLiveness> IntersectionTest<'a, L> {
 
     /// Returns `true` if the definition point of `x` dominates the
     /// definition point of `y` (false when either has no definition). The
-    /// ordering predicate shared by the dominance-stack sweeps (linear class
-    /// interference, interference-graph build).
+    /// interference-graph build pops its dominance stack with it; the class
+    /// tests decide dominance from cached definition keys instead.
     #[inline]
     pub fn def_dominates(&self, x: Value, y: Value) -> bool {
         match (self.info.def(x), self.info.def(y)) {

@@ -216,65 +216,75 @@ impl BlockLiveness for LivenessSets {
     }
 }
 
-/// Reference implementation of a per-block liveness query by explicit path
-/// search, with no data flow. The workspace tests check [`LivenessSets`]
-/// against it on generated functions, and [`crate::check::FastLiveness`]
-/// against the sets. `O(blocks)` per query.
+/// Reference live-in sets by explicit path search, with no data flow: a
+/// value is live-in at a reachable block when some path from the block's
+/// start reaches a use of the value without passing its definition. A φ use
+/// counts as a use at the end of the φ argument's predecessor. The workspace
+/// tests check [`LivenessSets`] against it on generated functions, and
+/// [`crate::check::FastLiveness`] against the sets.
+///
+/// One instruction walk records each value's definition site and seeds the
+/// blocks a use is reached in before the definition: the block of each
+/// non-φ use (in the definition block, only a use at or before the
+/// definition), and the predecessor of each φ use unless the value is
+/// defined there. A backward walk over predecessors then marks every block
+/// from which a seed is reachable without entering the definition block,
+/// where the path would pass the definition. Unreachable blocks are never
+/// live-in, and a value without a definition is live-in nowhere.
+pub fn live_in_by_search(
+    func: &Function,
+    cfg: &ControlFlowGraph,
+) -> SecondaryMap<Value, EntitySet<Block>> {
+    let defs = func.def_sites();
+    let mut live_in: SecondaryMap<Value, EntitySet<Block>> =
+        SecondaryMap::with_capacity(func.num_values());
+    let mut worklist: Vec<(Value, Block)> = Vec::new();
+    let mut seed = |value: Value, block: Block| {
+        if cfg.is_reachable(block) && live_in[value].insert(block) {
+            worklist.push((value, block));
+        }
+    };
+    let mut uses = Vec::new();
+    for block in func.blocks().filter(|&block| cfg.is_reachable(block)) {
+        for (pos, &inst) in func.block_insts(block).iter().enumerate() {
+            if let Some(args) = func.inst_phi_args(inst) {
+                for arg in args {
+                    if defs[arg.value].is_some_and(|def| def.block != arg.block) {
+                        seed(arg.value, arg.block);
+                    }
+                }
+                continue;
+            }
+            uses.clear();
+            func.collect_inst_uses(inst, &mut uses);
+            for &value in &uses {
+                if defs[value].is_some_and(|def| def.block != block || pos <= def.pos) {
+                    seed(value, block);
+                }
+            }
+        }
+    }
+    while let Some((value, block)) = worklist.pop() {
+        let def_block = defs[value].expect("only defined values are seeded").block;
+        for &pred in cfg.preds(block) {
+            if pred != def_block && cfg.is_reachable(pred) && live_in[value].insert(pred) {
+                worklist.push((value, pred));
+            }
+        }
+    }
+    live_in
+}
+
+/// One query of [`live_in_by_search`]: is `value` live-in at `block`?
+/// Computes the whole map, so a caller with many queries computes the map
+/// once instead.
 pub fn is_live_in_by_search(
     func: &Function,
     cfg: &ControlFlowGraph,
     block: Block,
     value: Value,
 ) -> bool {
-    // value is live-in at `block` if some path from `block` reaches a use of
-    // `value` without passing through its definition (excluded: the def block
-    // itself stops the search *after* the def position).
-    let defs = func.def_sites();
-    let Some(def) = defs[value] else { return false };
-    if !cfg.is_reachable(block) {
-        return false;
-    }
-    // Uses per block with positions; φ uses attributed to the predecessor end.
-    let mut stack = vec![block];
-    let mut visited = EntitySet::<Block>::with_capacity(func.num_blocks());
-    while let Some(b) = stack.pop() {
-        if !visited.insert(b) {
-            continue;
-        }
-        // Does b contain a use of `value` before any redefinition?
-        let mut found_use = false;
-        let mut blocked = false;
-        for (pos, &inst) in func.block_insts(b).iter().enumerate() {
-            let data = func.inst(inst);
-            let is_use =
-                if data.is_phi() { false } else { data.uses(func.pools()).contains(&value) };
-            if is_use {
-                found_use = true;
-                break;
-            }
-            // φ uses at end of predecessor handled below via successors scan.
-            if def.block == b && def.pos == pos {
-                blocked = true;
-                break;
-            }
-        }
-        if found_use {
-            return true;
-        }
-        if blocked {
-            continue;
-        }
-        // φ uses on edges out of b.
-        for succ in func.successors(b) {
-            if func.phi_inputs_from(succ, b).iter().any(|&(_, v)| v == value) {
-                return true;
-            }
-        }
-        for succ in func.successors(b) {
-            stack.push(succ);
-        }
-    }
-    false
+    live_in_by_search(func, cfg)[value].contains(block)
 }
 
 #[cfg(test)]

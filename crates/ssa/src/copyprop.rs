@@ -33,24 +33,17 @@ pub fn propagate_copies(func: &mut Function) -> CopyPropagation {
     propagate_copies_keeping(func, 0)
 }
 
-/// Cached-pipeline variant of [`propagate_copies_keeping`], declaring its
-/// invalidation against a shared analysis cache: copy propagation rewrites
-/// and removes instructions inside existing blocks, so the CFG-level
-/// analyses stay valid and only the instruction-dependent caches are
-/// dropped — and only when the pass actually changed something. Like
+/// Cached-pipeline variant of [`propagate_copies_keeping`], invalidating a
+/// shared analysis cache as [`propagate_copies_keeping_scratch`] does. Like
 /// [`propagate_copies_keeping`], it works in a fresh [`SsaScratch`]; a
-/// caller running many functions keeps one scratch, calls
-/// [`propagate_copies_keeping_scratch`] and declares the same invalidation.
+/// caller running many functions keeps one scratch and calls
+/// [`propagate_copies_keeping_scratch`].
 pub fn propagate_copies_keeping_cached(
     func: &mut Function,
     keep_every: usize,
     analyses: &mut FunctionAnalyses,
 ) -> CopyPropagation {
-    let stats = propagate_copies_keeping(func, keep_every);
-    if stats != CopyPropagation::default() {
-        analyses.invalidate_instructions();
-    }
-    stats
+    propagate_copies_keeping_scratch(func, keep_every, analyses, &mut SsaScratch::new())
 }
 
 /// Like [`propagate_copies`], but keeps every `keep_every`-th copy
@@ -60,17 +53,23 @@ pub fn propagate_copies_keeping_cached(
 /// where the coalescing strategies compared by the paper differ, so the
 /// workload generator keeps a fraction of them.
 pub fn propagate_copies_keeping(func: &mut Function, keep_every: usize) -> CopyPropagation {
-    let mut scratch = SsaScratch::new();
-    propagate_copies_keeping_scratch(func, keep_every, &mut scratch)
+    let (mut analyses, mut scratch) = (FunctionAnalyses::new(), SsaScratch::new());
+    propagate_copies_keeping_scratch(func, keep_every, &mut analyses, &mut scratch)
 }
 
 /// Like [`propagate_copies_keeping`], with the working maps recycled from
 /// `scratch` — the zero-steady-state-allocation form used by the pooled
 /// streaming path. Computation (including the `keep_every` counting) is
 /// identical; only the working storage is reused.
+///
+/// Copy propagation rewrites and removes instructions inside existing
+/// blocks, so the CFG-level analyses in `analyses` stay valid and only the
+/// instruction-dependent caches are dropped — and only when the pass
+/// actually changed something.
 pub fn propagate_copies_keeping_scratch(
     func: &mut Function,
     keep_every: usize,
+    analyses: &mut FunctionAnalyses,
     scratch: &mut SsaScratch,
 ) -> CopyPropagation {
     // Map every copy destination to its source.
@@ -146,7 +145,11 @@ pub fn propagate_copies_keeping_scratch(
         }
     }
 
-    CopyPropagation { copies_removed, uses_rewritten }
+    let stats = CopyPropagation { copies_removed, uses_rewritten };
+    if stats != CopyPropagation::default() {
+        analyses.invalidate_instructions();
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -23,37 +23,34 @@ pub struct DeadCodeElimination {
     pub insts_removed: usize,
 }
 
-/// Like [`eliminate_dead_code`], declaring its invalidation against a shared
-/// analysis cache: DCE removes instructions inside existing blocks, so the
-/// CFG-level analyses stay valid and only the instruction-dependent caches
-/// are dropped — and only when an instruction was actually removed. It works
-/// in a fresh [`SsaScratch`]; a caller running many functions keeps one
-/// scratch, calls [`eliminate_dead_code_scratch`] and declares the same
-/// invalidation.
+/// Like [`eliminate_dead_code`], invalidating a shared analysis cache as
+/// [`eliminate_dead_code_scratch`] does. It works in a fresh [`SsaScratch`];
+/// a caller running many functions keeps one scratch and calls
+/// [`eliminate_dead_code_scratch`].
 pub fn eliminate_dead_code_cached(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
 ) -> DeadCodeElimination {
-    let stats = eliminate_dead_code(func);
-    if stats.insts_removed > 0 {
-        analyses.invalidate_instructions();
-    }
-    stats
+    eliminate_dead_code_scratch(func, analyses, &mut SsaScratch::new())
 }
 
 /// Removes side-effect-free instructions whose definitions are unused.
 /// `func` must be in SSA form: each value has one defining instruction.
 pub fn eliminate_dead_code(func: &mut Function) -> DeadCodeElimination {
-    let mut scratch = SsaScratch::new();
-    eliminate_dead_code_scratch(func, &mut scratch)
+    eliminate_dead_code_scratch(func, &mut FunctionAnalyses::new(), &mut SsaScratch::new())
 }
 
 /// Like [`eliminate_dead_code`], with the working storage recycled from
 /// `scratch` — the zero-steady-state-allocation form used by the pooled
 /// streaming path. The final instruction stream is identical; only the
 /// working storage is reused.
+///
+/// DCE removes instructions inside existing blocks, so the CFG-level
+/// analyses in `analyses` stay valid and only the instruction-dependent
+/// caches are dropped — and only when an instruction was actually removed.
 pub fn eliminate_dead_code_scratch(
     func: &mut Function,
+    analyses: &mut FunctionAnalyses,
     scratch: &mut SsaScratch,
 ) -> DeadCodeElimination {
     let SsaScratch {
@@ -114,6 +111,9 @@ pub fn eliminate_dead_code_scratch(
             let block = func.layout()[bi];
             stats.insts_removed += func.retain_insts(block, |inst| !dead.contains(inst));
         }
+    }
+    if stats.insts_removed > 0 {
+        analyses.invalidate_instructions();
     }
     stats
 }

@@ -276,21 +276,15 @@ impl Passes {
         let EngineWorker { analyses, ssa, scratch, .. } = worker;
 
         // Middle end, in the worker's recycled SSA scratch. These are all
-        // instruction-only mutations, invalidated as the `_cached` wrappers
-        // declare it, so the CFG analyses computed by the first pass survive
-        // until the translation splits an edge (if ever).
+        // instruction-only mutations, and each pass invalidates only the
+        // instruction-level analyses, so the CFG analyses computed by the
+        // first pass survive until the translation splits an edge (if ever).
         fault::enter_phase(&func.name, TranslatePhase::Ssa);
         let (phis_inserted, values_created) = construct_ssa_scratch(func, analyses, ssa);
         let construction =
             SsaConstruction { origin: ssa.origin().clone(), phis_inserted, values_created };
-        let copy_propagation = propagate_copies_keeping_scratch(func, 0, ssa);
-        if copy_propagation != CopyPropagation::default() {
-            analyses.invalidate_instructions();
-        }
-        let dead_code = eliminate_dead_code_scratch(func, ssa);
-        if dead_code.insts_removed > 0 {
-            analyses.invalidate_instructions();
-        }
+        let copy_propagation = propagate_copies_keeping_scratch(func, 0, analyses, ssa);
+        let dead_code = eliminate_dead_code_scratch(func, analyses, ssa);
         let conventional_after_opt =
             self.check_conventional.then(|| is_conventional_cached(func, analyses));
 

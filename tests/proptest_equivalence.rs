@@ -12,7 +12,7 @@ use out_of_ssa::destruct::{
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::entity::EntityRef;
 use out_of_ssa::ir::{ControlFlowGraph, CopyPair, DominatorTree, Function, InstData, Value};
-use out_of_ssa::liveness::sets::is_live_in_by_search;
+use out_of_ssa::liveness::sets::live_in_by_search;
 use out_of_ssa::liveness::{
     BlockLiveness, FastLiveness, FunctionAnalyses, IntersectionTest, LiveRangeInfo, LivenessSets,
 };
@@ -148,19 +148,18 @@ fn is_reducible(func: &Function, cfg: &ControlFlowGraph, domtree: &DominatorTree
 /// default, and a depth-5 one (200 statements, 16 variables) with deeply
 /// nested sibling loops. Irreducible graphs (which the checker's precomputation is documented not
 /// to support) are skipped — but must be rare enough that the property
-/// still exercises a large sample. On the small and default shapes the sets
-/// also equal, on live-in, an oracle that uses no data flow: a path search
-/// from the block to a use that does not cross the definition
-/// ([`is_live_in_by_search`]).
+/// still exercises a large sample. The sets also equal, on live-in, an
+/// oracle that uses no data flow: a path search from the block to a use
+/// that does not cross the definition ([`live_in_by_search`]).
 #[test]
 fn fast_liveness_matches_reference_dataflow_on_random_cfgs() {
     let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
     let shapes = [
-        ("live", GenConfig::small(), 200, true),
-        ("big", GenConfig::default(), 200, true),
-        ("deep", deep, 100, false),
+        ("live", GenConfig::small(), 200),
+        ("big", GenConfig::default(), 200),
+        ("deep", deep, 100),
     ];
-    for (prefix, config, seeds, search) in shapes {
+    for (prefix, config, seeds) in shapes {
         let mut checked = 0usize;
         for seed in 0..seeds {
             let (func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
@@ -174,19 +173,18 @@ fn fast_liveness_matches_reference_dataflow_on_random_cfgs() {
             let info = LiveRangeInfo::compute(&func);
             let checker = FastLiveness::compute(&func, &cfg, &domtree);
             let fast = checker.query(&cfg, &domtree, &info);
+            let searched = live_in_by_search(&func, &cfg);
             for block in func.blocks() {
                 if !cfg.is_reachable(block) {
                     continue;
                 }
                 for value in func.values() {
-                    if search {
-                        assert_eq!(
-                            reference.is_live_in(block, value),
-                            is_live_in_by_search(&func, &cfg, block, value),
-                            "{prefix}{seed}: path-search live-in mismatch for {value} at {block}\n{}",
-                            func.display()
-                        );
-                    }
+                    assert_eq!(
+                        reference.is_live_in(block, value),
+                        searched[value].contains(block),
+                        "{prefix}{seed}: path-search live-in mismatch for {value} at {block}\n{}",
+                        func.display()
+                    );
                     assert_eq!(
                         reference.is_live_in(block, value),
                         fast.is_live_in(block, value),
