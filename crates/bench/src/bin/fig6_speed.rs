@@ -61,12 +61,11 @@ fn main() {
         }
         allocation_count() - before
     };
-    let (batch_allocs, phase, batch_queries) = {
+    let (batch_allocs, batch_queries) = {
         let mut work = flat.clone();
         let before = allocation_count();
         let stats = serial_engine.run(&mut work);
-        let total = stats.total();
-        (allocation_count() - before, total.phase_seconds, total.interference_queries)
+        (allocation_count() - before, stats.total().interference_queries)
     };
     // Pooled streaming engine: three passes over the corpus through one
     // persistent worker and source. Pass 0 warms every pool and cache;
@@ -112,13 +111,31 @@ fn main() {
     // granularity (clone excluded) so the input locality is identical — the
     // remaining difference is exactly the engine: per-worker caches and
     // scratch reused across functions versus rebuilt for every function.
+    // Each batch-serial phase is the minimum over the same five rounds of
+    // that round's phase time summed over the workloads.
     let mut seed_style = f64::INFINITY;
     let mut serial = f64::INFINITY;
+    let mut phase = PhaseSeconds {
+        liveness: f64::INFINITY,
+        coalesce: f64::INFINITY,
+        sequentialize: f64::INFINITY,
+    };
     for _ in 0..5 {
         let s: f64 = corpus.iter().map(|w| run_variant_seed_style(w, &options).1).sum();
         seed_style = seed_style.min(s);
-        let b: f64 = corpus.iter().map(|w| ossa_bench::run_variant(w, &options).1).sum();
+        let mut round = PhaseSeconds::default();
+        let b: f64 = corpus
+            .iter()
+            .map(|w| {
+                let (stats, seconds) = ossa_bench::run_variant(w, &options);
+                round.absorb(&stats.phase_seconds);
+                seconds
+            })
+            .sum();
         serial = serial.min(b);
+        phase.liveness = phase.liveness.min(round.liveness);
+        phase.coalesce = phase.coalesce.min(round.coalesce);
+        phase.sequentialize = phase.sequentialize.min(round.sequentialize);
     }
     let parallel: f64 = min3(&|| time_batch(0));
     let validated: f64 = min3(&time_batch_validated);

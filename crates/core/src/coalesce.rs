@@ -62,10 +62,9 @@ pub struct TranslateScratch {
     move_location: SecondaryMap<Value, Option<(Block, usize)>>,
     /// Copy-insertion result and working storage (webs, moves, caches).
     insertion: CopyInsertion,
-    /// The copy-related universe, its dedup set and def/use scratch.
+    /// The copy-related universe and its dedup set.
     universe: Vec<Value>,
     universe_seen: ossa_ir::EntitySet<Value>,
-    universe_tmp: Vec<Value>,
     /// Pre-existing plain copies, collected by the fused universe scan.
     plain_copies: Vec<InsertedMove>,
     /// Parallel-copy sites `(block, position, inst)` of the fused scan.
@@ -644,7 +643,6 @@ pub fn translate_out_of_ssa_scratch(
     coalesce_probe(CoalesceStage::Setup);
     let mut universe = std::mem::take(&mut scratch.universe);
     let mut universe_seen = std::mem::take(&mut scratch.universe_seen);
-    let mut universe_tmp = std::mem::take(&mut scratch.universe_tmp);
     let mut plain_copies = std::mem::take(&mut scratch.plain_copies);
     let mut parallel_sites = std::mem::take(&mut scratch.parallel_sites);
     {
@@ -656,7 +654,6 @@ pub fn translate_out_of_ssa_scratch(
             func,
             &mut universe,
             &mut universe_seen,
-            &mut universe_tmp,
             &mut plain_copies,
             &mut parallel_sites,
         );
@@ -736,7 +733,6 @@ pub fn translate_out_of_ssa_scratch(
     stats.moves_coalesced = scratch.decisions.moves_coalesced;
     scratch.universe = universe;
     scratch.universe_seen = universe_seen;
-    scratch.universe_tmp = universe_tmp;
     scratch.plain_copies = plain_copies;
     scratch.parallel_sites = parallel_sites;
     scratch.insertion = insertion;

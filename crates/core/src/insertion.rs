@@ -17,7 +17,9 @@
 //! Corner case (Figure 2): when a φ argument is defined by the predecessor's
 //! terminator itself (`br_dec`), no copy can be inserted after the
 //! definition, so the incoming edge is split and the copy placed on the new
-//! block instead.
+//! block instead. `BrDec` is the only terminator that defines a value and a
+//! value has one definition in SSA, so the case is read off the
+//! predecessor's terminator alone.
 //!
 //! This module also isolates *pinned* values (register renaming constraints,
 //! Section III-D): their live ranges are split with parallel copies around
@@ -28,7 +30,7 @@ use std::collections::HashMap;
 
 use ossa_ir::entity::{Block, Inst, SecondaryMap, Value};
 use ossa_ir::instruction::callconv;
-use ossa_ir::{CopyList, CopyPair, DefSite, Function, InstData, PhiArg};
+use ossa_ir::{CopyList, CopyPair, Function, InstData, PhiArg};
 use ossa_ssa::split_edge;
 
 /// One φ-web produced by copy insertion: the primed values to pre-coalesce.
@@ -79,10 +81,8 @@ pub struct CopyInsertion {
 /// and [`isolate_pinned_values`].
 #[derive(Clone, Debug, Default)]
 struct InsertionScratch {
-    defs: SecondaryMap<Value, Option<DefSite>>,
     pred_pcs: ParallelCopyCache,
     entry_pcs: ParallelCopyCache,
-    split_edges: HashMap<(Block, Block), Block>,
     preds_split: Vec<Block>,
     phis: Vec<Inst>,
     new_args: Vec<PhiArg>,
@@ -91,7 +91,6 @@ struct InsertionScratch {
     iso_rewrites: Vec<(usize, Value)>,
     iso_replacement: HashMap<Value, Value>,
     iso_pairs: Vec<CopyPair>,
-    defs_tmp: Vec<Value>,
     reserve_counts: SecondaryMap<Block, u32>,
 }
 
@@ -268,10 +267,8 @@ pub fn insert_phi_copies_into(func: &mut Function, result: &mut CopyInsertion) {
     // Work on the scratch by value so `result` stays freely borrowable for
     // the web/move recording below; restored before returning.
     let mut scratch = std::mem::take(&mut result.scratch);
-    func.def_sites_into(&mut scratch.defs, &mut scratch.defs_tmp);
     scratch.pred_pcs.truncate(0);
     scratch.entry_pcs.truncate(0);
-    scratch.split_edges.clear();
 
     // Edge splitting appends blocks; only the blocks that exist now can
     // carry φs, so a plain index loop visits exactly the original layout.
@@ -288,28 +285,23 @@ pub fn insert_phi_copies_into(func: &mut Function, result: &mut CopyInsertion) {
 
         // Split, once per predecessor, the edges whose φ arguments are
         // defined by the predecessor's terminator (the br_dec case).
+        // `split_edge` redirects the φ arguments to the new block, so each
+        // argument's block is the block its copy goes to from here on.
         scratch.preds_split.clear();
         for &phi in &scratch.phis {
             let Some(args) = func.inst_phi_args(phi) else { continue };
             for arg in args {
-                if let (Some(site), Some(term)) =
-                    (scratch.defs[arg.value], func.terminator(arg.block))
-                {
-                    if site.inst == term && !scratch.preds_split.contains(&arg.block) {
-                        scratch.preds_split.push(arg.block);
-                    }
+                let defined_by_terminator = func.terminator(arg.block).is_some_and(|term| {
+                    matches!(func.inst(term), InstData::BrDec { dec, .. } if *dec == arg.value)
+                });
+                if defined_by_terminator && !scratch.preds_split.contains(&arg.block) {
+                    scratch.preds_split.push(arg.block);
                 }
             }
         }
-        for i in 0..scratch.preds_split.len() {
-            let pred = scratch.preds_split[i];
-            if let std::collections::hash_map::Entry::Vacant(e) =
-                scratch.split_edges.entry((pred, block))
-            {
-                let middle = split_edge(func, pred, block);
-                e.insert(middle);
-                result.edges_split += 1;
-            }
+        for &pred in &scratch.preds_split {
+            split_edge(func, pred, block);
+            result.edges_split += 1;
         }
 
         let entry_pc = entry_parallel_copy(func, block, &mut scratch.entry_pcs);
@@ -342,14 +334,12 @@ pub fn insert_phi_copies_into(func: &mut Function, result: &mut CopyInsertion) {
                 };
                 let primed = func.new_value();
                 result.values_created += 1;
-                let copy_block =
-                    *scratch.split_edges.get(&(arg.block, block)).unwrap_or(&arg.block);
-                let pc = pred_parallel_copy(func, copy_block, &mut scratch.pred_pcs);
+                let pc = pred_parallel_copy(func, arg.block, &mut scratch.pred_pcs);
                 push_move(func, pc, primed, arg.value);
-                result.record_move(primed, arg.value, copy_block);
-                web.moves.push(InsertedMove { dst: primed, src: arg.value, block: copy_block });
+                result.record_move(primed, arg.value, arg.block);
+                web.moves.push(InsertedMove { dst: primed, src: arg.value, block: arg.block });
                 web.members.push(primed);
-                scratch.new_args.push(PhiArg { block: copy_block, value: primed });
+                scratch.new_args.push(PhiArg { block: arg.block, value: primed });
             }
 
             // Rewrite the φ in place, reusing its argument storage (the
@@ -400,7 +390,6 @@ pub fn isolate_pinned_values(func: &mut Function, out: &mut CopyInsertion) {
             // pinning site is reached.
             scratch.iso_uses.clear();
             scratch.iso_defs.clear();
-            scratch.defs_tmp.clear();
             {
                 let data = func.inst(inst);
                 if let InstData::Call { args, .. } = data {
@@ -411,13 +400,11 @@ pub fn isolate_pinned_values(func: &mut Function, out: &mut CopyInsertion) {
                         }
                     }
                 }
-                data.collect_defs(func.pools(), &mut scratch.defs_tmp);
-            }
-            for i in 0..scratch.defs_tmp.len() {
-                let d = scratch.defs_tmp[i];
-                if func.pinned_reg(d).is_some() {
-                    scratch.iso_defs.push(d);
-                }
+                data.for_each_def(func.pools(), |d| {
+                    if func.pinned_reg(d).is_some() {
+                        scratch.iso_defs.push(d);
+                    }
+                });
             }
             if scratch.iso_uses.is_empty() && scratch.iso_defs.is_empty() {
                 pos += 1;
@@ -618,6 +605,120 @@ mod tests {
         assert_eq!(result.edges_split, 1);
         assert_eq!(f.num_blocks(), before_blocks + 1);
         assert!(is_conventional(&f));
+    }
+
+    /// `after` returns what `before` returns and stores what it stores, on
+    /// a few argument vectors.
+    fn assert_same_behaviour(before: &Function, after: &Function) {
+        use ossa_interp::{argument_sets, same_behaviour, Interpreter};
+        for args in argument_sets(7, 6, before.num_params as usize) {
+            let want = Interpreter::new().run(before, &args).expect("input runs");
+            let got = Interpreter::new().run(after, &args).expect("output runs");
+            assert!(same_behaviour(&want, &got), "{args:?}\n{}", after.display());
+        }
+    }
+
+    #[test]
+    fn brdec_predecessor_splits_no_edge_for_other_arguments() {
+        // The loop ends in `br_dec c -> d`, but no φ argument is `d`: the
+        // loop φs take values defined earlier in the block, and the exit φ
+        // takes the counter `c` itself. Copies fit before the terminator.
+        let mut b = FunctionBuilder::new("brdec-other", 1);
+        let entry = b.create_block();
+        let body = b.create_block();
+        let exit = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let p = b.param(0);
+        let k = b.iconst(4);
+        let one = b.iconst(1);
+        b.jump(body);
+        b.switch_to_block(body);
+        let c_next = b.declare_value();
+        let acc_next = b.declare_value();
+        let d = b.declare_value();
+        let c = b.phi(vec![(entry, k), (body, c_next)]);
+        let acc = b.phi(vec![(entry, p), (body, acc_next)]);
+        b.func_mut().append_inst(
+            body,
+            InstData::Binary { op: BinaryOp::Add, dst: acc_next, args: [acc, c] },
+        );
+        b.func_mut()
+            .append_inst(body, InstData::Binary { op: BinaryOp::Sub, dst: c_next, args: [c, one] });
+        b.func_mut().append_inst(
+            body,
+            InstData::BrDec { counter: c, dec: d, loop_dest: body, exit_dest: exit },
+        );
+        b.switch_to_block(exit);
+        let last = b.phi(vec![(body, c)]);
+        let s = b.binary(BinaryOp::Add, acc_next, last);
+        let r = b.binary(BinaryOp::Add, s, d);
+        b.ret(Some(r));
+        let input = b.finish();
+        verify_ssa(&input).expect("valid before");
+        let mut f = input.clone();
+        let result = insert_phi_copies(&mut f);
+        verify_ssa(&f).expect("valid SSA after insertion");
+        assert_eq!(result.edges_split, 0);
+        assert_eq!(f.num_blocks(), input.num_blocks());
+        assert!(is_conventional(&f));
+        // The copies of the loop block's arguments sit in the loop block.
+        let from_loop = [c_next, acc_next, c];
+        let loop_moves: Vec<_> =
+            result.moves.iter().filter(|m| from_loop.contains(&m.src)).collect();
+        assert_eq!(loop_moves.len(), 3);
+        assert!(loop_moves.iter().all(|m| m.block == body), "{loop_moves:?}");
+        assert_same_behaviour(&input, &f);
+    }
+
+    #[test]
+    fn one_brdec_feeding_both_successors_splits_each_edge_once() {
+        // `br_dec u -> d, body, exit`: two φs of the loop and one φ of the
+        // exit take `d` along the two edges out of the loop block.
+        let mut b = FunctionBuilder::new("brdec-both", 1);
+        let entry = b.create_block();
+        let body = b.create_block();
+        let exit = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let p = b.param(0);
+        let n = b.iconst(3);
+        b.jump(body);
+        b.switch_to_block(body);
+        let d = b.declare_value();
+        let u = b.phi(vec![(entry, n), (body, d)]);
+        let v = b.phi(vec![(entry, p), (body, d)]);
+        b.func_mut().append_inst(
+            body,
+            InstData::BrDec { counter: u, dec: d, loop_dest: body, exit_dest: exit },
+        );
+        b.switch_to_block(exit);
+        let r = b.phi(vec![(body, d)]);
+        let q = b.phi(vec![(body, v)]);
+        let s = b.binary(BinaryOp::Add, r, q);
+        b.ret(Some(s));
+        let input = b.finish();
+        verify_ssa(&input).expect("valid before");
+        let mut f = input.clone();
+        let result = insert_phi_copies(&mut f);
+        verify_ssa(&f).expect("valid SSA after insertion");
+        assert_eq!(result.edges_split, 2, "one split per edge out of the loop block");
+        assert_eq!(f.num_blocks(), input.num_blocks() + 2);
+        assert!(is_conventional(&f));
+        // Each copy of `d` lands in the split block of its own edge: a new
+        // block whose only successor is the φ's block.
+        let mut split_blocks = Vec::new();
+        for web in &result.webs {
+            for m in web.moves.iter().filter(|m| m.src == d) {
+                assert!(m.block.index() >= input.num_blocks(), "{m:?} is not in a split block");
+                assert_eq!(f.successors(m.block), vec![web.block], "{m:?}");
+                if !split_blocks.contains(&m.block) {
+                    split_blocks.push(m.block);
+                }
+            }
+        }
+        assert_eq!(split_blocks.len(), 2, "the loop's two copies of `d` share one split block");
+        assert_same_behaviour(&input, &f);
     }
 
     #[test]

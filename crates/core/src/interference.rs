@@ -158,7 +158,6 @@ pub fn copy_related_universe(func: &Function) -> Vec<Value> {
         &mut ossa_ir::EntitySet::new(),
         &mut Vec::new(),
         &mut Vec::new(),
-        &mut Vec::new(),
     );
     universe
 }
@@ -167,14 +166,13 @@ pub fn copy_related_universe(func: &Function) -> Vec<Value> {
 /// other two instruction scans of the decision phase into the same pass
 /// over the function: the pre-existing plain copies (affinity candidates)
 /// and the positions of the parallel copies (copy-sharing sites), both in
-/// block/instruction order. The output vectors, the dedup bit-set and the
-/// def/use scratch keep their storage across functions when threaded
-/// through a corpus driver's scratch.
+/// block/instruction order. The output vectors and the dedup bit-set keep
+/// their storage across functions when threaded through a corpus driver's
+/// scratch.
 pub fn copy_related_universe_and_sites_into(
     func: &Function,
     universe: &mut Vec<Value>,
     seen: &mut ossa_ir::EntitySet<Value>,
-    scratch: &mut Vec<Value>,
     plain_copies: &mut Vec<crate::insertion::InsertedMove>,
     parallel_sites: &mut Vec<(ossa_ir::Block, u32, ossa_ir::Inst)>,
 ) {
@@ -199,14 +197,13 @@ pub fn copy_related_universe_and_sites_into(
                 _ => {}
             }
             if data.is_phi() || data.is_copy_like() {
-                scratch.clear();
-                data.collect_defs(func.pools(), scratch);
-                data.collect_uses(func.pools(), scratch);
-                for &v in scratch.iter() {
+                let mut add = |v| {
                     if seen.insert(v) {
                         universe.push(v);
                     }
-                }
+                };
+                data.for_each_def(func.pools(), &mut add);
+                data.for_each_use(func.pools(), add);
             }
         }
     }

@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 
 use ossa_interp::{argument_sets, same_behaviour, InterpError, Interpreter, Observation};
-use ossa_ir::{verify_cfg, Block, EntitySet, Function, SecondaryMap, Value};
+use ossa_ir::{verify_cfg, Block, EntitySet, Function, Inst, SecondaryMap, Value};
 
 use crate::coalesce::OutOfSsaOptions;
 use crate::fault::{TranslateError, TranslatePhase};
@@ -114,17 +114,12 @@ pub fn validate_structural(
     // a value that is read and never written anywhere is always a miscompile
     // — it is exactly what a lost copy leaves behind.
     let def_counts = translated.def_counts();
-    let mut uses = Vec::new();
     for block in translated.blocks() {
         for &inst in translated.block_insts(block) {
-            uses.clear();
-            translated.collect_inst_uses(inst, &mut uses);
-            for &value in &uses {
-                if def_counts[value] == 0 {
-                    return Err(validation_error(format!(
-                        "{value} is used in {block} but defined nowhere"
-                    )));
-                }
+            if let Some(value) = first_use(translated, inst, |value| def_counts[value] == 0) {
+                return Err(validation_error(format!(
+                    "{value} is used in {block} but defined nowhere"
+                )));
             }
         }
     }
@@ -153,8 +148,6 @@ fn validate_must_defined(translated: &Function) -> Result<(), TranslateError> {
     // terminates.
     let mut outs: SecondaryMap<Block, Option<EntitySet<Value>>> = SecondaryMap::new();
     let mut avail: EntitySet<Value> = EntitySet::with_capacity(translated.num_values());
-    let mut uses = Vec::new();
-    let mut defs = Vec::new();
     // in[b] = ∩ preds out[p] (entry: ∅); returns `None` for ⊤.
     let flow_in = |outs: &SecondaryMap<Block, Option<EntitySet<Value>>>,
                    avail: &mut EntitySet<Value>,
@@ -183,11 +176,9 @@ fn validate_must_defined(translated: &Function) -> Result<(), TranslateError> {
                 continue;
             }
             for &inst in translated.block_insts(block) {
-                defs.clear();
-                translated.collect_inst_defs(inst, &mut defs);
-                for &value in &defs {
+                translated.for_each_inst_def(inst, |value| {
                     avail.insert(value);
-                }
+                });
             }
             let slot = &mut outs[block];
             if slot.as_ref() != Some(&avail) {
@@ -209,23 +200,28 @@ fn validate_must_defined(translated: &Function) -> Result<(), TranslateError> {
             continue;
         }
         for &inst in translated.block_insts(block) {
-            uses.clear();
-            translated.collect_inst_uses(inst, &mut uses);
-            for &value in &uses {
-                if !avail.contains(value) {
-                    return Err(validation_error(format!(
-                        "{value} is used in {block} but is not defined on every path from entry"
-                    )));
-                }
+            if let Some(value) = first_use(translated, inst, |value| !avail.contains(value)) {
+                return Err(validation_error(format!(
+                    "{value} is used in {block} but is not defined on every path from entry"
+                )));
             }
-            defs.clear();
-            translated.collect_inst_defs(inst, &mut defs);
-            for &value in &defs {
+            translated.for_each_inst_def(inst, |value| {
                 avail.insert(value);
-            }
+            });
         }
     }
     Ok(())
+}
+
+/// The first value `inst` uses that satisfies `bad`, in operand order.
+fn first_use(func: &Function, inst: Inst, mut bad: impl FnMut(Value) -> bool) -> Option<Value> {
+    let mut found = None;
+    func.for_each_inst_use(inst, |value| {
+        if found.is_none() && bad(value) {
+            found = Some(value);
+        }
+    });
+    found
 }
 
 /// The differential half: executes both functions on the shared

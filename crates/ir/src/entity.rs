@@ -335,6 +335,38 @@ impl<K: EntityRef, V: Clone + fmt::Debug> fmt::Debug for SecondaryMap<K, V> {
     }
 }
 
+/// Groups `pairs` by entity into compressed sparse rows, keeping each
+/// entity's items in the order `pairs` lists them (a stable counting sort):
+/// afterwards `items[offsets[k] as usize..offsets[k + 1] as usize]` are the
+/// items of the entity with index `k`, for every `k < num_keys`. Both
+/// outputs are refilled in place, keeping their capacity.
+pub fn group_by_entity<K: EntityRef, T: Copy>(
+    pairs: &[(K, T)],
+    num_keys: usize,
+    offsets: &mut Vec<u32>,
+    items: &mut Vec<T>,
+) {
+    offsets.clear();
+    offsets.resize(num_keys + 1, 0);
+    for &(key, _) in pairs {
+        offsets[key.index() + 1] += 1;
+    }
+    for i in 0..num_keys {
+        offsets[i + 1] += offsets[i];
+    }
+    // `offsets[k]`, the start of k's range, doubles as the write cursor and
+    // ends at k's end; one shift turns the ends back into starts.
+    items.clear();
+    items.extend(pairs.iter().map(|&(_, item)| item));
+    for &(key, item) in pairs {
+        let cursor = &mut offsets[key.index()];
+        items[*cursor as usize] = item;
+        *cursor += 1;
+    }
+    offsets.copy_within(0..num_keys, 1);
+    offsets[0] = 0;
+}
+
 /// A set of entities backed by a bit vector.
 #[derive(PartialEq, Eq)]
 pub struct EntitySet<K: EntityRef> {
@@ -555,6 +587,17 @@ impl<K: EntityRef> Extend<K> for EntitySet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn group_by_entity_keeps_each_entitys_items_in_order() {
+        let v = Value::new;
+        let pairs = [(v(2), 'a'), (v(0), 'b'), (v(2), 'c'), (v(3), 'd'), (v(2), 'e')];
+        // Recycled outputs from a larger grouping are refilled in place.
+        let (mut offsets, mut items) = (vec![9; 8], vec!['x'; 8]);
+        group_by_entity(&pairs, 5, &mut offsets, &mut items);
+        assert_eq!(offsets, [0, 1, 1, 4, 5, 5]);
+        assert_eq!(items, ['b', 'a', 'c', 'e', 'd']);
+    }
 
     #[test]
     fn primary_map_push_and_index() {

@@ -557,6 +557,20 @@ impl Function {
         data.map_defs(&mut self.pools, rewrite);
     }
 
+    /// Calls `visit` with each value defined by `inst`
+    /// ([`InstData::for_each_def`]).
+    #[inline]
+    pub fn for_each_inst_def(&self, inst: Inst, visit: impl FnMut(Value)) {
+        self.insts[inst].for_each_def(&self.pools, visit);
+    }
+
+    /// Calls `visit` with each value used by `inst`
+    /// ([`InstData::for_each_use`]).
+    #[inline]
+    pub fn for_each_inst_use(&self, inst: Inst, visit: impl FnMut(Value)) {
+        self.insts[inst].for_each_use(&self.pools, visit);
+    }
+
     /// Appends the values defined by `inst` to `out`.
     #[inline]
     pub fn collect_inst_defs(&self, inst: Inst, out: &mut Vec<Value>) {
@@ -588,36 +602,15 @@ impl Function {
     /// the first one in layout order is returned.
     pub fn def_sites(&self) -> SecondaryMap<Value, Option<DefSite>> {
         let mut defs: SecondaryMap<Value, Option<DefSite>> = SecondaryMap::new();
-        let mut scratch = Vec::new();
-        self.def_sites_into(&mut defs, &mut scratch);
-        defs
-    }
-
-    /// Like [`Function::def_sites`], recomputing into a recycled map (the
-    /// storage may come from a previous, possibly larger, function).
-    /// `scratch` is the def-collection buffer, caller-owned so a recycled
-    /// recomputation performs no allocation at all.
-    pub fn def_sites_into(
-        &self,
-        defs: &mut SecondaryMap<Value, Option<DefSite>>,
-        scratch: &mut Vec<Value>,
-    ) {
-        defs.truncate(self.num_values());
-        for slot in defs.values_mut() {
-            *slot = None;
-        }
         defs.resize(self.num_values());
         for block in self.blocks() {
             for (pos, &inst) in self.block_insts(block).iter().enumerate() {
-                scratch.clear();
-                self.collect_inst_defs(inst, scratch);
-                for &value in scratch.iter() {
-                    if defs[value].is_none() {
-                        defs[value] = Some(DefSite { block, inst, pos });
-                    }
-                }
+                self.for_each_inst_def(inst, |value| {
+                    defs[value].get_or_insert(DefSite { block, inst, pos });
+                });
             }
         }
+        defs
     }
 
     /// Counts how many definitions each value has (useful pre-SSA and for the
@@ -625,14 +618,9 @@ impl Function {
     pub fn def_counts(&self) -> SecondaryMap<Value, u32> {
         let mut counts: SecondaryMap<Value, u32> = SecondaryMap::new();
         counts.resize(self.num_values());
-        let mut scratch = Vec::new();
         for block in self.blocks() {
             for &inst in self.block_insts(block) {
-                scratch.clear();
-                self.collect_inst_defs(inst, &mut scratch);
-                for &value in &scratch {
-                    counts[value] += 1;
-                }
+                self.for_each_inst_def(inst, |value| counts[value] += 1);
             }
         }
         counts
@@ -641,13 +629,14 @@ impl Function {
     /// The set of values that appear (as def or use) anywhere in the function.
     pub fn referenced_values(&self) -> EntitySet<Value> {
         let mut set = EntitySet::with_capacity(self.num_values());
-        let mut scratch = Vec::new();
         for block in self.blocks() {
             for &inst in self.block_insts(block) {
-                scratch.clear();
-                self.collect_inst_defs(inst, &mut scratch);
-                self.collect_inst_uses(inst, &mut scratch);
-                set.extend(scratch.iter().copied());
+                self.for_each_inst_def(inst, |value| {
+                    set.insert(value);
+                });
+                self.for_each_inst_use(inst, |value| {
+                    set.insert(value);
+                });
             }
         }
         set
@@ -700,7 +689,6 @@ impl Function {
     /// attributed to the predecessor block, matching liveness semantics).
     pub fn use_blocks(&self) -> HashMap<Value, Vec<Block>> {
         let mut uses: HashMap<Value, Vec<Block>> = HashMap::new();
-        let mut scratch = Vec::new();
         for block in self.blocks() {
             for &inst in self.block_insts(block) {
                 match self.inst_phi_args(inst) {
@@ -709,13 +697,9 @@ impl Function {
                             uses.entry(*value).or_default().push(*pred);
                         }
                     }
-                    None => {
-                        scratch.clear();
-                        self.collect_inst_uses(inst, &mut scratch);
-                        for &value in &scratch {
-                            uses.entry(value).or_default().push(block);
-                        }
-                    }
+                    None => self.for_each_inst_use(inst, |value| {
+                        uses.entry(value).or_default().push(block);
+                    }),
                 }
             }
         }

@@ -441,8 +441,15 @@ impl InstData {
             || self.is_terminator()
     }
 
-    /// Appends the values defined by this instruction to `out`.
-    pub fn collect_defs(&self, pools: &IrPools, out: &mut Vec<Value>) {
+    /// Calls `visit` with each value this instruction defines, in operand
+    /// order (a parallel copy's destinations in move order).
+    ///
+    /// This and [`InstData::for_each_use`] are the IR's one listing of an
+    /// instruction's operands: every read-only operand walk goes through
+    /// them, and the `Vec`-filling forms ([`InstData::collect_defs`],
+    /// [`InstData::defs`]) are wrappers.
+    #[inline]
+    pub fn for_each_def(&self, pools: &IrPools, mut visit: impl FnMut(Value)) {
         match self {
             InstData::Param { dst, .. }
             | InstData::Const { dst, .. }
@@ -451,12 +458,12 @@ impl InstData {
             | InstData::Cmp { dst, .. }
             | InstData::Copy { dst, .. }
             | InstData::Phi { dst, .. }
-            | InstData::Load { dst, .. } => out.push(*dst),
+            | InstData::Load { dst, .. } => visit(*dst),
             InstData::ParallelCopy { copies } => {
-                out.extend(pools.copies.get(*copies).iter().map(|c| c.dst))
+                pools.copies.get(*copies).iter().for_each(|c| visit(c.dst))
             }
-            InstData::Call { dst, .. } => out.extend(dst.iter().copied()),
-            InstData::BrDec { dec, .. } => out.push(*dec),
+            InstData::Call { dst, .. } => dst.iter().copied().for_each(visit),
+            InstData::BrDec { dec, .. } => visit(*dec),
             InstData::Store { .. }
             | InstData::Jump { .. }
             | InstData::Branch { .. }
@@ -464,38 +471,57 @@ impl InstData {
         }
     }
 
+    /// Calls `visit` with each value this instruction uses, in operand
+    /// order. For φ-functions this visits every incoming argument; callers
+    /// that care about the per-edge semantics must use
+    /// [`InstData::phi_args`] instead.
+    #[inline]
+    pub fn for_each_use(&self, pools: &IrPools, mut visit: impl FnMut(Value)) {
+        match self {
+            InstData::Param { .. } | InstData::Const { .. } | InstData::Jump { .. } => {}
+            InstData::Unary { arg, .. } => visit(*arg),
+            InstData::Binary { args, .. } | InstData::Cmp { args, .. } => {
+                visit(args[0]);
+                visit(args[1]);
+            }
+            InstData::Copy { src, .. } => visit(*src),
+            InstData::ParallelCopy { copies } => {
+                pools.copies.get(*copies).iter().for_each(|c| visit(c.src))
+            }
+            InstData::Phi { args, .. } => pools.phis.get(*args).iter().for_each(|a| visit(a.value)),
+            InstData::Call { args, .. } => pools.values.get(*args).iter().copied().for_each(visit),
+            InstData::Load { addr, .. } => visit(*addr),
+            InstData::Store { addr, value } => {
+                visit(*addr);
+                visit(*value);
+            }
+            InstData::Branch { cond, .. } => visit(*cond),
+            InstData::BrDec { counter, .. } => visit(*counter),
+            InstData::Return { value } => value.iter().copied().for_each(visit),
+        }
+    }
+
+    /// Appends the values defined by this instruction to `out`.
+    pub fn collect_defs(&self, pools: &IrPools, out: &mut Vec<Value>) {
+        self.for_each_def(pools, |value| out.push(value));
+    }
+
     /// Returns the values defined by this instruction. Allocates; meant for
-    /// tests and diagnostics — hot paths use [`InstData::collect_defs`].
+    /// tests and diagnostics — hot paths use [`InstData::for_each_def`].
     pub fn defs(&self, pools: &IrPools) -> Vec<Value> {
         let mut out = Vec::new();
         self.collect_defs(pools, &mut out);
         out
     }
 
-    /// Appends the values used by this instruction to `out`. For φ-functions
-    /// this returns every incoming argument; callers that care about the
-    /// per-edge semantics must use [`InstData::phi_args`] instead.
+    /// Appends the values used by this instruction to `out`, in
+    /// [`InstData::for_each_use`] order.
     pub fn collect_uses(&self, pools: &IrPools, out: &mut Vec<Value>) {
-        match self {
-            InstData::Param { .. } | InstData::Const { .. } | InstData::Jump { .. } => {}
-            InstData::Unary { arg, .. } => out.push(*arg),
-            InstData::Binary { args, .. } | InstData::Cmp { args, .. } => out.extend(args),
-            InstData::Copy { src, .. } => out.push(*src),
-            InstData::ParallelCopy { copies } => {
-                out.extend(pools.copies.get(*copies).iter().map(|c| c.src))
-            }
-            InstData::Phi { args, .. } => out.extend(pools.phis.get(*args).iter().map(|a| a.value)),
-            InstData::Call { args, .. } => out.extend(pools.values.get(*args)),
-            InstData::Load { addr, .. } => out.push(*addr),
-            InstData::Store { addr, value } => out.extend([*addr, *value]),
-            InstData::Branch { cond, .. } => out.push(*cond),
-            InstData::BrDec { counter, .. } => out.push(*counter),
-            InstData::Return { value } => out.extend(value.iter().copied()),
-        }
+        self.for_each_use(pools, |value| out.push(value));
     }
 
     /// Returns the values used by this instruction. Allocates; meant for
-    /// tests and diagnostics — hot paths use [`InstData::collect_uses`].
+    /// tests and diagnostics — hot paths use [`InstData::for_each_use`].
     pub fn uses(&self, pools: &IrPools) -> Vec<Value> {
         let mut out = Vec::new();
         self.collect_uses(pools, &mut out);
@@ -738,6 +764,100 @@ mod tests {
         assert_eq!(inst.uses(&pools), vec![v(2), v(4)]);
         assert!(inst.is_copy_like());
         assert_eq!(inst.copy_pairs(&pools).unwrap().len(), 2);
+    }
+
+    /// Position of the variant in the enum's declaration. The match is
+    /// exhaustive, so a new variant does not compile until the visitor
+    /// table below covers it.
+    fn variant_index(inst: &InstData) -> usize {
+        match inst {
+            InstData::Param { .. } => 0,
+            InstData::Const { .. } => 1,
+            InstData::Unary { .. } => 2,
+            InstData::Binary { .. } => 3,
+            InstData::Cmp { .. } => 4,
+            InstData::Copy { .. } => 5,
+            InstData::ParallelCopy { .. } => 6,
+            InstData::Phi { .. } => 7,
+            InstData::Call { .. } => 8,
+            InstData::Load { .. } => 9,
+            InstData::Store { .. } => 10,
+            InstData::Jump { .. } => 11,
+            InstData::Branch { .. } => 12,
+            InstData::BrDec { .. } => 13,
+            InstData::Return { .. } => 14,
+        }
+    }
+
+    #[test]
+    fn operand_visitors_match_a_hand_written_table() {
+        let mut pools = IrPools::new();
+        let copies = pools.copies.from_slice(&[
+            CopyPair { dst: v(20), src: v(21) },
+            CopyPair { dst: v(22), src: v(23) },
+            CopyPair { dst: v(24), src: v(25) },
+        ]);
+        let phi_args = pools.phis.from_slice(&[
+            PhiArg { block: b(1), value: v(31) },
+            PhiArg { block: b(2), value: v(32) },
+        ]);
+        let call_args = pools.values.from_slice(&[v(41), v(42), v(43)]);
+        let void_call_args = pools.values.from_slice(&[v(51)]);
+        // (instruction, its definitions, its uses), each list in operand order.
+        let table: Vec<(InstData, Vec<Value>, Vec<Value>)> = vec![
+            (InstData::Param { dst: v(1), index: 0 }, vec![v(1)], vec![]),
+            (InstData::Const { dst: v(2), imm: 7 }, vec![v(2)], vec![]),
+            (InstData::Unary { op: UnaryOp::Neg, dst: v(3), arg: v(4) }, vec![v(3)], vec![v(4)]),
+            (
+                InstData::Binary { op: BinaryOp::Sub, dst: v(5), args: [v(6), v(7)] },
+                vec![v(5)],
+                vec![v(6), v(7)],
+            ),
+            (
+                InstData::Cmp { op: CmpOp::Lt, dst: v(8), args: [v(9), v(10)] },
+                vec![v(8)],
+                vec![v(9), v(10)],
+            ),
+            (InstData::Copy { dst: v(11), src: v(12) }, vec![v(11)], vec![v(12)]),
+            (
+                InstData::ParallelCopy { copies },
+                vec![v(20), v(22), v(24)],
+                vec![v(21), v(23), v(25)],
+            ),
+            (InstData::Phi { dst: v(30), args: phi_args }, vec![v(30)], vec![v(31), v(32)]),
+            (
+                InstData::Call { dst: Some(v(40)), callee: 1, args: call_args },
+                vec![v(40)],
+                vec![v(41), v(42), v(43)],
+            ),
+            (InstData::Call { dst: None, callee: 2, args: void_call_args }, vec![], vec![v(51)]),
+            (InstData::Load { dst: v(60), addr: v(61) }, vec![v(60)], vec![v(61)]),
+            (InstData::Store { addr: v(62), value: v(63) }, vec![], vec![v(62), v(63)]),
+            (InstData::Jump { dest: b(1) }, vec![], vec![]),
+            (
+                InstData::Branch { cond: v(70), then_dest: b(1), else_dest: b(2) },
+                vec![],
+                vec![v(70)],
+            ),
+            (
+                InstData::BrDec { counter: v(80), dec: v(81), loop_dest: b(1), exit_dest: b(2) },
+                vec![v(81)],
+                vec![v(80)],
+            ),
+            (InstData::Return { value: Some(v(90)) }, vec![], vec![v(90)]),
+            (InstData::Return { value: None }, vec![], vec![]),
+        ];
+        let mut covered = [false; 15];
+        for (inst, defs, uses) in &table {
+            covered[variant_index(inst)] = true;
+            let mut seen = Vec::new();
+            inst.for_each_def(&pools, |value| seen.push(value));
+            assert_eq!(&seen, defs, "definitions of {inst:?}");
+            seen.clear();
+            inst.for_each_use(&pools, |value| seen.push(value));
+            assert_eq!(&seen, uses, "uses of {inst:?}");
+        }
+        assert!(covered.iter().all(|&c| c), "every variant has a row: {covered:?}");
     }
 
     #[test]

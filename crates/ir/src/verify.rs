@@ -128,8 +128,6 @@ pub struct VerifyScratch {
     def_sites: SecondaryMap<Value, Option<DefSite>>,
     /// Number of definitions of every value.
     def_counts: SecondaryMap<Value, u32>,
-    /// Operand buffer of the per-instruction walks.
-    operands: Vec<Value>,
 }
 
 impl VerifyScratch {
@@ -156,17 +154,19 @@ pub fn verify_ssa(func: &Function) -> Result<(), VerifierErrors> {
     verify_ssa_scratch(func, &OneShot::default(), &mut VerifyScratch::new())
 }
 
-/// [`verify_cfg`] on the caller's CFG, in recycled `scratch`.
+/// [`verify_cfg`] on the caller's CFG. The structural checks need no
+/// working storage; the scratch parameter keeps the call shape of
+/// [`verify_ssa_scratch`].
 ///
 /// # Errors
 /// Returns every structural violation found.
 pub fn verify_cfg_scratch(
     func: &Function,
     analyses: &impl CfgAnalyses,
-    scratch: &mut VerifyScratch,
+    _scratch: &mut VerifyScratch,
 ) -> Result<(), VerifierErrors> {
     let mut errors = VerifierErrors::default();
-    structural_checks(func, analyses, &mut scratch.operands, &mut errors);
+    structural_checks(func, analyses, &mut errors);
     errors.into_result()
 }
 
@@ -181,7 +181,7 @@ pub fn verify_ssa_scratch(
     scratch: &mut VerifyScratch,
 ) -> Result<(), VerifierErrors> {
     let mut errors = VerifierErrors::default();
-    structural_checks(func, analyses, &mut scratch.operands, &mut errors);
+    structural_checks(func, analyses, &mut errors);
     if errors.is_ok() {
         ssa_checks(func, analyses.cfg(func), analyses.domtree(func), scratch, &mut errors);
     }
@@ -205,12 +205,7 @@ impl Preds<'_> {
     }
 }
 
-fn structural_checks(
-    func: &Function,
-    analyses: &impl CfgAnalyses,
-    operands: &mut Vec<Value>,
-    errors: &mut VerifierErrors,
-) {
+fn structural_checks(func: &Function, analyses: &impl CfgAnalyses, errors: &mut VerifierErrors) {
     if !func.has_entry() {
         errors.report(None, None, "function has no entry block");
         return;
@@ -277,10 +272,7 @@ fn structural_checks(
                 }
             }
             // All referenced values must have been allocated.
-            operands.clear();
-            data.collect_defs(func.pools(), operands);
-            data.collect_uses(func.pools(), operands);
-            for &value in operands.iter() {
+            let mut allocated = |value: Value| {
                 if value.index() >= func.num_values() {
                     errors.report(
                         Some(block),
@@ -288,7 +280,9 @@ fn structural_checks(
                         format!("reference to unallocated value {value}"),
                     );
                 }
-            }
+            };
+            data.for_each_def(func.pools(), &mut allocated);
+            data.for_each_use(func.pools(), allocated);
             // Successors must be existing blocks.
             for succ in data.successors_iter() {
                 if succ.index() >= func.num_blocks() {
@@ -341,7 +335,7 @@ fn ssa_checks(
     scratch: &mut VerifyScratch,
     errors: &mut VerifierErrors,
 ) {
-    let VerifyScratch { def_sites, def_counts, operands } = scratch;
+    let VerifyScratch { def_sites, def_counts } = scratch;
 
     // One definition walk: every value's definition count and its first
     // definition site in layout order.
@@ -351,14 +345,10 @@ fn ssa_checks(
     def_counts.resize(func.num_values());
     for block in func.blocks() {
         for (pos, &inst) in func.block_insts(block).iter().enumerate() {
-            operands.clear();
-            func.collect_inst_defs(inst, operands);
-            for &value in operands.iter() {
+            func.for_each_inst_def(inst, |value| {
                 def_counts[value] += 1;
-                if def_sites[value].is_none() {
-                    def_sites[value] = Some(DefSite { block, inst, pos });
-                }
-            }
+                def_sites[value].get_or_insert(DefSite { block, inst, pos });
+            });
         }
     }
 
@@ -404,16 +394,14 @@ fn ssa_checks(
                     }
                 }
             } else {
-                operands.clear();
-                data.collect_uses(func.pools(), operands);
-                for &value in operands.iter() {
+                data.for_each_use(func.pools(), |value| {
                     let Some(site) = def_sites[value] else {
                         errors.report(
                             Some(block),
                             Some(inst),
                             format!("use of undefined value {value}"),
                         );
-                        continue;
+                        return;
                     };
                     if !cfg.is_reachable(site.block) {
                         errors.report(
@@ -421,7 +409,7 @@ fn ssa_checks(
                             Some(inst),
                             format!("use of value {value} defined in unreachable code"),
                         );
-                        continue;
+                        return;
                     }
                     // The definition must come strictly before the use, except
                     // that an instruction may not use its own definition.
@@ -434,7 +422,7 @@ fn ssa_checks(
                             format!("use of {value} is not dominated by its definition"),
                         );
                     }
-                }
+                });
             }
         }
     }

@@ -10,7 +10,7 @@
 use ossa_ir::entity::{Block, SecondaryMap, Value};
 use ossa_ir::{DefSite, DominatorTree, Function, InstData};
 
-use crate::uses::UseSites;
+use crate::uses::{UseSite, UseSites};
 use crate::BlockLiveness;
 
 /// Pre-computed per-value information needed by intersection queries.
@@ -18,9 +18,6 @@ use crate::BlockLiveness;
 pub struct LiveRangeInfo {
     defs: SecondaryMap<Value, Option<DefSite>>,
     uses: UseSites,
-    /// Def-collection scratch of [`LiveRangeInfo::recompute`], kept so a
-    /// recycled recomputation performs no allocation at all.
-    scratch: Vec<Value>,
 }
 
 impl LiveRangeInfo {
@@ -36,9 +33,38 @@ impl LiveRangeInfo {
     /// [`LiveRangeInfo::compute`] except for the heap traffic. This is what
     /// lets [`crate::FunctionAnalyses`] recycle the index across instruction
     /// versions instead of reallocating it after every invalidation.
+    ///
+    /// One walk over the instructions in layout order records each value's
+    /// first definition site and lists every use, a φ argument at the end
+    /// of its predecessor (`usize::MAX`); [`UseSites`] then sorts the uses
+    /// by value.
     pub fn recompute(&mut self, func: &Function) {
-        func.def_sites_into(&mut self.defs, &mut self.scratch);
-        self.uses.compute_into(func);
+        let defs = &mut self.defs;
+        defs.truncate(0);
+        defs.resize(func.num_values());
+        self.uses.rebuild(func.num_values(), |uses| {
+            // Most instructions use at most two values; a φ-heavy or
+            // call-heavy function grows the buffer once more.
+            uses.reserve(2 * func.num_insts());
+            for block in func.blocks() {
+                for (pos, &inst) in func.block_insts(block).iter().enumerate() {
+                    let data = func.inst(inst);
+                    data.for_each_def(func.pools(), |value| {
+                        defs[value].get_or_insert(DefSite { block, inst, pos });
+                    });
+                    match data.phi_args(func.pools()) {
+                        Some(args) => {
+                            uses.extend(args.iter().map(|arg| {
+                                (arg.value, UseSite { block: arg.block, pos: usize::MAX })
+                            }))
+                        }
+                        None => data.for_each_use(func.pools(), |value| {
+                            uses.push((value, UseSite { block, pos }));
+                        }),
+                    }
+                }
+            }
+        });
     }
 
     /// Definition site of `value`, if it has one.

@@ -30,8 +30,6 @@ struct SetsScratch {
     gen: SecondaryMap<Block, EntitySet<Value>>,
     kill: SecondaryMap<Block, EntitySet<Value>>,
     edge_phi_uses: SecondaryMap<Block, Vec<Value>>,
-    defs: Vec<Value>,
-    uses: Vec<Value>,
     out: EntitySet<Value>,
     post_order: Vec<Block>,
 }
@@ -67,67 +65,51 @@ impl LivenessSets {
         self.num_values = num_values;
         self.num_blocks = num_blocks;
 
-        // Per-block upward-exposed uses and kills. φ handling matches the
-        // paper's semantics: φ uses belong to predecessors and the φ def
-        // kills the value locally (it is not upward exposed).
-        let scratch = &mut self.scratch;
-        let gen = &mut scratch.gen;
-        let kill = &mut scratch.kill;
+        // Per-block upward-exposed uses and kills, in one walk with the φ
+        // uses. φ handling matches the paper's semantics: a φ use belongs to
+        // the end of its predecessor (collected once instead of re-walking
+        // every successor's φ group per fixpoint pass) and the φ def kills
+        // the value locally (it is not upward exposed).
+        let SetsScratch { gen, kill, edge_phi_uses, out: scratch_out, post_order } =
+            &mut self.scratch;
         reset_block_sets(gen, num_blocks);
         reset_block_sets(kill, num_blocks);
-
-        let scratch_defs = &mut scratch.defs;
-        let scratch_uses = &mut scratch.uses;
+        for list in edge_phi_uses.values_mut() {
+            list.clear();
+        }
+        edge_phi_uses.resize(num_blocks);
         for &block in cfg.reverse_post_order() {
             let (gen_set, kill_set) = (&mut gen[block], &mut kill[block]);
             for &inst in func.block_insts(block) {
                 let data = func.inst(inst);
-                if !data.is_phi() {
-                    scratch_uses.clear();
-                    data.collect_uses(func.pools(), scratch_uses);
-                    for &u in &*scratch_uses {
+                match data.phi_args(func.pools()) {
+                    Some(args) => {
+                        for arg in args {
+                            edge_phi_uses[arg.block].push(arg.value);
+                        }
+                    }
+                    None => data.for_each_use(func.pools(), |u| {
                         if !kill_set.contains(u) {
                             gen_set.insert(u);
                         }
-                    }
+                    }),
                 }
-                scratch_defs.clear();
-                data.collect_defs(func.pools(), scratch_defs);
-                for &d in &*scratch_defs {
+                data.for_each_def(func.pools(), |d| {
                     kill_set.insert(d);
-                }
+                });
             }
         }
 
         reset_block_sets(&mut self.live_in, num_blocks);
         reset_block_sets(&mut self.live_out, num_blocks);
 
-        // φ uses attributed to the end of their predecessor, collected once
-        // instead of re-walking every successor's φ group per fixpoint pass.
-        let edge_phi_uses = &mut scratch.edge_phi_uses;
-        for list in edge_phi_uses.values_mut() {
-            list.clear();
-        }
-        edge_phi_uses.resize(num_blocks);
-        for &block in cfg.reverse_post_order() {
-            for &inst in func.block_insts(block) {
-                if let Some(args) = func.inst_phi_args(inst) {
-                    for arg in args {
-                        edge_phi_uses[arg.block].push(arg.value);
-                    }
-                }
-            }
-        }
-
         // Backward fixpoint over the post-order, in place: the stored sets
         // only ever grow, so the transfer can union directly into them —
         // gen/kill are the precomputed per-block transfer functions and the
         // `live_in ∪= live_out \ kill` step is a single word-level pass. The
         // only scratch is one reusable bit-set for the successor union.
-        let post_order = &mut scratch.post_order;
         post_order.clear();
         post_order.extend(cfg.post_order());
-        let scratch_out = &mut scratch.out;
         scratch_out.reset();
         for &block in cfg.reverse_post_order() {
             self.live_in[block].union_with(&gen[block]);
@@ -244,7 +226,6 @@ pub fn live_in_by_search(
             worklist.push((value, block));
         }
     };
-    let mut uses = Vec::new();
     for block in func.blocks().filter(|&block| cfg.is_reachable(block)) {
         for (pos, &inst) in func.block_insts(block).iter().enumerate() {
             if let Some(args) = func.inst_phi_args(inst) {
@@ -255,13 +236,11 @@ pub fn live_in_by_search(
                 }
                 continue;
             }
-            uses.clear();
-            func.collect_inst_uses(inst, &mut uses);
-            for &value in &uses {
+            func.for_each_inst_use(inst, |value| {
                 if defs[value].is_some_and(|def| def.block != block || pos <= def.pos) {
                     seed(value, block);
                 }
-            }
+            });
         }
     }
     while let Some((value, block)) = worklist.pop() {

@@ -6,10 +6,11 @@
 //!
 //! The index is stored densely (one slot per value) because
 //! [`UseSites::used_after_in_block`] sits on the hot path of every
-//! live-range intersection query.
+//! live-range intersection query. It is built by
+//! [`crate::LiveRangeInfo::recompute`], in the same instruction walk that
+//! records the definition sites.
 
-use ossa_ir::entity::{Block, Value};
-use ossa_ir::Function;
+use ossa_ir::entity::{group_by_entity, Block, Value};
 
 /// A single use of a value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -29,79 +30,34 @@ impl UseSite {
 }
 
 /// Index of all uses of every value in a function, stored in compressed
-/// sparse-row form: one flat site array plus per-value offsets. Building it
-/// performs exactly three allocations regardless of function size (counts,
-/// offsets, sites) instead of one `Vec` per used value.
+/// sparse-row form: one flat site array plus per-value offsets, instead of
+/// one `Vec` per used value.
 #[derive(Clone, Debug, Default)]
 pub struct UseSites {
     /// `offsets[v.index()] .. offsets[v.index() + 1]` indexes `sites`.
     offsets: Vec<u32>,
     /// All use sites, grouped by value, in block-traversal order per value.
     sites: Vec<UseSite>,
-    /// Use-collection scratch of [`UseSites::compute_into`], kept so a
-    /// recycled recomputation performs no allocation at all.
-    scratch: Vec<Value>,
+    /// Every use as a `(value, site)` pair in block-traversal order: the
+    /// input of the counting sort in [`UseSites::rebuild`], kept so a
+    /// recycled rebuild performs no allocation at all.
+    pairs: Vec<(Value, UseSite)>,
 }
 
 impl UseSites {
-    /// Builds the use index of `func`.
-    pub fn compute(func: &Function) -> Self {
-        let mut this = Self::default();
-        this.compute_into(func);
-        this
-    }
-
-    /// Rebuilds the index for `func` in place, reusing the offset and site
-    /// arrays of a previous (possibly different) function. Identical to
-    /// [`UseSites::compute`] except for the heap traffic: the CSR arrays are
-    /// recycled and the per-value counting pass runs inside the offset array
-    /// itself (count → prefix-sum → cursor → shift), so a steady-state
-    /// recomputation performs no allocation once the arrays have grown.
-    pub fn compute_into(&mut self, func: &Function) {
-        let num_values = func.num_values();
-        let scratch = &mut self.scratch;
-        let mut each_use = |func: &Function, f: &mut dyn FnMut(Value, Block, usize)| {
-            for block in func.blocks() {
-                for (pos, &inst) in func.block_insts(block).iter().enumerate() {
-                    match func.inst_phi_args(inst) {
-                        Some(args) => {
-                            for arg in args {
-                                f(arg.value, arg.block, usize::MAX);
-                            }
-                        }
-                        None => {
-                            scratch.clear();
-                            func.collect_inst_uses(inst, scratch);
-                            for &value in scratch.iter() {
-                                f(value, block, pos);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        offsets.resize(num_values + 1, 0);
-        each_use(func, &mut |value, _, _| offsets[value.index() + 1] += 1);
-        for i in 0..num_values {
-            offsets[i + 1] += offsets[i];
-        }
-        let total = offsets[num_values] as usize;
-        let sites = &mut self.sites;
-        sites.clear();
-        sites.resize(total, UseSite { block: Block::from_index(0), pos: 0 });
-        // `offsets[v]` (currently the start of v's range) doubles as the
-        // write cursor; afterwards it holds v's end — one shift restores it.
-        each_use(func, &mut |value, block, pos| {
-            let slot = offsets[value.index()];
-            offsets[value.index()] += 1;
-            sites[slot as usize] = UseSite { block, pos };
-        });
-        for i in (1..=num_values).rev() {
-            offsets[i] = offsets[i - 1];
-        }
-        offsets[0] = 0;
+    /// Rebuilds the index over `num_values` values, reusing the arrays of
+    /// a previous (possibly different) function. `walk` pushes every use as
+    /// a `(value, site)` pair, in block-traversal order, into the cleared
+    /// pair buffer; a stable counting sort by value then fills the offsets
+    /// and sites, so each value's sites keep the order `walk` pushed them in.
+    pub(crate) fn rebuild(
+        &mut self,
+        num_values: usize,
+        walk: impl FnOnce(&mut Vec<(Value, UseSite)>),
+    ) {
+        self.pairs.clear();
+        walk(&mut self.pairs);
+        group_by_entity(&self.pairs, num_values, &mut self.offsets, &mut self.sites);
     }
 
     /// All uses of `value` (empty slice if never used).
@@ -134,7 +90,7 @@ impl UseSites {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::LiveRangeInfo;
     use ossa_ir::builder::FunctionBuilder;
     use ossa_ir::BinaryOp;
 
@@ -152,7 +108,8 @@ mod tests {
         let p = b.phi(vec![(entry, y)]);
         b.ret(Some(p));
         let f = b.finish();
-        let uses = UseSites::compute(&f);
+        let info = LiveRangeInfo::compute(&f);
+        let uses = info.uses();
 
         let x_uses = uses.uses_of(x);
         assert_eq!(x_uses.len(), 2);
@@ -178,7 +135,8 @@ mod tests {
         let dead = b.iconst(1);
         b.ret(None);
         let f = b.finish();
-        let uses = UseSites::compute(&f);
+        let info = LiveRangeInfo::compute(&f);
+        let uses = info.uses();
         assert!(!uses.is_used(dead));
         assert!(uses.uses_of(dead).is_empty());
         assert_eq!(uses.num_used_values(), 0);

@@ -115,16 +115,12 @@ fn live_intervals(func: &Function, analyses: &FunctionAnalyses) -> SecondaryMap<
     // Program points number the (block, inst) pairs in layout order, plus
     // one point past each block's last instruction.
     let mut block_start = 0u32;
-    let mut operands: Vec<Value> = Vec::new();
     for &block in func.layout() {
         let insts = func.block_insts(block);
         for (offset, &inst) in insts.iter().enumerate() {
-            operands.clear();
-            func.collect_inst_defs(inst, &mut operands);
-            func.collect_inst_uses(inst, &mut operands);
-            for &v in &operands {
-                intervals[v].extend(block_start + offset as u32);
-            }
+            let point = block_start + offset as u32;
+            func.for_each_inst_def(inst, |v| intervals[v].extend(point));
+            func.for_each_inst_use(inst, |v| intervals[v].extend(point));
         }
         // Extend to block boundaries for values live across the block.
         let block_end = block_start + insts.len() as u32;

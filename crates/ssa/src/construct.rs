@@ -7,7 +7,7 @@
 //! each new SSA value back to the original variable is returned so that
 //! tests and workload generators can relate the two forms.
 
-use ossa_ir::entity::{Block, SecondaryMap, Value};
+use ossa_ir::entity::{group_by_entity, Block, SecondaryMap, Value};
 use ossa_ir::{ControlFlowGraph, DominatorTree, Function, InstData, PhiArg};
 use ossa_liveness::FunctionAnalyses;
 
@@ -101,45 +101,44 @@ pub fn construct_ssa_scratch(
         let frontiers = analyses.frontiers(func);
         let liveness = analyses.liveness_sets(func);
 
-        // Definition blocks per variable, stored densely so that φ placement
-        // below iterates variables in index order — iterating a HashMap here
-        // made φ order (and with it all downstream SSA value numbering) vary
-        // from run to run. High-water reset: slots are cleared in place so
-        // their buffers survive for the next function.
-        for slot in scratch.def_blocks.values_mut() {
-            slot.clear();
-        }
-        scratch.def_blocks.resize(num_values_before);
+        // Definition blocks per variable, in first-definition order, stored
+        // densely so that φ placement below iterates variables in index
+        // order — iterating a HashMap here made φ order (and with it all
+        // downstream SSA value numbering) vary from run to run. The walk
+        // visits each block once, so a variable's blocks repeat only back
+        // to back; a stable counting sort by variable groups them.
+        let SsaScratch { def_pairs, last_def_block, def_block_offsets, def_blocks, .. } =
+            &mut *scratch;
+        def_pairs.clear();
+        last_def_block.truncate(0);
+        last_def_block.resize(num_values_before);
         for &block in cfg.reverse_post_order() {
-            for ii in 0..func.block_len(block) {
-                let inst = func.block_insts(block)[ii];
-                scratch.def_tmp.clear();
-                func.collect_inst_defs(inst, &mut scratch.def_tmp);
-                for &v in &scratch.def_tmp {
-                    let blocks = &mut scratch.def_blocks[v];
-                    if !blocks.contains(&block) {
-                        blocks.push(block);
+            for &inst in func.block_insts(block) {
+                func.for_each_inst_def(inst, |v| {
+                    if last_def_block[v].replace(block) != Some(block) {
+                        def_pairs.push((v, block));
                     }
-                }
+                });
             }
         }
+        group_by_entity(def_pairs, num_values_before, def_block_offsets, def_blocks);
 
         // φ placement on iterated dominance frontiers (pruned with the
         // liveness computed above — φ insertion itself does not change what
-        // the placement reads). Stale slots past this function's values are
-        // empty (cleared above), so the index-order iteration sees exactly
-        // the variables a fresh map would.
+        // the placement reads).
         scratch.has_phi.clear();
         scratch.has_phi.resize(func.num_blocks(), false);
         scratch.ever_on_worklist.clear();
         scratch.ever_on_worklist.resize(func.num_blocks(), false);
-        for var_index in 0..scratch.def_blocks.len() {
+        for var_index in 0..num_values_before {
             let variable = Value::from_index(var_index);
-            if scratch.def_blocks[variable].is_empty() {
+            let (lo, hi) =
+                (scratch.def_block_offsets[var_index], scratch.def_block_offsets[var_index + 1]);
+            if lo == hi {
                 continue;
             }
             scratch.worklist.clear();
-            scratch.worklist.extend_from_slice(&scratch.def_blocks[variable]);
+            scratch.worklist.extend_from_slice(&scratch.def_blocks[lo as usize..hi as usize]);
             scratch.has_phi.iter_mut().for_each(|b| *b = false);
             scratch.ever_on_worklist.iter_mut().for_each(|b| *b = false);
             for &b in &scratch.worklist {
@@ -180,13 +179,9 @@ pub fn construct_ssa_scratch(
             scratch.origin[v] = Some(v);
         }
 
-        // High-water reset of the renaming stacks (every stack is empty
-        // after a balanced walk, but a panic-free guarantee costs nothing).
-        for slot in scratch.stacks.values_mut() {
-            slot.clear();
-        }
-        scratch.stacks.resize(num_values_before);
-        debug_assert!(scratch.pushed.is_empty());
+        scratch.stack_top.truncate(0);
+        scratch.stack_top.resize(num_values_before);
+        debug_assert!(scratch.versions.is_empty());
         rename_block(func, cfg, domtree, func.entry(), scratch);
     }
     // φ insertion and renaming are instruction-only mutations: the caller's
@@ -204,10 +199,10 @@ fn rename_block(
     block: Block,
     scratch: &mut SsaScratch,
 ) {
-    // Remember how many pushes we do so we can pop them on exit. The push
-    // log is shared across the recursive walk; each frame pops back to its
-    // entry length.
-    let pushed_start = scratch.pushed.len();
+    // Remember how many versions this block pushes so it can pop them on
+    // exit: each frame pops the shared version stack back to its entry
+    // length.
+    let pushed_start = scratch.versions.len();
 
     // Renaming rewrites operands in place but never adds or removes
     // instructions, so the block's instruction list can be walked by index.
@@ -218,9 +213,9 @@ fn rename_block(
             // Rewrite uses with the current top-of-stack version.
             let mut missing: Vec<Value> = Vec::new();
             {
-                let stacks_ref: &SecondaryMap<Value, Vec<Value>> = &scratch.stacks;
-                func.map_inst_uses(inst, |v| match stacks_ref.get(v).last() {
-                    Some(&top) => top,
+                let (tops, versions) = (&scratch.stack_top, &scratch.versions);
+                func.map_inst_uses(inst, |v| match *tops.get(v) {
+                    Some(top) => versions[top as usize].1,
                     None => {
                         missing.push(v);
                         v
@@ -233,7 +228,8 @@ fn rename_block(
                 func.name
             );
         }
-        // Rewrite definitions with fresh values.
+        // Rewrite definitions with fresh values. Creating a value mutates
+        // `func`, so the definitions are listed first.
         scratch.def_tmp.clear();
         func.collect_inst_defs(inst, &mut scratch.def_tmp);
         if !scratch.def_tmp.is_empty() {
@@ -245,8 +241,8 @@ fn rename_block(
                 if let Some(reg) = func.pinned_reg(old) {
                     func.pin_value(fresh, reg);
                 }
-                scratch.stacks[old].push(fresh);
-                scratch.pushed.push(old);
+                let below = scratch.stack_top[old].replace(scratch.versions.len() as u32);
+                scratch.versions.push((old, fresh, below));
                 scratch.def_repl.push((old, fresh));
             }
             let repl: &[(Value, Value)] = &scratch.def_repl;
@@ -271,8 +267,8 @@ fn rename_block(
                     // The argument still holds the original variable name
                     // (or was already rewritten if this edge was visited —
                     // each edge is visited exactly once).
-                    if let Some(&top) = scratch.stacks.get(arg.value).last() {
-                        arg.value = top;
+                    if let Some(top) = *scratch.stack_top.get(arg.value) {
+                        arg.value = scratch.versions[top as usize].1;
                     }
                 }
             }
@@ -286,9 +282,9 @@ fn rename_block(
     }
 
     // Pop the versions pushed by this block (in reverse push order).
-    while scratch.pushed.len() > pushed_start {
-        let old = scratch.pushed.pop().expect("push log underflow");
-        scratch.stacks[old].pop();
+    while scratch.versions.len() > pushed_start {
+        let (old, _, below) = scratch.versions.pop().expect("version stack underflow");
+        scratch.stack_top[old] = below;
     }
 }
 

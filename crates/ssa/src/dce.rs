@@ -53,9 +53,7 @@ pub fn eliminate_dead_code_scratch(
     analyses: &mut FunctionAnalyses,
     scratch: &mut SsaScratch,
 ) -> DeadCodeElimination {
-    let SsaScratch {
-        use_counts, def_inst, dead, dead_worklist: worklist, def_tmp, use_tmp, ..
-    } = scratch;
+    let SsaScratch { use_counts, def_inst, dead, dead_worklist: worklist, .. } = scratch;
     // Count the uses of every value (φ arguments included) and record each
     // value's defining instruction.
     use_counts.truncate(0);
@@ -64,16 +62,8 @@ pub fn eliminate_dead_code_scratch(
     def_inst.resize(func.num_values());
     for &block in func.layout() {
         for &inst in func.block_insts(block) {
-            use_tmp.clear();
-            func.collect_inst_uses(inst, use_tmp);
-            for &v in &*use_tmp {
-                use_counts[v] += 1;
-            }
-            def_tmp.clear();
-            func.collect_inst_defs(inst, def_tmp);
-            for &d in &*def_tmp {
-                def_inst[d] = Some(inst);
-            }
+            func.for_each_inst_use(inst, |v| use_counts[v] += 1);
+            func.for_each_inst_def(inst, |d| def_inst[d] = Some(inst));
         }
     }
 
@@ -81,7 +71,7 @@ pub fn eliminate_dead_code_scratch(
     worklist.clear();
     for &block in func.layout() {
         for &inst in func.block_insts(block) {
-            if is_removable(func, inst, use_counts, def_tmp) {
+            if is_removable(func, inst, use_counts) {
                 dead.insert(inst);
                 worklist.push(inst);
             }
@@ -89,20 +79,18 @@ pub fn eliminate_dead_code_scratch(
     }
     // Releasing a dead instruction's operands may leave a definition unused.
     while let Some(inst) = worklist.pop() {
-        use_tmp.clear();
-        func.collect_inst_uses(inst, use_tmp);
-        for &v in &*use_tmp {
+        func.for_each_inst_use(inst, |v| {
             use_counts[v] -= 1;
             if use_counts[v] > 0 {
-                continue;
+                return;
             }
             if let Some(def) = def_inst[v] {
-                if !dead.contains(def) && is_removable(func, def, use_counts, def_tmp) {
+                if !dead.contains(def) && is_removable(func, def, use_counts) {
                     dead.insert(def);
                     worklist.push(def);
                 }
             }
-        }
+        });
     }
 
     let mut stats = DeadCodeElimination::default();
@@ -119,19 +107,17 @@ pub fn eliminate_dead_code_scratch(
 }
 
 /// Returns `true` if `inst` has no side effects, defines at least one value
-/// and none of its definitions is used. `defs` is a scratch buffer.
-fn is_removable(
-    func: &Function,
-    inst: Inst,
-    use_counts: &SecondaryMap<Value, u32>,
-    defs: &mut Vec<Value>,
-) -> bool {
+/// and none of its definitions is used.
+fn is_removable(func: &Function, inst: Inst, use_counts: &SecondaryMap<Value, u32>) -> bool {
     if func.inst(inst).has_side_effects() {
         return false;
     }
-    defs.clear();
-    func.collect_inst_defs(inst, defs);
-    !defs.is_empty() && defs.iter().all(|&d| use_counts[d] == 0)
+    let (mut defines, mut all_unused) = (false, true);
+    func.for_each_inst_def(inst, |d| {
+        defines = true;
+        all_unused &= use_counts[d] == 0;
+    });
+    defines && all_unused
 }
 
 #[cfg(test)]
@@ -167,7 +153,7 @@ mod tests {
                 let mut pos = 0;
                 while pos < func.block_len(block) {
                     let inst = func.block_insts(block)[pos];
-                    if is_removable(func, inst, &use_counts, &mut tmp) {
+                    if is_removable(func, inst, &use_counts) {
                         func.remove_inst(block, inst);
                         removed_this_round += 1;
                     } else {

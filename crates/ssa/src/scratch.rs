@@ -7,13 +7,11 @@
 //! dead-code elimination — so the whole generate → SSA → optimize →
 //! translate cycle is allocation-free at steady state.
 //!
-//! Every buffer follows one of two resets:
-//!
-//! * **plain** (`Copy`-valued maps and vectors): truncate to empty, then
-//!   regrow inside retained capacity;
-//! * **high-water** (`Vec`-valued maps): slots are cleared *in place* and the
-//!   map is never truncated — truncating would drop the per-slot heap
-//!   buffers the recycling exists to keep.
+//! Every buffer is a flat vector or a `Copy`-valued map, reset by truncating
+//! to empty and regrowing inside retained capacity. Per-variable lists
+//! (definition blocks, renaming stacks) are threaded through shared flat
+//! vectors rather than kept as one `Vec` per variable, so even a fresh
+//! scratch allocates a bounded number of times per function.
 //!
 //! The scratch-aware passes are bit-identical to their allocating
 //! counterparts: only where the working bytes live changes, never what is
@@ -33,9 +31,17 @@ pub struct SsaScratch {
     // --- construction ---------------------------------------------------
     /// Variables live-in at entry (get an implicit zero definition).
     pub(crate) entry_live_in: Vec<Value>,
-    /// Definition blocks per variable (high-water reset).
-    pub(crate) def_blocks: SecondaryMap<Value, Vec<Block>>,
-    /// Per-instruction defs buffer.
+    /// `(variable, block)` for each variable's definition blocks, in walk
+    /// order: the input of the counting sort that fills `def_blocks`.
+    pub(crate) def_pairs: Vec<(Value, Block)>,
+    /// The block of each variable's latest recorded definition.
+    pub(crate) last_def_block: SecondaryMap<Value, Option<Block>>,
+    /// Definition blocks per variable in compressed sparse-row form:
+    /// `def_block_offsets[v] .. def_block_offsets[v + 1]` indexes
+    /// `def_blocks`.
+    pub(crate) def_block_offsets: Vec<u32>,
+    pub(crate) def_blocks: Vec<Block>,
+    /// Definitions of the instruction renaming is rewriting.
     pub(crate) def_tmp: Vec<Value>,
     /// φ-placement worklist.
     pub(crate) worklist: Vec<Block>,
@@ -45,11 +51,13 @@ pub struct SsaScratch {
     pub(crate) ever_on_worklist: Vec<bool>,
     /// φ-argument assembly buffer.
     pub(crate) phi_args: Vec<PhiArg>,
-    /// Renaming stacks per original variable (high-water reset).
-    pub(crate) stacks: SecondaryMap<Value, Vec<Value>>,
-    /// Shared push log for the recursive renaming walk; each frame pops back
-    /// to its entry length.
-    pub(crate) pushed: Vec<Value>,
+    /// Every variable's renaming stack, threaded through `versions`: the
+    /// index of the variable's current version, if any.
+    pub(crate) stack_top: SecondaryMap<Value, Option<u32>>,
+    /// The versions pushed by the recursive renaming walk, as `(variable,
+    /// version, the variable's previous top)`; each frame pops back to its
+    /// entry length, so pops run in reverse push order.
+    pub(crate) versions: Vec<(Value, Value, Option<u32>)>,
     /// Per-instruction def replacement pairs (old → fresh).
     pub(crate) def_repl: Vec<(Value, Value)>,
     /// Origin map of the most recent construction (new value → original
@@ -73,8 +81,6 @@ pub struct SsaScratch {
     pub(crate) dead: EntitySet<Inst>,
     /// Dead instructions whose operands are not yet released.
     pub(crate) dead_worklist: Vec<Inst>,
-    /// Per-instruction uses buffer.
-    pub(crate) use_tmp: Vec<Value>,
 }
 
 impl SsaScratch {

@@ -500,6 +500,38 @@ fn warm_snapshot_into_a_retired_slot_is_allocation_free() {
     assert_eq!(allocations, 0, "warm snapshots into a retired slot allocated {allocations} times");
 }
 
+/// SSA construction threads every variable's definition blocks and renaming
+/// stack through shared flat vectors, so the fresh `SsaScratch` of each
+/// `construct_ssa_cached` call allocates per function, not per variable.
+#[test]
+fn one_shot_ssa_construction_allocates_per_function_not_per_variable() {
+    use ossa_bench::alloc::allocation_count;
+    use out_of_ssa::ssa::construct_ssa_cached;
+
+    let allocations = |num_vars: usize| {
+        let config = GenConfig { num_vars, num_stmts: 200, ..GenConfig::default() };
+        let input = generate_function(format!("vars{num_vars}"), &config, 11);
+        // A first construction grows the analysis cache, so the measured one
+        // recomputes its analyses into recycled storage.
+        let mut analyses = FunctionAnalyses::new();
+        construct_ssa_cached(&mut input.clone(), &mut analyses);
+        analyses.invalidate_cfg();
+        let mut func = input.clone();
+        let before = allocation_count();
+        construct_ssa_cached(&mut func, &mut analyses);
+        (allocation_count() - before, input.num_values() as u64)
+    };
+    let (few, few_variables) = allocations(4);
+    let (many, many_variables) = allocations(64);
+    // Fewer than one more allocation per two more variables (the function's
+    // own φ and value storage still grows with them).
+    assert!(
+        2 * many.saturating_sub(few) < many_variables - few_variables,
+        "construction allocated {many} times for {many_variables} values, \
+         {few} for {few_variables}"
+    );
+}
+
 /// Sanity anchor for the counters themselves: values of `v0.index()` and
 /// friends used above really walk every value.
 #[test]

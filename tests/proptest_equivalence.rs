@@ -7,14 +7,18 @@
 use out_of_ssa::cfggen::rng::SmallRng;
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    minimum_copies, translate_out_of_ssa, try_sequentialize, Engine, OutOfSsaOptions,
+    insert_phi_copies, minimum_copies, translate_out_of_ssa, try_sequentialize, Engine,
+    OutOfSsaOptions,
 };
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::entity::EntityRef;
-use out_of_ssa::ir::{ControlFlowGraph, CopyPair, DominatorTree, Function, InstData, Value};
+use out_of_ssa::ir::{
+    ControlFlowGraph, CopyPair, DefSite, DominatorTree, Function, InstData, Value,
+};
 use out_of_ssa::liveness::sets::live_in_by_search;
 use out_of_ssa::liveness::{
     BlockLiveness, FastLiveness, FunctionAnalyses, IntersectionTest, LiveRangeInfo, LivenessSets,
+    UseSite,
 };
 use out_of_ssa::ssa::{
     construct_ssa, cssa_violations_cached, is_conventional_cached, propagate_copies, CssaViolation,
@@ -205,6 +209,75 @@ fn fast_liveness_matches_reference_dataflow_on_random_cfgs() {
             "only {checked} of {seeds} {prefix} functions were reducible"
         );
     }
+}
+
+/// Checks [`LiveRangeInfo`] against a value-by-value scan of `func`: each
+/// value's first definition in layout order, and every use in
+/// block-traversal order, a φ argument at the end of its predecessor
+/// (`usize::MAX`).
+fn assert_def_use_index_matches_per_value_scan(func: &Function, context: &str) {
+    // Every definition and use of the function, listed once in layout order.
+    let mut defs: Vec<(Value, DefSite)> = Vec::new();
+    let mut uses: Vec<(Value, UseSite)> = Vec::new();
+    for block in func.blocks() {
+        for (pos, &inst) in func.block_insts(block).iter().enumerate() {
+            let data = func.inst(inst);
+            defs.extend(
+                data.defs(func.pools()).into_iter().map(|v| (v, DefSite { block, inst, pos })),
+            );
+            match data.phi_args(func.pools()) {
+                Some(args) => uses.extend(
+                    args.iter()
+                        .map(|arg| (arg.value, UseSite { block: arg.block, pos: usize::MAX })),
+                ),
+                None => uses.extend(
+                    data.uses(func.pools()).into_iter().map(|v| (v, UseSite { block, pos })),
+                ),
+            }
+        }
+    }
+    let info = LiveRangeInfo::compute(func);
+    for value in func.values() {
+        let def = defs.iter().find(|&&(v, _)| v == value).map(|&(_, site)| site);
+        let value_uses: Vec<UseSite> =
+            uses.iter().filter(|&&(v, _)| v == value).map(|&(_, site)| site).collect();
+        assert_eq!(info.def(value), def, "{}: definition of {value} {context}", func.name);
+        assert_eq!(
+            info.uses().uses_of(value),
+            value_uses,
+            "{}: uses of {value} {context}",
+            func.name
+        );
+    }
+}
+
+/// The def/use index equals the per-value scan on generated SSA functions
+/// of three shapes, before and after copy insertion — which adds parallel
+/// copies and splits the edges whose φ argument a `br_dec` defines.
+#[test]
+fn def_use_index_matches_a_per_value_scan() {
+    let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
+    let shapes = [
+        ("small", GenConfig::small(), 24),
+        ("default", GenConfig::default(), 24),
+        ("deep", deep, 8),
+    ];
+    let (mut parallel_copies, mut edges_split) = (0usize, 0usize);
+    for (prefix, config, seeds) in shapes {
+        for seed in 0..seeds {
+            let (mut func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+            assert_def_use_index_matches_per_value_scan(&func, "before copy insertion");
+            edges_split += insert_phi_copies(&mut func).edges_split;
+            parallel_copies += func
+                .blocks()
+                .flat_map(|block| func.block_insts(block))
+                .filter(|&&inst| func.inst_copy_pairs(inst).is_some())
+                .count();
+            assert_def_use_index_matches_per_value_scan(&func, "after copy insertion");
+        }
+    }
+    assert!(parallel_copies > 0, "no parallel copy was inserted");
+    assert!(edges_split > 0, "no br_dec edge was split");
 }
 
 /// On larger random CFGs the fast checker is *sound* with respect to the
