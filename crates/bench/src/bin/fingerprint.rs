@@ -57,14 +57,13 @@ fn pipeline_row(scale: f64) -> String {
                 pin_call_conventions(f);
             });
             let allocation = report.allocation.expect("registers configured");
-            let mut locations: Vec<_> = allocation.locations.into_iter().collect();
-            locations.sort_by_key(|&(value, _)| value.index());
             text.clear();
             let _ = writeln!(text, "{}cssa {:?}", func.display(), report.conventional_after_opt);
-            for (value, location) in locations {
+            for (value, location) in allocation.locations.iter() {
                 let _ = match location {
-                    Location::Reg(r) => writeln!(text, "{value} r{r}"),
-                    Location::Spill(s) => writeln!(text, "{value} s{s}"),
+                    Some(Location::Reg(r)) => writeln!(text, "{value} r{r}"),
+                    Some(Location::Spill(s)) => writeln!(text, "{value} s{s}"),
+                    None => continue,
                 };
             }
             let _ = writeln!(text, "spills {}", allocation.spills);

@@ -455,7 +455,7 @@ pub fn to_optimized_ssa_cached(
     analyses: &mut FunctionAnalyses,
     scratch: &mut GenScratch,
 ) -> OptimizedSsaStats {
-    let (phis, _values_created) = construct_ssa_scratch(func, analyses, &mut scratch.ssa);
+    let phis = construct_ssa_scratch(func, analyses, &mut scratch.ssa).phis_inserted;
     let prop = propagate_copies_keeping_scratch(func, 3, analyses, &mut scratch.ssa);
     let dce = eliminate_dead_code_scratch(func, analyses, &mut scratch.ssa);
     OptimizedSsaStats {

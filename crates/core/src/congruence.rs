@@ -199,11 +199,17 @@ pub struct CongruenceClasses {
     /// Identity table `pool[i] == vᵢ`, the backing storage for the implicit
     /// singleton member lists.
     pool: Vec<Value>,
-    /// Free list of member buffers: every merge retires up to two member
-    /// lists and produces one, so recycling them through this pool makes the
-    /// merge path allocation-free once the buffers have grown to the sizes a
-    /// corpus needs. Buffers are pushed back empty, capacity intact.
-    free: Vec<Vec<Value>>,
+    /// Free member buffers by size class: `free[k]` holds empty buffers of
+    /// capacity 2^k. Every merge retires up to two member lists and produces
+    /// one, and a full list moves to a buffer of the next class. Buffers of
+    /// one class are interchangeable, so the order in which merges hand
+    /// them around cannot matter: once a stream's functions have all been
+    /// seen, each class holds as many buffers as any of them uses at once,
+    /// and merging allocates nothing. Buffers of mixed capacities in one
+    /// list would reach different merges on every pass, and a stream of the
+    /// same few large functions would keep growing them for dozens of
+    /// passes.
+    free: Vec<Vec<Vec<Value>>>,
     /// Scratch root list of [`CongruenceClasses::merge_group`].
     group_roots: Vec<Value>,
     /// Register label of each class root, if any member is pinned.
@@ -289,7 +295,7 @@ impl CongruenceClasses {
     }
 
     /// The scrub of [`CongruenceClasses::reset_for`]: returns the slots of
-    /// the `dirty` list to their defaults (reclaiming their member buffers)
+    /// the `dirty` list to their defaults (releasing their member buffers)
     /// while the maps still have their previous length (every dirty index
     /// was valid then), then truncates and resizes every map to the current
     /// function and tops up the identity pool.
@@ -297,11 +303,8 @@ impl CongruenceClasses {
         let num_values = func.num_values();
         for i in 0..self.dirty.len() {
             let value = self.dirty[i];
-            let slot = &mut self.members[value];
-            if slot.capacity() > 0 {
-                slot.clear();
-                self.free.push(std::mem::take(slot));
-            }
+            let list = std::mem::take(&mut self.members[value]);
+            self.release(list);
             self.parent[value].set(None);
             self.labels[value] = None;
             self.keys[value] = None;
@@ -446,18 +449,18 @@ impl CongruenceClasses {
             let mut list = std::mem::take(&mut self.members[ra]);
             let kv = self.keys[rb];
             let pos = list.partition_point(|&x| self.keys[x] <= kv);
-            list.insert(pos, rb);
+            self.insert_member(&mut list, pos, rb);
             list
         } else if a_single && !b_single {
             let mut list = std::mem::take(&mut self.members[rb]);
             let kv = self.keys[ra];
             let pos = list.partition_point(|&x| self.keys[x] < kv);
-            list.insert(pos, ra);
+            self.insert_member(&mut list, pos, ra);
             list
         } else {
             let list_a = std::mem::take(&mut self.members[ra]);
             let list_b = std::mem::take(&mut self.members[rb]);
-            let mut merged = self.free.pop().unwrap_or_default();
+            let mut merged = self.acquire(list_a.len().max(1) + list_b.len().max(1));
             {
                 let slice_a: &[Value] = if list_a.is_empty() {
                     std::slice::from_ref(&self.pool[ra.index()])
@@ -471,13 +474,8 @@ impl CongruenceClasses {
                 };
                 self.merge_sorted_into(slice_a, slice_b, &mut merged);
             }
-            // The retired member lists go back to the pool for the next merge.
-            if list_a.capacity() > 0 {
-                self.free.push(list_a);
-            }
-            if list_b.capacity() > 0 {
-                self.free.push(list_b);
-            }
+            self.release(list_a);
+            self.release(list_b);
             merged
         };
 
@@ -523,20 +521,16 @@ impl CongruenceClasses {
             self.group_roots = roots;
             return;
         }
-        // Buffers in the free list keep their stale contents (only their
-        // capacity matters); every consumer clears before filling.
-        let mut merged = self.free.pop().unwrap_or_default();
-        merged.clear();
+        let len = roots.iter().map(|&root| self.members[root].len().max(1)).sum();
+        let mut merged = self.acquire(len);
         for &root in &roots {
             if self.members[root].is_empty() {
                 merged.push(root);
             } else {
                 merged.append(&mut self.members[root]);
-                // `append` drained the list but kept its buffer; reclaim it.
+                // `append` drained the list but kept its buffer; release it.
                 let retired = std::mem::take(&mut self.members[root]);
-                if retired.capacity() > 0 {
-                    self.free.push(retired);
-                }
+                self.release(retired);
             }
         }
         // The keys are total (every defined value carries a unique
@@ -561,6 +555,42 @@ impl CongruenceClasses {
         self.group_roots = roots;
     }
 
+    /// An empty member buffer with room for `len` values, from the free list
+    /// of its size class.
+    fn acquire(&mut self, len: usize) -> Vec<Value> {
+        let class = len.max(4).next_power_of_two().trailing_zeros() as usize;
+        self.free
+            .get_mut(class)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| Vec::with_capacity(1 << class))
+    }
+
+    /// Empties `list` and returns its buffer to the free list of its size
+    /// class.
+    fn release(&mut self, mut list: Vec<Value>) {
+        if list.capacity() == 0 {
+            return;
+        }
+        list.clear();
+        let class = list.capacity().ilog2() as usize;
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        self.free[class].push(list);
+    }
+
+    /// Inserts `value` at `pos` of `list`, moving a full list to a buffer of
+    /// the next size class first.
+    fn insert_member(&mut self, list: &mut Vec<Value>, pos: usize, value: Value) {
+        if list.len() == list.capacity() {
+            let mut bigger = self.acquire(list.len() + 1);
+            bigger.extend_from_slice(list);
+            let full = std::mem::replace(list, bigger);
+            self.release(full);
+        }
+        list.insert(pos, value);
+    }
+
     fn max_by_key(&self, a: Option<Value>, b: Option<Value>) -> Option<Value> {
         match (a, b) {
             (None, x) | (x, None) => x,
@@ -575,7 +605,7 @@ impl CongruenceClasses {
     }
 
     /// Merges two definition-ordered member lists into `out` (a recycled
-    /// buffer from the free list; cleared here, filled sorted).
+    /// buffer from the free lists; cleared here, filled sorted).
     fn merge_sorted_into(&self, a: &[Value], b: &[Value], out: &mut Vec<Value>) {
         out.clear();
         // `merged` reports no size hint, so reserve up front: a warm merge
@@ -1194,8 +1224,8 @@ mod tests {
     #[test]
     fn pooled_merges_keep_member_lists_sorted_and_representatives_stable() {
         // The congruence-pool invariant: with member buffers cycling through
-        // the free list (merges retire two lists and recycle one, resets
-        // reclaim everything), every observable stays exactly as a fresh
+        // the free lists (merges retire two lists and recycle one, resets
+        // release everything), every observable stays exactly as a fresh
         // instance computes it — member lists sorted by definition order
         // with no duplicates, `representative()` a stable member of the
         // class — across several rounds of interleaved merge/merge_group

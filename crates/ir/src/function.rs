@@ -1,7 +1,5 @@
 //! The [`Function`] container: blocks, instructions, values and layout.
 
-use std::collections::HashMap;
-
 use crate::entity::{Block, EntitySet, Inst, PrimaryMap, SecondaryMap, Value};
 use crate::instruction::{CopyList, CopyPair, InstData, PhiArg, PhiList, ValueList};
 use crate::pool::IrPools;
@@ -658,8 +656,13 @@ impl Function {
     /// `old_pred` so that it now comes from `new_pred`. Used when splitting
     /// critical edges.
     pub fn redirect_phi_inputs(&mut self, block: Block, old_pred: Block, new_pred: Block) {
-        for inst in self.phis(block) {
-            for arg in self.phi_args_mut(inst) {
+        // The φ-functions are a prefix of the block, walked by index so that
+        // the rewrite needs no list of them.
+        for ii in 0..self.block_len(block) {
+            let InstData::Phi { args, .. } = self.insts[self.blocks[block].insts[ii]] else {
+                break;
+            };
+            for arg in self.pools.phis.get_mut(args) {
                 if arg.block == old_pred {
                     arg.block = new_pred;
                 }
@@ -683,27 +686,6 @@ impl Function {
     /// Counts the φ-functions of the whole function.
     pub fn count_phis(&self) -> usize {
         self.blocks().map(|b| self.first_non_phi(b)).sum()
-    }
-
-    /// Builds a map from value to the blocks where it is used (φ uses are
-    /// attributed to the predecessor block, matching liveness semantics).
-    pub fn use_blocks(&self) -> HashMap<Value, Vec<Block>> {
-        let mut uses: HashMap<Value, Vec<Block>> = HashMap::new();
-        for block in self.blocks() {
-            for &inst in self.block_insts(block) {
-                match self.inst_phi_args(inst) {
-                    Some(args) => {
-                        for PhiArg { block: pred, value } in args {
-                            uses.entry(*value).or_default().push(*pred);
-                        }
-                    }
-                    None => self.for_each_inst_use(inst, |value| {
-                        uses.entry(value).or_default().push(block);
-                    }),
-                }
-            }
-        }
-        uses
     }
 }
 
@@ -846,18 +828,6 @@ mod tests {
         f.redirect_phi_inputs(bb2, bb0, new_block);
         assert!(f.phi_inputs_from(bb2, bb0).is_empty());
         assert_eq!(f.phi_inputs_from(bb2, new_block).len(), 1);
-    }
-
-    #[test]
-    fn use_blocks_attributes_phi_uses_to_predecessors() {
-        let (f, bb0, bb1, _) = sample_function();
-        let uses = f.use_blocks();
-        // v2 is used by the phi in bb2, attributed to bb1.
-        let v2_uses = &uses[&Value::from_index(2)];
-        assert_eq!(v2_uses, &vec![bb1]);
-        // v0 is used by the add in bb1 and by the branch in bb0.
-        let v0_uses = &uses[&Value::from_index(0)];
-        assert!(v0_uses.contains(&bb0) && v0_uses.contains(&bb1));
     }
 
     #[test]

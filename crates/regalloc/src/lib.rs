@@ -28,11 +28,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-
 use ossa_ir::entity::{SecondaryMap, Value};
 use ossa_ir::Function;
-use ossa_liveness::FunctionAnalyses;
+use ossa_liveness::{FunctionAnalyses, LivenessSets};
 
 /// Where a value lives for its whole lifetime.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -45,27 +43,38 @@ pub enum Location {
 
 /// A live interval over the linearised instruction numbering.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Interval {
+struct Interval {
     /// First program point where the value is live.
-    pub start: u32,
+    start: u32,
     /// Last program point where the value is live (inclusive).
-    pub end: u32,
+    end: u32,
 }
+
+/// An interval no program point has extended yet: the first
+/// [`Interval::extend`] makes it exactly that point.
+const UNTOUCHED: Interval = Interval { start: u32::MAX, end: 0 };
 
 impl Interval {
     /// Returns `true` if the two intervals overlap.
-    pub fn overlaps(&self, other: &Interval) -> bool {
+    fn overlaps(&self, other: &Interval) -> bool {
         self.start <= other.end && other.start <= self.end
+    }
+
+    /// Extends the interval to cover `point`.
+    fn extend(&mut self, point: u32) {
+        self.start = self.start.min(point);
+        self.end = self.end.max(point);
     }
 }
 
 /// Result of register allocation.
 #[derive(Clone, Debug, Default)]
 pub struct Allocation {
-    /// Location assigned to each allocated value.
-    pub locations: HashMap<Value, Location>,
-    /// Live interval computed for each allocated value.
-    pub intervals: HashMap<Value, Interval>,
+    /// The location of every value of the allocated function, `None` for a
+    /// value that is never live. The map covers all of the function's
+    /// values, so two allocations of one function compare equal exactly when
+    /// they place every value alike.
+    pub locations: SecondaryMap<Value, Option<Location>>,
     /// Number of values spilled.
     pub spills: usize,
 }
@@ -73,17 +82,17 @@ pub struct Allocation {
 impl Allocation {
     /// The location of `value`, if it was live at all.
     pub fn location(&self, value: Value) -> Option<Location> {
-        self.locations.get(&value).copied()
+        *self.locations.get(value)
     }
 
     /// Number of distinct registers used.
     pub fn registers_used(&self) -> usize {
         let mut regs: Vec<u32> = self
             .locations
-            .values()
-            .filter_map(|loc| match loc {
-                Location::Reg(r) => Some(*r),
-                Location::Spill(_) => None,
+            .iter()
+            .filter_map(|(_, loc)| match loc {
+                Some(Location::Reg(r)) => Some(*r),
+                _ => None,
             })
             .collect();
         regs.sort();
@@ -92,24 +101,50 @@ impl Allocation {
     }
 }
 
-/// An interval no program point has extended yet: the first
-/// [`Interval::extend`] makes it exactly that point.
-const UNTOUCHED: Interval = Interval { start: u32::MAX, end: 0 };
+/// Recycled working storage of the linear scan: the interval map, the
+/// allocation order and the active list. A caller allocating many functions
+/// keeps one and passes it to [`allocate_scratch`]; once it has seen the
+/// largest function, the scan allocates nothing but the returned
+/// [`Allocation`]. Every call resets what it uses first, so a call that
+/// unwound part-way leaves nothing the next call can see.
+#[derive(Debug)]
+pub struct RegallocScratch {
+    /// The live interval of every value; [`UNTOUCHED`] for values never
+    /// live.
+    intervals: SecondaryMap<Value, Interval>,
+    /// The live values in allocation order, by `(start, end, value)`.
+    by_start: Vec<(Value, Interval)>,
+    /// The values holding a register at the current point, as `(end, value,
+    /// register)`.
+    active: Vec<(u32, Value, u32)>,
+}
 
-impl Interval {
-    /// Extends the interval to cover `point`.
-    fn extend(&mut self, point: u32) {
-        self.start = self.start.min(point);
-        self.end = self.end.max(point);
+impl Default for RegallocScratch {
+    fn default() -> Self {
+        Self {
+            intervals: SecondaryMap::with_default(UNTOUCHED),
+            by_start: Vec::new(),
+            active: Vec::new(),
+        }
     }
 }
 
-/// Computes conservative live intervals over a linearisation of the layout,
-/// reading liveness from the shared analysis cache. Values never live keep
-/// the [`UNTOUCHED`] interval.
-fn live_intervals(func: &Function, analyses: &FunctionAnalyses) -> SecondaryMap<Value, Interval> {
-    let liveness = analyses.liveness_sets(func);
-    let mut intervals = SecondaryMap::with_default(UNTOUCHED);
+impl RegallocScratch {
+    /// Creates empty scratch storage. Nothing is allocated until first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Refills `intervals` with conservative live intervals over a
+/// linearisation of the layout. Values never live keep the [`UNTOUCHED`]
+/// interval.
+fn live_intervals(
+    func: &Function,
+    liveness: &LivenessSets,
+    intervals: &mut SecondaryMap<Value, Interval>,
+) {
+    intervals.truncate(0);
     intervals.resize(func.num_values());
 
     // Program points number the (block, inst) pairs in layout order, plus
@@ -132,7 +167,6 @@ fn live_intervals(func: &Function, analyses: &FunctionAnalyses) -> SecondaryMap<
         }
         block_start = block_end + 1;
     }
-    intervals
 }
 
 /// Allocates registers for `func` with `num_regs` architectural registers,
@@ -146,21 +180,39 @@ pub fn allocate(func: &Function, num_regs: u32) -> Allocation {
 /// Like [`allocate`], but reads CFG and liveness from a shared analysis
 /// cache — e.g. the one the out-of-SSA translation just used, whose
 /// CFG-level analyses are still valid for the translated function.
+///
+/// Working storage comes from a fresh [`RegallocScratch`] per call; a caller
+/// allocating many functions keeps one scratch and calls
+/// [`allocate_scratch`] instead.
 pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalyses) -> Allocation {
-    let intervals = live_intervals(func, analyses);
-    let mut by_start: Vec<(Value, Interval)> = Vec::with_capacity(intervals.len());
+    allocate_scratch(func, num_regs, analyses, &mut RegallocScratch::new())
+}
+
+/// Like [`allocate_cached`], with the linear scan's working storage recycled
+/// from `scratch`: once warm, the only allocation is the returned map.
+pub fn allocate_scratch(
+    func: &Function,
+    num_regs: u32,
+    analyses: &FunctionAnalyses,
+    scratch: &mut RegallocScratch,
+) -> Allocation {
+    let RegallocScratch { intervals, by_start, active } = scratch;
+    live_intervals(func, analyses.liveness_sets(func), intervals);
+    // Reserved up front, so that a fresh scratch allocates each list once.
+    by_start.clear();
+    by_start.reserve(intervals.len());
     by_start.extend(
         intervals.iter().filter(|&(_, i)| *i != UNTOUCHED).map(|(v, &interval)| (v, interval)),
     );
     by_start.sort_unstable_by_key(|&(v, i)| (i.start, i.end, v.index()));
 
-    let mut locations: HashMap<Value, Location> = HashMap::with_capacity(by_start.len());
-    // active: (end, value, register)
-    let mut active: Vec<(u32, Value, u32)> = Vec::with_capacity(num_regs as usize);
+    let mut locations = SecondaryMap::with_capacity(func.num_values());
+    active.clear();
+    active.reserve(num_regs as usize);
     let mut next_spill = 0u32;
     let mut spills = 0usize;
 
-    for &(value, interval) in &by_start {
+    for &(value, interval) in by_start.iter() {
         active.retain(|&(end, _, _)| end >= interval.start);
 
         let preferred = func.pinned_reg(value);
@@ -172,7 +224,7 @@ pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalys
                     active.iter().position(|&(_, v, r)| r == reg && func.pinned_reg(v).is_none())
                 {
                     let (_, evicted, _) = active.remove(pos);
-                    locations.insert(evicted, Location::Spill(next_spill));
+                    locations[evicted] = Some(Location::Spill(next_spill));
                     next_spill += 1;
                     spills += 1;
                 }
@@ -183,19 +235,18 @@ pub fn allocate_cached(func: &Function, num_regs: u32, analyses: &FunctionAnalys
 
         match chosen {
             Some(reg) => {
-                locations.insert(value, Location::Reg(reg));
+                locations[value] = Some(Location::Reg(reg));
                 active.push((interval.end, value, reg));
             }
             None => {
-                locations.insert(value, Location::Spill(next_spill));
+                locations[value] = Some(Location::Spill(next_spill));
                 next_spill += 1;
                 spills += 1;
             }
         }
     }
 
-    let intervals = by_start.into_iter().collect();
-    Allocation { locations, intervals, spills }
+    Allocation { locations, spills }
 }
 
 /// Errors reported by [`check_allocation`].
@@ -234,6 +285,9 @@ impl std::error::Error for AllocationError {}
 /// location, overlapping intervals never share a register, register pins are
 /// honoured and register numbers are within range.
 ///
+/// The live intervals are recomputed from `func` with fresh analyses, so the
+/// check trusts nothing of the allocator's but the locations it returned.
+///
 /// # Errors
 /// Returns the first inconsistency found.
 pub fn check_allocation(
@@ -246,34 +300,45 @@ pub fn check_allocation(
             return Err(AllocationError::Unallocated(value));
         }
     }
-    for (&value, &loc) in &allocation.locations {
-        if let Location::Reg(r) = loc {
-            if let Some(pinned) = func.pinned_reg(value) {
-                if pinned != r {
-                    return Err(AllocationError::PinViolated(value, pinned));
-                }
+    for (value, &loc) in allocation.locations.iter() {
+        match (loc, func.pinned_reg(value)) {
+            (Some(loc), Some(pinned)) if loc != Location::Reg(pinned) => {
+                return Err(AllocationError::PinViolated(value, pinned));
             }
-            if r >= num_regs && func.pinned_reg(value).is_none() {
+            (Some(Location::Reg(r)), None) if r >= num_regs => {
                 return Err(AllocationError::RegisterOutOfRange(value, r));
             }
-        } else if let Some(pinned) = func.pinned_reg(value) {
-            return Err(AllocationError::PinViolated(value, pinned));
+            _ => {}
         }
     }
-    let entries: Vec<(&Value, &Location)> = allocation.locations.iter().collect();
-    for (i, &(&a, &loc_a)) in entries.iter().enumerate() {
-        for &(&b, &loc_b) in &entries[i + 1..] {
-            let (Location::Reg(ra), Location::Reg(rb)) = (loc_a, loc_b) else { continue };
-            if ra != rb {
-                continue;
+
+    let mut intervals = SecondaryMap::with_default(UNTOUCHED);
+    live_intervals(func, &LivenessSets::of(func), &mut intervals);
+    let mut in_registers: Vec<(u32, Interval, Value)> = allocation
+        .locations
+        .iter()
+        .filter_map(|(value, loc)| match *loc {
+            Some(Location::Reg(r)) if intervals[value] != UNTOUCHED => {
+                Some((r, intervals[value], value))
             }
-            let (Some(ia), Some(ib)) = (allocation.intervals.get(&a), allocation.intervals.get(&b))
-            else {
-                continue;
-            };
-            if ia.overlaps(ib) {
-                return Err(AllocationError::Conflict(a, b, ra));
+            _ => None,
+        })
+        .collect();
+    in_registers.sort_unstable_by_key(|&(r, i, v)| (r, i.start, i.end, v.index()));
+    // Within one register, in start order, an interval overlaps some earlier
+    // one exactly when it overlaps the earlier one that reaches furthest.
+    let mut furthest: Option<(u32, Interval, Value)> = None;
+    for &(r, interval, value) in &in_registers {
+        match furthest {
+            Some((held, reach, holder)) if held == r => {
+                if reach.overlaps(&interval) {
+                    return Err(AllocationError::Conflict(holder, value, r));
+                }
+                if interval.end > reach.end {
+                    furthest = Some((r, interval, value));
+                }
             }
+            _ => furthest = Some((r, interval, value)),
         }
     }
     Ok(())
@@ -281,6 +346,8 @@ pub fn check_allocation(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use ossa_cfggen::{generate_ssa_function, pin_call_conventions, GenConfig};
     use ossa_destruct::{translate_out_of_ssa, OutOfSsaOptions};
@@ -420,7 +487,7 @@ mod tests {
 
     /// The reference linear scan over [`reference_intervals`]: a fresh
     /// `used` list per interval, locations written straight into the map.
-    fn reference_allocation(func: &Function, num_regs: u32) -> Allocation {
+    fn reference_allocation(func: &Function, num_regs: u32) -> (HashMap<Value, Location>, usize) {
         let intervals = reference_intervals(func);
         let mut by_start: Vec<(Value, Interval)> =
             intervals.iter().map(|(&v, &i)| (v, i)).collect();
@@ -458,7 +525,7 @@ mod tests {
                 }
             }
         }
-        Allocation { locations, intervals, spills }
+        (locations, spills)
     }
 
     #[test]
@@ -468,19 +535,96 @@ mod tests {
             GenConfig::default(),
             GenConfig { num_vars: 14, num_stmts: 90, ..GenConfig::default() },
         ];
-        for seed in 0..60u64 {
-            let config = &sizes[seed as usize % sizes.len()];
-            let (mut f, _) = generate_ssa_function(format!("ref{seed}"), config, seed);
-            pin_call_conventions(&mut f);
-            translate_out_of_ssa(&mut f, &OutOfSsaOptions::default());
+        let mut funcs: Vec<Function> = (0..60u64)
+            .map(|seed| {
+                let config = &sizes[seed as usize % sizes.len()];
+                let (mut f, _) = generate_ssa_function(format!("ref{seed}"), config, seed);
+                pin_call_conventions(&mut f);
+                translate_out_of_ssa(&mut f, &OutOfSsaOptions::default());
+                f
+            })
+            .collect();
+        // One scratch serves every function, largest first, so each call
+        // runs in storage that a larger function left behind.
+        funcs.sort_by_key(|f| std::cmp::Reverse(f.num_values()));
+        assert!(funcs[0].num_values() > funcs[funcs.len() - 1].num_values());
+        let mut scratch = RegallocScratch::new();
+        for f in &funcs {
+            let name = &f.name;
+            let want_intervals = reference_intervals(f);
             for num_regs in [2, 4, 8] {
-                let got = allocate_cached(&f, num_regs, &FunctionAnalyses::new());
-                let want = reference_allocation(&f, num_regs);
-                assert_eq!(got.intervals, want.intervals, "seed {seed}, {num_regs} registers");
-                assert_eq!(got.locations, want.locations, "seed {seed}, {num_regs} registers");
-                assert_eq!(got.spills, want.spills, "seed {seed}, {num_regs} registers");
+                let got = allocate_scratch(f, num_regs, &FunctionAnalyses::new(), &mut scratch);
+                let got_intervals: HashMap<Value, Interval> = scratch
+                    .intervals
+                    .iter()
+                    .filter(|&(_, i)| *i != UNTOUCHED)
+                    .map(|(v, &i)| (v, i))
+                    .collect();
+                assert_eq!(got_intervals, want_intervals, "{name}, {num_regs} registers");
+                let (want_locations, want_spills) = reference_allocation(f, num_regs);
+                assert_eq!(got.locations.len(), f.num_values(), "{name}, {num_regs} registers");
+                let got_locations: HashMap<Value, Location> =
+                    got.locations.iter().filter_map(|(v, loc)| Some((v, (*loc)?))).collect();
+                assert_eq!(got_locations, want_locations, "{name}, {num_regs} registers");
+                assert_eq!(got.spills, want_spills, "{name}, {num_regs} registers");
+                let fresh = allocate_cached(f, num_regs, &FunctionAnalyses::new());
+                assert_eq!(fresh.locations, got.locations, "{name}, {num_regs} registers");
             }
         }
+    }
+
+    /// `x, y = params; s = add x, y; return s`, with `s` pinned to r3, and
+    /// its valid allocation in four registers.
+    fn pinned_sum() -> (Function, Allocation, [Value; 3]) {
+        let mut b = FunctionBuilder::new("sum", 2);
+        let entry = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let x = b.param(0);
+        let y = b.param(1);
+        let s = b.binary(BinaryOp::Add, x, y);
+        b.ret(Some(s));
+        let mut f = b.finish();
+        f.pin_value(s, 3);
+        let allocation = allocate(&f, 4);
+        check_allocation(&f, &allocation, 4).expect("the allocator's own result is valid");
+        assert_eq!(allocation.location(x), Some(Location::Reg(0)));
+        assert_eq!(allocation.location(y), Some(Location::Reg(1)));
+        (f, allocation, [x, y, s])
+    }
+
+    #[test]
+    fn check_rejects_a_referenced_value_without_location() {
+        let (f, mut allocation, [_, y, _]) = pinned_sum();
+        allocation.locations[y] = None;
+        assert_eq!(check_allocation(&f, &allocation, 4), Err(AllocationError::Unallocated(y)));
+    }
+
+    #[test]
+    fn check_rejects_overlapping_values_in_one_register() {
+        // `x` and `y` are both live at the add.
+        let (f, mut allocation, [x, y, _]) = pinned_sum();
+        allocation.locations[y] = Some(Location::Reg(0));
+        assert_eq!(check_allocation(&f, &allocation, 4), Err(AllocationError::Conflict(x, y, 0)));
+    }
+
+    #[test]
+    fn check_rejects_a_pinned_value_outside_its_register() {
+        let (f, mut allocation, [.., s]) = pinned_sum();
+        allocation.locations[s] = Some(Location::Reg(2));
+        assert_eq!(check_allocation(&f, &allocation, 4), Err(AllocationError::PinViolated(s, 3)));
+        allocation.locations[s] = Some(Location::Spill(0));
+        assert_eq!(check_allocation(&f, &allocation, 4), Err(AllocationError::PinViolated(s, 3)));
+    }
+
+    #[test]
+    fn check_rejects_a_register_beyond_the_register_count() {
+        let (f, mut allocation, [x, ..]) = pinned_sum();
+        allocation.locations[x] = Some(Location::Reg(4));
+        assert_eq!(
+            check_allocation(&f, &allocation, 4),
+            Err(AllocationError::RegisterOutOfRange(x, 4))
+        );
     }
 
     #[test]

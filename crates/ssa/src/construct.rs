@@ -4,22 +4,19 @@
 //! The input is a function in "virtual register" form: values may be defined
 //! several times and no φ-functions are present. The output is the same
 //! function rewritten in SSA form with the dominance property. A map from
-//! each new SSA value back to the original variable is returned so that
-//! tests and workload generators can relate the two forms.
+//! each new SSA value back to the original variable is left in the
+//! [`SsaScratch`] ([`SsaScratch::origin`]) so that tests can relate the two
+//! forms.
 
-use ossa_ir::entity::{group_by_entity, Block, SecondaryMap, Value};
+use ossa_ir::entity::{group_by_entity, Block, Value};
 use ossa_ir::{ControlFlowGraph, DominatorTree, Function, InstData, PhiArg};
 use ossa_liveness::FunctionAnalyses;
 
 use crate::scratch::SsaScratch;
 
 /// Result of SSA construction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SsaConstruction {
-    /// For each value present after construction, the original variable it
-    /// was renamed from (identity for values that predate construction and
-    /// were not renamed).
-    pub origin: SecondaryMap<Value, Option<Value>>,
     /// Number of φ-functions inserted.
     pub phis_inserted: usize,
     /// Number of fresh SSA values created by renaming.
@@ -60,16 +57,13 @@ pub fn construct_ssa_cached(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
 ) -> SsaConstruction {
-    let mut scratch = SsaScratch::new();
-    let (phis_inserted, values_created) = construct_ssa_scratch(func, analyses, &mut scratch);
-    SsaConstruction { origin: scratch.take_origin(), phis_inserted, values_created }
+    construct_ssa_scratch(func, analyses, &mut SsaScratch::new())
 }
 
 /// Like [`construct_ssa_cached`], with every working buffer recycled from
 /// `scratch` — the zero-steady-state-allocation form used by the pooled
-/// streaming path. Returns `(phis_inserted, values_created)`; the origin map
-/// is left in the scratch ([`SsaScratch::origin`]) instead of being moved
-/// out.
+/// streaming path. The origin map is left in the scratch
+/// ([`SsaScratch::origin`]).
 ///
 /// The computation is identical to [`construct_ssa_cached`] — same φ order,
 /// same value numbering, bit-identical output — only the working storage is
@@ -78,7 +72,7 @@ pub fn construct_ssa_scratch(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut SsaScratch,
-) -> (usize, usize) {
+) -> SsaConstruction {
     // Give an entry definition to every variable that is live-in at entry
     // (i.e. possibly used before defined on some path).
     let entry = func.entry();
@@ -188,8 +182,7 @@ pub fn construct_ssa_scratch(
     // CFG-level caches stay valid, the instruction-dependent ones do not.
     analyses.invalidate_instructions();
 
-    let values_created = func.num_values() - num_values_before;
-    (phis_inserted, values_created)
+    SsaConstruction { phis_inserted, values_created: func.num_values() - num_values_before }
 }
 
 fn rename_block(
@@ -318,7 +311,8 @@ mod tests {
     #[test]
     fn diamond_gets_one_phi_and_verifies() {
         let (mut f, x) = diamond_pre_ssa();
-        let result = construct_ssa(&mut f);
+        let mut scratch = SsaScratch::new();
+        let result = construct_ssa_scratch(&mut f, &mut FunctionAnalyses::new(), &mut scratch);
         assert_eq!(result.phis_inserted, 1);
         verify_ssa(&f).expect("SSA verification");
         // The φ merges two versions of x.
@@ -326,7 +320,7 @@ mod tests {
         let phis = f.phis(join);
         assert_eq!(phis.len(), 1);
         let phi_dst = f.inst(phis[0]).defs(f.pools())[0];
-        assert_eq!(result.origin[phi_dst], Some(x));
+        assert_eq!(scratch.origin()[phi_dst], Some(x));
     }
 
     #[test]

@@ -14,6 +14,8 @@ use ossa_ir::entity::{SecondaryMap, Value};
 use ossa_ir::{Function, InstData};
 use ossa_liveness::{BlockLiveness, FunctionAnalyses, IntersectionTest};
 
+use crate::scratch::SsaScratch;
+
 /// A pair of values from the same φ congruence class whose live ranges
 /// intersect — a witness that the function is not in CSSA form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,18 +43,24 @@ impl PhiCongruence {
     /// Builds the φ congruence classes of `func`.
     pub fn compute(func: &Function) -> Self {
         let mut this = Self::default();
-        this.parent.resize(func.num_values());
+        this.compute_into(func);
+        this
+    }
+
+    /// Rebuilds the classes for `func` in place, keeping the storage.
+    fn compute_into(&mut self, func: &Function) {
+        self.parent.truncate(0);
+        self.parent.resize(func.num_values());
         for &block in func.layout() {
             // φ-functions are a prefix of the block.
             for &inst in func.block_insts(block) {
                 let data = func.inst(inst);
                 let InstData::Phi { dst, .. } = *data else { break };
                 for arg in data.phi_args(func.pools()).expect("phi") {
-                    this.union(dst, arg.value);
+                    self.union(dst, arg.value);
                 }
             }
         }
-        this
     }
 
     /// The root of `v`'s class (`v` itself for a value in no φ-function),
@@ -83,12 +91,13 @@ impl PhiCongruence {
         self.find(a) == self.find(b)
     }
 
-    /// Every value seen in a φ-function as a `(class root, value)` pair,
-    /// sorted: class by class in the order of their smallest members, each
-    /// class in increasing value order.
-    fn grouped_members(&mut self) -> Vec<(Value, Value)> {
-        let members = self.parent.iter().filter(|(_, parent)| parent.is_some()).count();
-        let mut grouped = Vec::with_capacity(members);
+    /// Refills `grouped` with every value seen in a φ-function as a
+    /// `(class root, value)` pair, sorted: class by class in the order of
+    /// their smallest members, each class in increasing value order.
+    fn grouped_members_into(&mut self, grouped: &mut Vec<(Value, Value)>) {
+        grouped.clear();
+        // Reserved up front, so that a fresh list allocates once.
+        grouped.reserve(self.parent.len());
         for index in 0..self.parent.len() {
             let v = Value::from_index(index);
             if self.parent[v].is_some() {
@@ -96,13 +105,13 @@ impl PhiCongruence {
             }
         }
         grouped.sort_unstable();
-        grouped
     }
 
     /// Groups all values seen in φ-functions by class, each class sorted,
     /// the classes ordered by their smallest members.
     pub fn classes(&mut self) -> Vec<Vec<Value>> {
-        let grouped = self.grouped_members();
+        let mut grouped = Vec::new();
+        self.grouped_members_into(&mut grouped);
         grouped
             .chunk_by(|x, y| x.0 == y.0)
             .map(|class| class.iter().map(|&(_, v)| v).collect())
@@ -128,7 +137,7 @@ pub fn cssa_violations(func: &Function) -> Vec<CssaViolation> {
 /// sets, as the translation does.
 pub fn cssa_violations_cached(func: &Function, analyses: &FunctionAnalyses) -> Vec<CssaViolation> {
     let mut violations = Vec::new();
-    let _ = scan_violations(func, analyses, |violation| {
+    let _ = scan_violations(func, analyses, &mut SsaScratch::new(), |violation| {
         violations.push(violation);
         ControlFlow::<()>::Continue(())
     });
@@ -138,21 +147,24 @@ pub fn cssa_violations_cached(func: &Function, analyses: &FunctionAnalyses) -> V
 /// Tests every pair of values of every φ congruence class for intersection
 /// — class by class in the order of [`PhiCongruence::classes`], pairs in
 /// member order — passing each intersecting pair to `on_violation` until it
-/// breaks.
+/// breaks. The classes are built in `scratch`.
 fn scan_violations<B>(
     func: &Function,
     analyses: &FunctionAnalyses,
+    scratch: &mut SsaScratch,
     on_violation: impl FnMut(CssaViolation) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     let domtree = analyses.domtree(func);
     let info = analyses.live_range_info(func);
-    let grouped = PhiCongruence::compute(func).grouped_members();
+    let SsaScratch { congruence, phi_members: grouped, .. } = scratch;
+    congruence.compute_into(func);
+    congruence.grouped_members_into(grouped);
     if analyses.is_reducible(func) {
         let fast = analyses.fast_liveness(func).query(analyses.cfg(func), domtree, info);
-        scan_classes(&grouped, &IntersectionTest::new(func, domtree, &fast, info), on_violation)
+        scan_classes(grouped, &IntersectionTest::new(func, domtree, &fast, info), on_violation)
     } else {
         let liveness = analyses.liveness_sets(func);
-        scan_classes(&grouped, &IntersectionTest::new(func, domtree, liveness, info), on_violation)
+        scan_classes(grouped, &IntersectionTest::new(func, domtree, liveness, info), on_violation)
     }
 }
 
@@ -182,8 +194,22 @@ pub fn is_conventional(func: &Function) -> bool {
 
 /// Like [`is_conventional`], reading analyses from a shared cache. Stops at
 /// the first intersecting pair.
+///
+/// Working storage comes from a fresh [`SsaScratch`] per call; a caller
+/// checking many functions keeps one scratch and calls
+/// [`is_conventional_scratch`] instead.
 pub fn is_conventional_cached(func: &Function, analyses: &FunctionAnalyses) -> bool {
-    scan_violations(func, analyses, ControlFlow::Break).is_continue()
+    is_conventional_scratch(func, analyses, &mut SsaScratch::new())
+}
+
+/// Like [`is_conventional_cached`], building the φ congruence classes in
+/// `scratch`'s recycled storage: once warm, the check allocates nothing.
+pub fn is_conventional_scratch(
+    func: &Function,
+    analyses: &FunctionAnalyses,
+    scratch: &mut SsaScratch,
+) -> bool {
+    scan_violations(func, analyses, scratch, ControlFlow::Break).is_continue()
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub use copyprop::{
 };
 pub use cssa::{
     cssa_violations, cssa_violations_cached, is_conventional, is_conventional_cached,
-    CssaViolation, PhiCongruence,
+    is_conventional_scratch, CssaViolation, PhiCongruence,
 };
 pub use dce::{
     eliminate_dead_code, eliminate_dead_code_cached, eliminate_dead_code_scratch,

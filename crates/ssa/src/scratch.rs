@@ -4,8 +4,8 @@
 //! pooled storage, and once that pool is warm the *translation* allocates
 //! nothing. [`SsaScratch`] extends the same discipline to the SSA-side
 //! passes that run before translation — construction, copy propagation,
-//! dead-code elimination — so the whole generate → SSA → optimize →
-//! translate cycle is allocation-free at steady state.
+//! dead-code elimination, the CSSA check — so the whole generate → SSA →
+//! optimize → translate cycle is allocation-free at steady state.
 //!
 //! Every buffer is a flat vector or a `Copy`-valued map, reset by truncating
 //! to empty and regrowing inside retained capacity. Per-variable lists
@@ -20,9 +20,12 @@
 use ossa_ir::entity::{Block, EntitySet, Inst, SecondaryMap, Value};
 use ossa_ir::PhiArg;
 
+use crate::cssa::PhiCongruence;
+
 /// Recycled working storage shared by [`crate::construct_ssa_scratch`],
-/// [`crate::propagate_copies_keeping_scratch`] and
-/// [`crate::eliminate_dead_code_scratch`].
+/// [`crate::propagate_copies_keeping_scratch`],
+/// [`crate::eliminate_dead_code_scratch`] and
+/// [`crate::is_conventional_scratch`].
 ///
 /// Create one per worker (or per [`ossa_ir::FunctionPool`]) and pass it to
 /// every call; after one warm-up function the passes stop allocating.
@@ -81,6 +84,12 @@ pub struct SsaScratch {
     pub(crate) dead: EntitySet<Inst>,
     /// Dead instructions whose operands are not yet released.
     pub(crate) dead_worklist: Vec<Inst>,
+
+    // --- CSSA check -----------------------------------------------------
+    /// φ congruence classes of the function being checked.
+    pub(crate) congruence: PhiCongruence,
+    /// Every φ value as a `(class root, value)` pair, grouped by class.
+    pub(crate) phi_members: Vec<(Value, Value)>,
 }
 
 impl SsaScratch {
@@ -94,11 +103,5 @@ impl SsaScratch {
     /// construction, the original variable it was renamed from.
     pub fn origin(&self) -> &SecondaryMap<Value, Option<Value>> {
         &self.origin
-    }
-
-    /// Moves the origin map out of the scratch (leaving an empty one), for
-    /// callers that need to keep it across further scratch reuse.
-    pub fn take_origin(&mut self) -> SecondaryMap<Value, Option<Value>> {
-        std::mem::take(&mut self.origin)
     }
 }

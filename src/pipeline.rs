@@ -7,7 +7,7 @@
 //! hold for the *whole* flow, not just the translation: it owns a single
 //! [`EngineWorker`] — one [`FunctionAnalyses`] cache, one SSA-pass scratch,
 //! one translation scratch, one verifier scratch and one function pool —
-//! and runs
+//! and one [`RegallocScratch`], and runs
 //!
 //! 0. [`verify_cfg_scratch`] — the structural check of the input, in the
 //!    `try_run*` entry points only,
@@ -15,11 +15,11 @@
 //! 2. [`propagate_copies_keeping_scratch`] — the optimization that breaks
 //!    conventionality,
 //! 3. [`eliminate_dead_code_scratch`],
-//! 4. [`is_conventional_cached`] — the CSSA check (optional),
+//! 4. [`is_conventional_scratch`] — the CSSA check (optional),
 //! 5. a caller-provided renaming-constraint hook (e.g. calling-convention
 //!    pins),
 //! 6. [`translate_out_of_ssa_scratch`] — the paper's translation,
-//! 7. [`allocate_cached`] — linear-scan register allocation (optional),
+//! 7. [`allocate_scratch`] — linear-scan register allocation (optional),
 //!
 //! with precise two-tier invalidation declared per pass: passes that only
 //! touch the instruction stream (construction, copy propagation, DCE, copy
@@ -32,9 +32,10 @@
 //!
 //! Reusing one `Pipeline` across many functions additionally recycles the
 //! analysis storage (CFG, dominator tree, frontiers, fast-liveness bit-sets,
-//! congruence classes, decision maps) and the SSA passes' working buffers:
+//! congruence classes, decision maps) and every pass's working buffers:
 //! invalidation hands the allocations to the next computation instead of
-//! freeing them.
+//! freeing them. Once warm, the only heap allocation of a run is the
+//! [`Allocation`] it returns.
 //!
 //! # Examples
 //!
@@ -59,9 +60,9 @@ use ossa_destruct::{
 };
 use ossa_ir::{verify_cfg_scratch, Function};
 use ossa_liveness::{AnalysisCounts, FunctionAnalyses};
-use ossa_regalloc::{allocate_cached, Allocation};
+use ossa_regalloc::{allocate_scratch, Allocation, RegallocScratch};
 use ossa_ssa::{
-    construct_ssa_scratch, eliminate_dead_code_scratch, is_conventional_cached,
+    construct_ssa_scratch, eliminate_dead_code_scratch, is_conventional_scratch,
     propagate_copies_keeping_scratch, CopyPropagation, DeadCodeElimination, SsaConstruction,
 };
 
@@ -93,7 +94,8 @@ impl AsMut<OutOfSsaStats> for PipelineReport {
 }
 
 /// The pass pipeline: one engine worker — analysis cache, translation
-/// scratch and function pool — owned across passes *and* across functions.
+/// scratch and function pool — and the register allocator's scratch, owned
+/// across passes *and* across functions.
 ///
 /// See the [module documentation](self) for the flow and the invalidation
 /// contract.
@@ -104,6 +106,9 @@ pub struct Pipeline {
     deadline: Option<Duration>,
     passes: Passes,
     worker: EngineWorker,
+    /// Not rebuilt by a failed attempt's quarantine: every allocation
+    /// resets it before use.
+    regalloc: RegallocScratch,
 }
 
 /// The pass configuration of a [`Pipeline`] apart from the translation.
@@ -134,6 +139,7 @@ impl Pipeline {
             deadline: None,
             passes: Passes { num_regs: None, check_conventional: true },
             worker: EngineWorker::new(),
+            regalloc: RegallocScratch::new(),
         }
     }
 
@@ -207,9 +213,10 @@ impl Pipeline {
         func: &mut Function,
         constrain: impl FnOnce(&mut Function),
     ) -> PipelineReport {
+        let Self { ladder, passes, worker, regalloc, .. } = self;
         // A new function: drop (and recycle) everything from the previous one.
-        self.worker.analyses.invalidate_cfg();
-        self.passes.run(func, constrain, self.ladder.options(), &mut self.worker)
+        worker.analyses.invalidate_cfg();
+        passes.run(func, constrain, ladder.options(), worker, regalloc)
     }
 
     /// Fault-isolated [`Pipeline::run`]: the input is structurally verified
@@ -238,7 +245,7 @@ impl Pipeline {
         mut constrain: impl FnMut(&mut Function),
     ) -> Result<PipelineReport, TranslateError> {
         let _deadline = self.deadline.map(DeadlineGuard::install);
-        let Self { ladder, limits, passes, worker, .. } = self;
+        let Self { ladder, limits, passes, worker, regalloc, .. } = self;
         let pristine = ladder.needs_snapshot().then(|| worker.pool.checkout_clone_of(func));
         let walk = ladder.walk(0, func, pristine.as_ref(), |func, rung, _| {
             // The differential reference is the pre-SSA *input*.
@@ -254,7 +261,7 @@ impl Pipeline {
                         detail: errors.to_string(),
                     },
                 )?;
-                Ok(passes.run(func, &mut constrain, &rung.options, worker))
+                Ok(passes.run(func, &mut constrain, &rung.options, worker, regalloc))
             })
         });
         if let Some(pristine) = pristine {
@@ -271,6 +278,7 @@ impl Passes {
         constrain: impl FnOnce(&mut Function),
         options: &OutOfSsaOptions,
         worker: &mut EngineWorker,
+        regalloc: &mut RegallocScratch,
     ) -> PipelineReport {
         // The caller invalidated the cache for this function.
         let EngineWorker { analyses, ssa, scratch, .. } = worker;
@@ -280,13 +288,11 @@ impl Passes {
         // instruction-level analyses, so the CFG analyses computed by the
         // first pass survive until the translation splits an edge (if ever).
         fault::enter_phase(&func.name, TranslatePhase::Ssa);
-        let (phis_inserted, values_created) = construct_ssa_scratch(func, analyses, ssa);
-        let construction =
-            SsaConstruction { origin: ssa.origin().clone(), phis_inserted, values_created };
+        let construction = construct_ssa_scratch(func, analyses, ssa);
         let copy_propagation = propagate_copies_keeping_scratch(func, 0, analyses, ssa);
         let dead_code = eliminate_dead_code_scratch(func, analyses, ssa);
         let conventional_after_opt =
-            self.check_conventional.then(|| is_conventional_cached(func, analyses));
+            self.check_conventional.then(|| is_conventional_scratch(func, analyses, ssa));
 
         // Renaming constraints (pins, possibly instruction edits; see the
         // doc contract). The hook may edit instructions, so it ends an
@@ -301,7 +307,7 @@ impl Passes {
         // Back end over the same cache.
         let translation = translate_out_of_ssa_scratch(func, options, analyses, scratch);
         fault::enter_phase(&func.name, TranslatePhase::Regalloc);
-        let allocation = self.num_regs.map(|regs| allocate_cached(func, regs, analyses));
+        let allocation = self.num_regs.map(|regs| allocate_scratch(func, regs, analyses, regalloc));
 
         PipelineReport {
             construction,
@@ -374,7 +380,7 @@ mod tests {
             });
 
             assert_eq!(manual, piped, "seed {seed}: translated code differs");
-            assert_eq!(report.construction.phis_inserted, construction.phis_inserted);
+            assert_eq!(report.construction, construction);
             assert_eq!(report.copy_propagation, prop);
             assert_eq!(report.dead_code, dce);
             assert_eq!(report.conventional_after_opt, Some(conventional));

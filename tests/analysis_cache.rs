@@ -342,11 +342,11 @@ fn warm_pooled_generate_ssa_translate_cycle_is_allocation_free() {
 }
 
 /// The pipeline's layers around the translation hold the same discipline:
-/// with the pipeline's SSA scratch, analysis cache and translation scratch
-/// warm, a round of `Pipeline::run_with` over the same functions allocates
-/// exactly what the previous round did, and in release only a few times per
-/// function (the report's origin map, the CSSA check's union-find and member
-/// list, the allocator's working lists and result maps).
+/// with the pipeline's SSA scratch (which the CSSA check shares), analysis
+/// cache, translation scratch and register-allocation scratch warm, a round
+/// of `Pipeline::run_with` over the same functions allocates exactly what the
+/// previous round did, and in release exactly once per function: the
+/// `Allocation` map that the report hands back.
 #[test]
 fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
     use ossa_bench::alloc::allocation_count;
@@ -377,13 +377,63 @@ fn warm_pipeline_rounds_allocate_a_flat_handful_per_function() {
     assert_eq!(first, second, "warm pipeline rounds allocated {first} then {second} times");
     // Debug builds also allocate in `debug_assert!`-only verification.
     #[cfg(not(debug_assertions))]
-    {
-        let per_function = first as f64 / inputs.len() as f64;
-        assert!(
-            per_function <= 20.0,
-            "a warm pipeline allocated {per_function} times per function"
-        );
-    }
+    assert_eq!(
+        first,
+        inputs.len() as u64,
+        "a warm pipeline allocated {first} times for {} functions",
+        inputs.len()
+    );
+}
+
+/// Split edges and the coalescer's merges allocate nothing either: once the
+/// worker and its pool are warm, a round of engine translations of large
+/// inputs, whose copy insertion splits `br_dec` edges and whose congruence
+/// classes grow past a hundred members, allocates exactly what the previous
+/// round did, and in release nothing at all.
+#[test]
+fn warm_engine_translations_that_split_edges_allocate_nothing() {
+    use ossa_bench::alloc::allocation_count;
+    use out_of_ssa::destruct::{translate_out_of_ssa_scratch, EngineWorker};
+
+    let config = GenConfig { num_stmts: 400, num_vars: 24, max_depth: 5, ..GenConfig::default() };
+    let options = OutOfSsaOptions::default();
+    let inputs: Vec<Function> = (0..8u64)
+        .map(|seed| {
+            let (mut func, _) = generate_ssa_function(format!("split{seed}"), &config, seed);
+            pin_call_conventions(&mut func);
+            func
+        })
+        .collect();
+    let mut worker = EngineWorker::new();
+    let mut round = || {
+        let (before, mut edges_split) = (allocation_count(), 0);
+        for input in &inputs {
+            let mut func = worker.pool.checkout_clone_of(input);
+            worker.analyses.invalidate_cfg();
+            let stats = translate_out_of_ssa_scratch(
+                &mut func,
+                &options,
+                &mut worker.analyses,
+                &mut worker.scratch,
+            );
+            edges_split += stats.edges_split;
+            worker.pool.retire(func);
+        }
+        (allocation_count() - before, edges_split)
+    };
+
+    // Two warm-up rounds, then two measured ones.
+    round();
+    round();
+    let ((first, edges_split), (second, _)) = (round(), round());
+    assert!(edges_split > 0, "no input split an edge");
+    assert_eq!(first, second, "warm engine rounds allocated {first} then {second} times");
+    // Debug builds also allocate in `debug_assert!`-only verification.
+    #[cfg(not(debug_assertions))]
+    assert_eq!(
+        first, 0,
+        "a warm engine round splitting {edges_split} edges allocated {first} times"
+    );
 }
 
 /// The checked steps verify on their worker's analysis cache, in its
