@@ -26,8 +26,8 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-use ossa_ir::entity::{Block, Inst, SecondaryMap, Value};
-use ossa_ir::{DominatorTree, Function, InstData};
+use ossa_ir::entity::{group_by_entity, Block, Inst, SecondaryMap, Value};
+use ossa_ir::{BlockFrequencies, DominatorTree, Function, InstData};
 use ossa_liveness::{footprint, BlockLiveness, FunctionAnalyses, IntersectionTest};
 
 use crate::congruence::{CongruenceClasses, EqualAncOut};
@@ -79,18 +79,14 @@ pub struct TranslateScratch {
     arg_moves: Vec<InsertedMove>,
     /// Destinations of φ-related moves, for the affinity filter.
     phi_move_dsts: ossa_ir::EntitySet<Value>,
-    /// Sharing rule: `(value representative, universe index)` pairs.
-    grouped: Vec<(Value, u32)>,
-    /// Sharing rule: per-representative range into `grouped`.
-    range_of: SecondaryMap<Value, (u32, u32)>,
+    /// Per-rank bucket cursors of the affinity orderings.
+    weight_starts: Vec<u32>,
+    /// The sharing rule's candidate groups.
+    sharing: SharingGroups,
     /// Deduplicated parallel-copy entries of the rewrite phase.
     kept: Vec<KeptCopy>,
     /// The surviving pairs written back into the parallel-copy pool.
     kept_pairs: Vec<ossa_ir::CopyPair>,
-    /// Stable merge-sort buffer of the affinity orderings (replaces the std
-    /// stable sort's internal allocation — the last steady-state allocation
-    /// of the decision phase).
-    sort_buf: Vec<InsertedMove>,
 }
 
 impl TranslateScratch {
@@ -808,9 +804,8 @@ fn decide<L: BlockLiveness>(
         affinities,
         arg_moves,
         phi_move_dsts,
-        grouped,
-        range_of,
-        sort_buf,
+        weight_starts,
+        sharing,
         ..
     } = scratch;
     let Decisions {
@@ -858,16 +853,15 @@ fn decide<L: BlockLiveness>(
     }
 
     // φ-web handling. In eager mode the φ moves seed the affinity work list
-    // directly (the list the seed called `phi_move_set`).
+    // below (the list the seed called `phi_move_set`).
     coalesce_probe(CoalesceStage::AffinityBuild);
-    affinities.clear();
+    let eager = options.phi_processing == PhiProcessing::Eager;
     match options.phi_processing {
         PhiProcessing::Eager => {
             // Pre-coalesce the whole primed web (Lemma 1), then treat the φ
             // moves like any other affinity.
             for web in &insertion.webs {
                 classes.merge_group(&web.members);
-                affinities.extend(web.moves.iter().copied());
             }
         }
         PhiProcessing::Virtualized => {
@@ -882,31 +876,44 @@ fn decide<L: BlockLiveness>(
             for web in &insertion.webs {
                 let node = web.members[0];
                 let result_move = web.moves[0];
-                arg_moves.clear();
-                arg_moves.extend_from_slice(&web.moves[1..]);
-                sort_moves_by_weight_desc(arg_moves, sort_buf, freqs);
+                order_by_weight_desc(
+                    arg_moves,
+                    web.moves[1..].iter().copied(),
+                    weight_starts,
+                    freqs,
+                );
                 for m in arg_moves.iter().chain(std::iter::once(&result_move)) {
                     // The primed value of this move (its dst for argument
                     // copies, its src for the result copy).
                     let (primed, original) =
                         if web.members.contains(&m.dst) { (m.dst, m.src) } else { (m.src, m.dst) };
-                    if !classes.same_class(primed, node) {
-                        classes.merge(node, primed, &no_anc);
+                    // Every merge below keeps the node's root as the name.
+                    let (node_root, primed_root) = (classes.find(node), classes.find(primed));
+                    if primed_root != node_root {
+                        classes.merge_roots(node_root, primed_root, &no_anc);
                     }
-                    if classes.same_class(original, node) {
+                    let original_root = classes.find(original);
+                    if original_root == node_root {
                         moves_coalesced += 1;
                         continue;
                     }
                     let skip =
                         (options.strategy == Strategy::SreedharI).then_some((primed, original));
                     let interferes = classes_interfere(
-                        options, classes, node, original, intersect, values, graph, skip, scratch,
+                        options,
+                        classes,
+                        node_root,
+                        original_root,
+                        intersect,
+                        values,
+                        graph,
+                        skip,
+                        scratch,
                     );
                     let virtual_conflict = !interferes
                         && virtual_copy_conflict(
                             options,
-                            classes,
-                            original,
+                            classes.root_members(original_root),
                             m,
                             &web.moves[1..],
                             move_location,
@@ -914,7 +921,7 @@ fn decide<L: BlockLiveness>(
                             values,
                         );
                     if !interferes && !virtual_conflict {
-                        classes.merge(node, original, scratch);
+                        classes.merge_roots(node_root, original_root, scratch);
                         moves_coalesced += 1;
                     }
                 }
@@ -932,31 +939,30 @@ fn decide<L: BlockLiveness>(
             phi_move_dsts.insert(m.dst);
         }
     }
-    for m in &insertion.moves {
-        if !phi_move_dsts.contains(m.dst) {
-            affinities.push(*m);
-        }
-    }
+    let phi_moves = insertion.webs.iter().filter(|_| eager).flat_map(|web| &web.moves);
+    let other_moves = insertion.moves.iter().filter(|m| !phi_move_dsts.contains(m.dst));
     // Pre-existing plain copies in the function are affinities too. The
     // fused universe scan collected them in the same block/instruction
     // order the instruction walk here used to produce.
-    affinities.extend_from_slice(plain_copies);
-    sort_moves_by_weight_desc(affinities, sort_buf, freqs);
+    let moves = phi_moves.chain(other_moves).chain(plain_copies).copied();
+    order_by_weight_desc(affinities, moves, weight_starts, freqs);
     coalesce_probe(CoalesceStage::Decide);
     // Minimal coalescing abandons the whole loop: only the φ-isolation
-    // merges above happen.
+    // merges above happen. Each affinity finds its two roots once, for the
+    // class test and the merge alike.
     let tried = if options.minimal { 0 } else { affinities.len() };
     for &m in &affinities[..tried] {
-        if classes.same_class(m.dst, m.src) {
+        let (dst_root, src_root) = (classes.find(m.dst), classes.find(m.src));
+        if dst_root == src_root {
             moves_coalesced += 1;
             continue;
         }
         let skip = (options.strategy == Strategy::SreedharI).then_some((m.dst, m.src));
         let interferes = classes_interfere(
-            options, classes, m.dst, m.src, intersect, values, graph, skip, scratch,
+            options, classes, dst_root, src_root, intersect, values, graph, skip, scratch,
         );
         if !interferes {
-            classes.merge(m.dst, m.src, scratch);
+            classes.merge_roots(dst_root, src_root, scratch);
             moves_coalesced += 1;
         }
     }
@@ -965,70 +971,53 @@ fn decide<L: BlockLiveness>(
     coalesce_probe(CoalesceStage::Sharing);
     removed_moves.clear();
     if options.sharing {
-        // Group the copy-related universe by value representative — one
-        // sorted array plus per-representative ranges instead of one `Vec`
-        // per representative. The sort is stable in universe order within a
-        // group (the seed's push order), which matters: candidate order is
-        // decision-relevant. `range_of` is recycled without clearing: every
-        // key it is queried with below is `values.value_of(a)` for a
-        // universe member `a`, and every such representative gets its range
-        // written by this loop first — stale entries of a previous function
-        // are never read.
-        grouped.clear();
-        grouped.extend(universe.iter().enumerate().map(|(i, &v)| (values.value_of(v), i as u32)));
-        grouped.sort_unstable();
-        range_of.resize(func.num_values());
-        let mut start = 0usize;
-        for end in 1..=grouped.len() {
-            if end == grouped.len() || grouped[end].0 != grouped[start].0 {
-                range_of[grouped[start].0] = (start as u32, end as u32);
-                start = end;
-            }
-        }
+        sharing.rebuild(universe, values, func.num_values());
         // The parallel-copy sites come from the fused universe scan, in the
         // same block/instruction order the nested walk here used to visit.
         for &(block, pos, inst) in parallel_sites {
-            {
-                let pos = pos as usize;
-                let InstData::ParallelCopy { copies } = func.inst(inst) else { continue };
-                for copy in func.copy_list(*copies) {
-                    let (a, b) = (copy.src, copy.dst);
-                    if classes.same_class(a, b) {
-                        continue; // already coalesced, move will disappear
+            let pos = pos as usize;
+            let InstData::ParallelCopy { copies } = func.inst(inst) else { continue };
+            for copy in func.copy_list(*copies) {
+                let (a, b) = (copy.src, copy.dst);
+                let (a_root, b_root) = (classes.find(a), classes.find(b));
+                if a_root == b_root {
+                    continue; // already coalesced, move will disappear
+                }
+                // Until the merge that ends the scan, the roots stay put.
+                for &c in sharing.group(values.value_of(a)) {
+                    if c == a || c == b {
+                        continue;
                     }
-                    let (lo, hi) = *range_of.get(values.value_of(a));
-                    for &(_, ci) in &grouped[lo as usize..hi as usize] {
-                        let c = universe[ci as usize];
-                        if c == a || c == b || classes.same_class(c, a) {
-                            continue;
-                        }
-                        // A candidate defined by this very parallel copy
-                        // cannot justify dropping one of its moves: two
-                        // moves of the same copy would each justify removing
-                        // the other, deleting both.
-                        if intersect.info().def(c).is_some_and(|d| d.inst == inst) {
-                            continue;
-                        }
-                        if !intersect.is_live_after(block, pos, c) {
-                            continue;
-                        }
-                        if classes.same_class(c, b) {
-                            // Rule 1: b already receives the value through c.
-                            removed_moves.push((inst, b));
-                            moves_coalesced += 1;
-                            break;
-                        }
-                        // Rule 2: coalesce the classes of b and c (value rule)
-                        // and drop the copy.
-                        let interferes = classes_interfere(
-                            options, classes, b, c, intersect, values, graph, None, scratch,
-                        );
-                        if !interferes {
-                            classes.merge(b, c, scratch);
-                            removed_moves.push((inst, b));
-                            moves_coalesced += 1;
-                            break;
-                        }
+                    let c_root = classes.find(c);
+                    if c_root == a_root {
+                        continue;
+                    }
+                    // A candidate defined by this very parallel copy cannot
+                    // justify dropping one of its moves: two moves of the
+                    // same copy would each justify removing the other,
+                    // deleting both.
+                    if intersect.info().def(c).is_some_and(|d| d.inst == inst) {
+                        continue;
+                    }
+                    if !intersect.is_live_after(block, pos, c) {
+                        continue;
+                    }
+                    if c_root == b_root {
+                        // Rule 1: b already receives the value through c.
+                        removed_moves.push((inst, b));
+                        moves_coalesced += 1;
+                        break;
+                    }
+                    // Rule 2: coalesce the classes of b and c (value rule)
+                    // and drop the copy.
+                    let interferes = classes_interfere(
+                        options, classes, b_root, c_root, intersect, values, graph, None, scratch,
+                    );
+                    if !interferes {
+                        classes.merge_roots(b_root, c_root, scratch);
+                        removed_moves.push((inst, b));
+                        moves_coalesced += 1;
+                        break;
                     }
                 }
             }
@@ -1067,50 +1056,67 @@ fn decide<L: BlockLiveness>(
     *out_moves_coalesced = moves_coalesced;
 }
 
-/// Stable merge sort of a move list by decreasing block frequency, through a
-/// caller-owned merge buffer. Behaviourally identical to
-/// `items.sort_by(|a, b| freq(b.block).partial_cmp(&freq(a.block))…)` —
-/// a stable sort's output is uniquely determined by its comparator — but
-/// without the std stable sort's internal allocation (its merge buffer is
-/// heap-allocated above ~20 elements), which was the last steady-state
-/// allocation of the decision phase.
-fn sort_moves_by_weight_desc(
-    items: &mut [InsertedMove],
-    buf: &mut Vec<InsertedMove>,
-    freqs: &ossa_ir::BlockFrequencies,
+/// Fills `out` with `moves` in order of decreasing block frequency, keeping
+/// the input order among moves of equal frequency: what a stable sort on
+/// that comparator gives. Frequencies grow strictly with the blocks'
+/// [`BlockFrequencies::weight_rank`], so this is a stable counting sort on
+/// the rank, which walks `moves` twice. `starts` holds the bucket cursors.
+fn order_by_weight_desc(
+    out: &mut Vec<InsertedMove>,
+    moves: impl Iterator<Item = InsertedMove> + Clone,
+    starts: &mut Vec<u32>,
+    freqs: &BlockFrequencies,
 ) {
-    let n = items.len();
-    if n < 2 {
-        return;
-    }
-    let cmp = |a: &InsertedMove, b: &InsertedMove| {
-        let (wa, wb) = (freqs.frequency(a.block), freqs.frequency(b.block));
-        wb.partial_cmp(&wa).unwrap_or(std::cmp::Ordering::Equal)
-    };
-    let mut width = 1;
-    while width < n {
-        buf.clear();
-        let mut start = 0;
-        while start < n {
-            let mid = (start + width).min(n);
-            let end = (start + 2 * width).min(n);
-            let (mut l, mut r) = (start, mid);
-            while l < mid && r < end {
-                // `<=` keeps the left run's element on ties: stability.
-                if cmp(&items[l], &items[r]) == std::cmp::Ordering::Greater {
-                    buf.push(items[r]);
-                    r += 1;
-                } else {
-                    buf.push(items[l]);
-                    l += 1;
-                }
-            }
-            buf.extend_from_slice(&items[l..mid]);
-            buf.extend_from_slice(&items[r..end]);
-            start = end;
+    let rank = |m: &InsertedMove| freqs.weight_rank(m.block) as usize;
+    out.clear();
+    starts.clear();
+    for m in moves.clone() {
+        let r = rank(&m);
+        if starts.len() <= r {
+            starts.resize(r + 1, 0);
         }
-        items.copy_from_slice(buf);
-        width *= 2;
+        starts[r] += 1;
+        out.push(m);
+    }
+    // Bucket `r` starts after every move of a higher rank.
+    let mut next = 0;
+    for start in starts.iter_mut().rev() {
+        (*start, next) = (next, next + *start);
+    }
+    for m in moves {
+        let start = &mut starts[rank(&m)];
+        out[*start as usize] = m;
+        *start += 1;
+    }
+}
+
+/// The sharing rule's candidates: the copy-related universe grouped by value
+/// representative, each group in universe order (the seed's push order),
+/// which matters: candidate order is decision-relevant.
+#[derive(Debug, Default)]
+struct SharingGroups {
+    /// `(representative, member)` in universe order: the counting sort's
+    /// input.
+    pairs: Vec<(Value, Value)>,
+    /// The group of the representative with index `r` is
+    /// `members[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<u32>,
+    members: Vec<Value>,
+}
+
+impl SharingGroups {
+    /// Groups `universe` by the representatives of `values`, a stable
+    /// counting sort over the function's `num_values` values.
+    fn rebuild(&mut self, universe: &[Value], values: &ValueTable, num_values: usize) {
+        self.pairs.clear();
+        self.pairs.extend(universe.iter().map(|&v| (values.value_of(v), v)));
+        group_by_entity(&self.pairs, num_values, &mut self.offsets, &mut self.members);
+    }
+
+    /// The universe members whose value representative is `rep`.
+    fn group(&self, rep: Value) -> &[Value] {
+        let i = rep.index();
+        &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -1137,23 +1143,20 @@ fn parallel_copy_locations_into(
     }
 }
 
-/// Checks whether coalescing the class of `candidate` into the φ-node would
-/// conflict with an argument copy of the same φ if that copy later has to be
-/// materialized: the materialized primed value lives from the predecessor's
-/// parallel copy to the φ, so any class member live at that point (with a
-/// different value) would interfere with it.
-#[allow(clippy::too_many_arguments)]
+/// Checks whether coalescing the candidate class, whose `members` are given,
+/// into the φ-node would conflict with an argument copy of the same φ if
+/// that copy later has to be materialized: the materialized primed value
+/// lives from the predecessor's parallel copy to the φ, so any class member
+/// live at that point (with a different value) would interfere with it.
 fn virtual_copy_conflict<L: BlockLiveness>(
     options: &OutOfSsaOptions,
-    classes: &CongruenceClasses,
-    candidate: Value,
+    members: &[Value],
     current_move: &InsertedMove,
     arg_moves: &[InsertedMove],
     move_location: &SecondaryMap<Value, Option<(Block, usize)>>,
     intersect: &IntersectionTest<'_, L>,
     values: &ValueTable,
 ) -> bool {
-    let members = classes.members(candidate);
     for arg in arg_moves {
         if arg == current_move {
             continue;
@@ -1174,29 +1177,23 @@ fn virtual_copy_conflict<L: BlockLiveness>(
     false
 }
 
-/// Decides whether the classes of `a` and `b` interfere under `options`.
-/// When the linear check runs, `scratch` is left holding the
-/// `equal_anc_out` chains the caller must pass to a subsequent merge; other
-/// paths leave it cleared.
+/// Decides whether the classes rooted at `ra` and `rb` interfere under
+/// `options`, checking their labels once for every class test. A
+/// non-interfering verdict leaves in `scratch` what the merge of the pair
+/// needs: the linear check's `equal_anc_out` chains and insertion point, or
+/// nothing.
 #[allow(clippy::too_many_arguments)]
 fn classes_interfere<L: BlockLiveness>(
     options: &OutOfSsaOptions,
     classes: &mut CongruenceClasses,
-    a: Value,
-    b: Value,
+    ra: Value,
+    rb: Value,
     intersect: &IntersectionTest<'_, L>,
     values: &ValueTable,
     graph: Option<&InterferenceGraph>,
     skip_pair: Option<(Value, Value)>,
     scratch: &mut EqualAncOut,
 ) -> bool {
-    scratch.clear();
-    // Resolve both class roots once; every class query below (labels,
-    // members) re-finds its argument, and a root resolves in one parent
-    // probe — so the walks run on `(ra, rb)` instead of repeating the full
-    // path per lookup. The classes of `a` and `b` are unchanged, so every
-    // verdict is too.
-    let (ra, rb) = (classes.find(a), classes.find(b));
     if classes.labels_conflict(ra, rb) {
         return true;
     }
@@ -1229,6 +1226,7 @@ fn classes_interfere<L: BlockLiveness>(
                 Strategy::Value => pair_intersects(x, y) && !values.same_value(x, y),
             }
         };
+        scratch.clear();
         classes.interfere_sweep(ra, rb, skip_pair, &mut pair_interferes, scratch)
     }
 }
@@ -1630,6 +1628,102 @@ mod tests {
         f.pin_value(x, 1);
         f.pin_value(y, 1);
         translate_out_of_ssa(&mut f, &OutOfSsaOptions::default());
+    }
+
+    /// Generated SSA functions of three shapes, with call conventions
+    /// pinned and copies inserted: the state the decision phase sees.
+    fn inserted_functions() -> Vec<(Function, CopyInsertion)> {
+        use ossa_cfggen::{generate_ssa_function, pin_call_conventions, GenConfig};
+        let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
+        let shapes = [
+            ("small", GenConfig::small(), 24),
+            ("default", GenConfig::default(), 12),
+            ("deep", deep, 6),
+        ];
+        let mut out = Vec::new();
+        for (prefix, config, seeds) in shapes {
+            for seed in 0..seeds {
+                let (mut func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+                pin_call_conventions(&mut func);
+                let mut insertion = CopyInsertion::default();
+                isolate_pinned_values(&mut func, &mut insertion);
+                insert_phi_copies_into(&mut func, &mut insertion);
+                out.push((func, insertion));
+            }
+        }
+        out
+    }
+
+    /// The counting sort on weight ranks orders moves exactly as a std
+    /// stable sort on decreasing block frequency: the eager affinity list
+    /// and every φ-web's argument moves, after copy insertion.
+    #[test]
+    fn affinity_order_matches_a_stable_sort_by_frequency() {
+        let (mut starts, mut got) = (Vec::new(), Vec::new());
+        let (mut lists, mut reordered) = (0usize, 0usize);
+        for (func, insertion) in inserted_functions() {
+            let freqs = BlockFrequencies::compute(&func);
+            let (mut universe, mut seen, mut plain, mut sites) = Default::default();
+            copy_related_universe_and_sites_into(
+                &func,
+                &mut universe,
+                &mut seen,
+                &mut plain,
+                &mut sites,
+            );
+            let phi_dsts: Vec<Value> =
+                insertion.webs.iter().flat_map(|w| &w.moves).map(|m| m.dst).collect();
+            let eager: Vec<InsertedMove> = insertion
+                .webs
+                .iter()
+                .flat_map(|w| &w.moves)
+                .chain(insertion.moves.iter().filter(|m| !phi_dsts.contains(&m.dst)))
+                .chain(&plain)
+                .copied()
+                .collect();
+            let webs = insertion.webs.iter().map(|w| &w.moves[1..]);
+            for list in std::iter::once(&eager[..]).chain(webs) {
+                let mut expected = list.to_vec();
+                expected.sort_by(|a, b| {
+                    freqs.frequency(b.block).partial_cmp(&freqs.frequency(a.block)).unwrap()
+                });
+                order_by_weight_desc(&mut got, list.iter().copied(), &mut starts, &freqs);
+                assert_eq!(got, expected, "{}: affinity order", func.name);
+                lists += 1;
+                reordered += (expected != list) as usize;
+            }
+        }
+        assert!(reordered * 10 > lists, "only {reordered} of {lists} lists were reordered");
+    }
+
+    /// The sharing rule's counting-sort groups equal the sort-then-range
+    /// grouping they replace: for every value representative, the same
+    /// universe members in the same order.
+    #[test]
+    fn sharing_groups_match_a_sorted_grouping() {
+        let mut groups = SharingGroups::default();
+        let mut shared = 0usize;
+        for (func, _) in inserted_functions() {
+            let values = ValueTable::of(&func);
+            let universe = crate::interference::copy_related_universe(&func);
+            let mut sorted: Vec<(Value, u32)> =
+                universe.iter().enumerate().map(|(i, &v)| (values.value_of(v), i as u32)).collect();
+            sorted.sort_unstable();
+            groups.rebuild(&universe, &values, func.num_values());
+            let mut grouped = 0usize;
+            for rep in func.values() {
+                let expected: Vec<Value> = sorted
+                    .iter()
+                    .filter(|&&(r, _)| r == rep)
+                    .map(|&(_, i)| universe[i as usize])
+                    .collect();
+                assert_eq!(groups.group(rep), &expected[..], "{}: group of {rep}", func.name);
+                grouped += expected.len();
+                shared += (expected.len() > 1) as usize;
+            }
+            assert_eq!(grouped, universe.len(), "{}: every member in one group", func.name);
+        }
+        assert!(shared > 0, "no representative groups two universe members");
     }
 
     #[test]

@@ -52,6 +52,19 @@ pub struct DefOrderKey {
     pub block_postorder: u32,
 }
 
+impl DefOrderKey {
+    /// The key of `value`'s definition site in `info`, if it has one.
+    pub(crate) fn of(value: Value, info: &LiveRangeInfo, domtree: &DominatorTree) -> Option<Self> {
+        let site = info.def(value)?;
+        Some(Self {
+            block_preorder: domtree.preorder_number(site.block),
+            pos: u32::try_from(site.pos).expect("an instruction position fits in u32"),
+            value_index: u32::try_from(value.index()).expect("a value index fits in u32"),
+            block_postorder: domtree.postorder_number(site.block),
+        })
+    }
+}
+
 /// Definition-point dominance decided from two cached keys: values without a
 /// key (no definition) or defined in unreachable blocks (pre-order
 /// `u32::MAX`) dominate nothing, same-block points compare by position, and
@@ -62,7 +75,7 @@ pub struct DefOrderKey {
 /// positions without a reachability check, while the keys say neither
 /// dominates. The class tests, which read the keys, therefore never pair two
 /// such values, and may merge values that intersect in code that never runs.
-#[inline]
+/// They read it as [`DefKey::dominates`].
 pub fn key_def_dominates(a: Option<DefOrderKey>, b: Option<DefOrderKey>) -> bool {
     let (Some(a), Some(b)) = (a, b) else { return false };
     if a.block_preorder == u32::MAX || b.block_preorder == u32::MAX {
@@ -72,6 +85,53 @@ pub fn key_def_dominates(a: Option<DefOrderKey>, b: Option<DefOrderKey>) -> bool
         return a.pos <= b.pos;
     }
     a.block_preorder < b.block_preorder && b.block_postorder <= a.block_postorder
+}
+
+/// An optional [`DefOrderKey`] packed into one integer, so the class walks
+/// order and test dominance with integer operations. From the most
+/// significant end, 32 bits each: the block pre-order number, the
+/// position, the value index plus one, the block post-order number. The
+/// integer order is therefore the key's derived order, and "no key", 0,
+/// sorts below every key (whose value field is at least 1).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DefKey(u128);
+
+impl DefKey {
+    /// Packs `key`; `None` becomes the lowest key.
+    pub(crate) fn new(key: Option<DefOrderKey>) -> Self {
+        let Some(key) = key else { return Self(0) };
+        let value = key.value_index.checked_add(1).expect("a value index below u32::MAX");
+        Self(
+            (key.block_preorder as u128) << 96
+                | (key.pos as u128) << 64
+                | (value as u128) << 32
+                | key.block_postorder as u128,
+        )
+    }
+
+    /// Returns `true` unless this is the packed `None`.
+    #[inline]
+    pub(crate) fn is_some(self) -> bool {
+        self.0 != 0
+    }
+
+    /// [`key_def_dominates`] on the packed keys.
+    #[inline]
+    pub fn dominates(self, other: Self) -> bool {
+        if !self.is_some() || !other.is_some() {
+            return false;
+        }
+        let field = |key: Self, shift: u32| (key.0 >> shift) as u32;
+        let (pre, other_pre) = (field(self, 96), field(other, 96));
+        if pre == other_pre {
+            // One block: unreachable blocks (pre-order `u32::MAX`) share the
+            // number, so they compare nothing.
+            return pre != u32::MAX && field(self, 64) <= field(other, 64);
+        }
+        // Distinct numbers: an unreachable side fails one of the tests,
+        // since reachable pre- and post-order numbers are below `u32::MAX`.
+        pre < other_pre && field(other, 0) <= field(self, 0)
+    }
 }
 
 /// The dominance-stack walk behind every interference sweep: for each item,
@@ -115,7 +175,7 @@ pub(crate) fn dominance_walk<T: Copy>(
 fn merged<'a>(
     mut red: &'a [Value],
     mut blue: &'a [Value],
-    keys: &'a SecondaryMap<Value, Option<DefOrderKey>>,
+    keys: &'a SecondaryMap<Value, DefKey>,
 ) -> impl Iterator<Item = (Value, bool)> + 'a {
     std::iter::from_fn(move || {
         let from_blue = match (red.first(), blue.first()) {
@@ -144,6 +204,9 @@ pub struct EqualAncOut {
     /// linear test and of [`CongruenceClasses::interfere_sweep`], so repeated
     /// queries neither allocate nor re-derive list membership by scanning.
     dom: Vec<(Value, bool)>,
+    /// Where the linear test's singleton fast path found the singleton's
+    /// place in the other class's member list: `merge` inserts it there.
+    insert_at: Option<(Value, usize)>,
 }
 
 impl EqualAncOut {
@@ -157,6 +220,7 @@ impl EqualAncOut {
         for value in self.touched.drain(..) {
             self.map[value] = None;
         }
+        self.insert_at = None;
     }
 
     /// Returns `true` if no entry has been written since the last clear.
@@ -214,8 +278,8 @@ pub struct CongruenceClasses {
     group_roots: Vec<Value>,
     /// Register label of each class root, if any member is pinned.
     labels: SecondaryMap<Value, Option<u32>>,
-    /// Definition-order key of every value.
-    keys: SecondaryMap<Value, Option<DefOrderKey>>,
+    /// Packed definition-order key of every value.
+    keys: SecondaryMap<Value, DefKey>,
     /// For the value-based linear test: nearest dominating member of the
     /// same class with the same value that intersects the value.
     equal_anc_in: SecondaryMap<Value, Option<Value>>,
@@ -283,14 +347,7 @@ impl CongruenceClasses {
         domtree: &DominatorTree,
         info: &LiveRangeInfo,
     ) {
-        if let Some(site) = info.def(value) {
-            self.keys[value] = Some(DefOrderKey {
-                block_preorder: domtree.preorder_number(site.block),
-                pos: site.pos as u32,
-                value_index: value.index() as u32,
-                block_postorder: domtree.postorder_number(site.block),
-            });
-        }
+        self.keys[value] = DefKey::new(DefOrderKey::of(value, info, domtree));
         self.labels[value] = func.pinned_reg(value);
     }
 
@@ -307,7 +364,7 @@ impl CongruenceClasses {
             self.release(list);
             self.parent[value].set(None);
             self.labels[value] = None;
-            self.keys[value] = None;
+            self.keys[value] = DefKey::default();
             self.equal_anc_in[value] = None;
         }
         self.queries = 0;
@@ -334,7 +391,7 @@ impl CongruenceClasses {
     /// copy), giving it a singleton class.
     pub fn add_value(&mut self, value: Value, key: DefOrderKey, label: Option<u32>) {
         self.dirty.push(value);
-        self.keys[value] = Some(key);
+        self.keys[value] = DefKey::new(Some(key));
         self.parent[value] = Cell::new(None);
         self.equal_anc_in[value] = None;
         self.members[value].clear();
@@ -378,7 +435,12 @@ impl CongruenceClasses {
 
     /// Members of the class of `value`, sorted by definition order.
     pub fn members(&self, value: Value) -> &[Value] {
-        let root = self.find(value);
+        self.root_members(self.find(value))
+    }
+
+    /// Members of the class whose root is `root`, sorted by definition
+    /// order.
+    pub(crate) fn root_members(&self, root: Value) -> &[Value] {
         let list = self.members.get(root);
         if !list.is_empty() {
             return list;
@@ -396,8 +458,8 @@ impl CongruenceClasses {
         *self.labels.get(self.find(value))
     }
 
-    /// The definition-order key of `value`.
-    pub fn key(&self, value: Value) -> Option<DefOrderKey> {
+    /// The packed definition-order key of `value`.
+    pub fn key(&self, value: Value) -> DefKey {
         self.keys[value]
     }
 
@@ -412,13 +474,18 @@ impl CongruenceClasses {
         self.equal_anc_in[value]
     }
 
-    /// Returns `true` if the labels of the two classes conflict (both are
-    /// pinned, to different registers).
-    pub fn labels_conflict(&self, a: Value, b: Value) -> bool {
-        match (self.label(a), self.label(b)) {
-            (Some(ra), Some(rb)) => ra != rb,
+    /// Returns `true` if the labels of the classes rooted at `ra` and `rb`
+    /// conflict (both are pinned, to different registers).
+    pub fn labels_conflict(&self, ra: Value, rb: Value) -> bool {
+        debug_assert!(self.is_root(ra) && self.is_root(rb), "labels are stored at class roots");
+        match (self.labels[ra], self.labels[rb]) {
+            (Some(a), Some(b)) => a != b,
             _ => false,
         }
+    }
+
+    fn is_root(&self, value: Value) -> bool {
+        self.parent.get(value).get().is_none()
     }
 
     /// Merges the classes of `a` and `b` without checking interference.
@@ -427,11 +494,16 @@ impl CongruenceClasses {
     /// `b`'s root is linked under `a`'s, which stays the name of the
     /// combined class.
     pub fn merge(&mut self, a: Value, b: Value, equal_anc_out: &EqualAncOut) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.merge_roots(ra, rb, equal_anc_out);
         }
+    }
+
+    /// [`CongruenceClasses::merge`] of the distinct classes rooted at `ra`
+    /// and `rb`, for a caller that has found the roots already.
+    pub(crate) fn merge_roots(&mut self, ra: Value, rb: Value, equal_anc_out: &EqualAncOut) {
+        debug_assert!(ra != rb && self.is_root(ra) && self.is_root(rb));
         // Label propagation: as in the seed, a label on `b`'s class wins
         // over one on `a`'s (differently labeled classes always interfere,
         // so conditional merges never see two distinct labels).
@@ -442,19 +514,30 @@ impl CongruenceClasses {
         // binary-search insert into the surviving buffer produces exactly the
         // list `merge_sorted_into` would (ties between `None`-keyed values
         // resolve to the left operand there, hence the `<=`/`<` asymmetry)
-        // without copying the whole class through a pooled buffer.
+        // without copying the whole class through a pooled buffer. When the
+        // linear test of this pair took its singleton fast path, it found
+        // the insertion point already: the keys of defined values are
+        // unique, so its `<` search lands where either search here would.
         let a_single = self.members[ra].is_empty();
         let b_single = self.members[rb].is_empty();
+        let found = |single: Value| match equal_anc_out.insert_at {
+            Some((value, pos)) if value == single => Some(pos),
+            _ => None,
+        };
         let merged = if !a_single && b_single {
             let mut list = std::mem::take(&mut self.members[ra]);
             let kv = self.keys[rb];
-            let pos = list.partition_point(|&x| self.keys[x] <= kv);
+            let search = || list.partition_point(|&x| self.keys[x] <= kv);
+            let pos = found(rb).unwrap_or_else(search);
+            debug_assert_eq!(pos, search());
             self.insert_member(&mut list, pos, rb);
             list
         } else if a_single && !b_single {
             let mut list = std::mem::take(&mut self.members[rb]);
             let kv = self.keys[ra];
-            let pos = list.partition_point(|&x| self.keys[x] < kv);
+            let search = || list.partition_point(|&x| self.keys[x] < kv);
+            let pos = found(ra).unwrap_or_else(search);
+            debug_assert_eq!(pos, search());
             self.insert_member(&mut list, pos, ra);
             list
         } else {
@@ -625,7 +708,7 @@ impl CongruenceClasses {
         intersect: &IntersectionTest<'_, L>,
         values: Option<&ValueTable>,
     ) -> bool {
-        if self.labels_conflict(a, b) {
+        if self.labels_conflict(self.find(a), self.find(b)) {
             return true;
         }
         let mut queries = 0u64;
@@ -652,37 +735,36 @@ impl CongruenceClasses {
         result
     }
 
-    /// The paper's linear interference test between the classes of `a` and
-    /// `b` (Algorithm 2 with the value extension). Returns `true` if the two
-    /// classes interfere. When they do not and the caller decides to merge
-    /// them, the scratch `equal_anc_out` (cleared and filled by this call)
-    /// must be passed to [`CongruenceClasses::merge`]. Definition-point
-    /// dominance is read from the cached definition keys
-    /// ([`key_def_dominates`]).
+    /// The paper's linear interference test between the classes rooted at
+    /// `ra` and `rb` (Algorithm 2 with the value extension). Returns `true`
+    /// if the two classes interfere. When they do not and the caller
+    /// decides to merge them, the scratch `equal_anc_out` (cleared and
+    /// filled by this call) must be passed to [`CongruenceClasses::merge`].
+    /// Definition-point dominance is read from the cached definition keys
+    /// ([`DefKey::dominates`]). Label conflicts are the caller's concern,
+    /// as with [`CongruenceClasses::interfere_sweep`].
     pub fn interfere_linear<L: BlockLiveness>(
         &mut self,
-        a: Value,
-        b: Value,
+        ra: Value,
+        rb: Value,
         intersect: &IntersectionTest<'_, L>,
         values: Option<&ValueTable>,
         equal_anc_out: &mut EqualAncOut,
     ) -> bool {
+        debug_assert!(self.is_root(ra) && self.is_root(rb), "the linear test takes class roots");
         equal_anc_out.clear();
-        if self.labels_conflict(a, b) {
-            return true;
-        }
         // The member lists are borrowed, not cloned: the whole walk is
         // read-only on `self` (the query counter is folded in at the end),
         // and the dominance stack comes from the reusable scratch.
         let mut queries = 0u64;
         let mut dom = std::mem::take(&mut equal_anc_out.dom);
         dom.clear();
-        let interference_found = {
-            let red = self.members(a);
-            let blue = self.members(b);
+        let (interference_found, insert_at) = {
+            let red = self.root_members(ra);
+            let blue = self.root_members(rb);
             let keys = &self.keys;
             let equal_anc_in = &self.equal_anc_in;
-            let dominates = |x: Value, y: Value| key_def_dominates(keys[x], keys[y]);
+            let dominates = |x: Value, y: Value| keys[x].dominates(keys[y]);
 
             // One step of Algorithm 2: test `current` against its nearest
             // dominating stack ancestor `parent`, walking the equal-ancestor
@@ -758,7 +840,8 @@ impl CongruenceClasses {
             // entries dominated by `v`. Values without a definition key
             // sort first, dominate nothing and issue no queries, so the
             // fast path requires `v` to carry a key and the big side is
-            // taken as-is.
+            // taken as-is. The singleton's place in the big list is where
+            // a merge of the pair inserts it, so it is handed on.
             let singleton = if red.len() == 1 && keys[red[0]].is_some() {
                 Some((red[0], true, blue, false))
             } else if blue.len() == 1 && keys[blue[0]].is_some() {
@@ -771,24 +854,28 @@ impl CongruenceClasses {
                 let idx = big.partition_point(|&x| keys[x] < kv);
                 let parent =
                     big[..idx].iter().rev().find(|&&x| dominates(x, v)).map(|&x| (x, big_in_red));
-                step(v, v_in_red, parent.as_ref()) || {
+                let found = step(v, v_in_red, parent.as_ref()) || {
                     dom.push((v, v_in_red));
                     let run = big[idx..].iter().take_while(|&&x| dominates(v, x));
                     dominance_walk(&mut dom, run.map(|&x| (x, big_in_red)), dominates, |x, r, s| {
                         step(x, r, s.last())
                     })
-                }
+                };
+                (found, Some((v, idx)))
             } else {
                 // The walk knows which list every value came from, so list
                 // membership rides along on the stack instead of being
                 // re-derived by a member-list scan per step (which was
                 // quadratic in class size).
-                dominance_walk(&mut dom, merged(red, blue, keys), dominates, |x, r, s| {
-                    step(x, r, s.last())
-                })
+                let found =
+                    dominance_walk(&mut dom, merged(red, blue, keys), dominates, |x, r, s| {
+                        step(x, r, s.last())
+                    });
+                (found, None)
             }
         };
         equal_anc_out.dom = dom;
+        equal_anc_out.insert_at = insert_at;
         self.queries += queries;
         interference_found
     }
@@ -822,24 +909,25 @@ impl CongruenceClasses {
     /// The dominance stack is borrowed from `stack` — the same scratch the
     /// linear test uses — so repeated sweeps do not allocate. Dominance
     /// between walked values is decided from the cached definition keys
-    /// ([`key_def_dominates`]), not by consulting the dominator tree per
-    /// step.
+    /// ([`DefKey::dominates`]), not by consulting the dominator tree per
+    /// step. `ra` and `rb` are the class roots.
     pub fn interfere_sweep(
         &mut self,
-        a: Value,
-        b: Value,
+        ra: Value,
+        rb: Value,
         skip_pair: Option<(Value, Value)>,
         pair_interferes: &mut dyn FnMut(Value, Value) -> bool,
         stack: &mut EqualAncOut,
     ) -> bool {
+        debug_assert!(self.is_root(ra) && self.is_root(rb), "the sweep takes class roots");
         let mut queries = 0u64;
         let mut dom = std::mem::take(&mut stack.dom);
         dom.clear();
         let keys = &self.keys;
         let found = dominance_walk(
             &mut dom,
-            merged(self.members(a), self.members(b), keys),
-            |x, y| key_def_dominates(keys[x], keys[y]),
+            merged(self.root_members(ra), self.root_members(rb), keys),
+            |x, y| keys[x].dominates(keys[y]),
             |current, current_in_red, ancestors| {
                 // Nearest ancestor first: an interference, if any, is most
                 // likely with the closest dominator still live across
@@ -882,7 +970,7 @@ impl CongruenceClasses {
 mod tests {
     use super::*;
     use ossa_ir::builder::FunctionBuilder;
-    use ossa_ir::{BinaryOp, ControlFlowGraph};
+    use ossa_ir::{BinaryOp, ControlFlowGraph, InstData};
     use ossa_liveness::LivenessSets;
 
     struct Fixture {
@@ -1020,6 +1108,8 @@ mod tests {
         let mut classes = fx.classes();
         assert!(classes.labels_conflict(a, b1));
         assert!(classes.interfere_quadratic(a, b1, &intersect, None));
+        // The linear test leaves labels to its caller; these two also
+        // intersect.
         let mut scratch = EqualAncOut::new();
         assert!(classes.interfere_linear(a, b1, &intersect, None, &mut scratch));
         // Same register: no conflict from labels alone.
@@ -1210,9 +1300,11 @@ mod tests {
         assert_eq!(recycled.queries(), 0);
         // Decisions after reset track a fresh instance exactly.
         for &(x, y) in &[(a, b1), (b1, c1), (a, s), (c1, other)] {
+            let (rx, ry) = (recycled.find(x), recycled.find(y));
+            assert_eq!((rx, ry), (fresh.find(x), fresh.find(y)));
             assert_eq!(
-                recycled.interfere_linear(x, y, &intersect, Some(&values), &mut scratch_a),
-                fresh.interfere_linear(x, y, &intersect, Some(&values), &mut scratch_b),
+                recycled.interfere_linear(rx, ry, &intersect, Some(&values), &mut scratch_a),
+                fresh.interfere_linear(rx, ry, &intersect, Some(&values), &mut scratch_b),
                 "linear mismatch for ({x}, {y})"
             );
             recycled.merge(x, y, &scratch_a);
@@ -1378,6 +1470,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The packed keys order values as `DefOrderKey`'s derived order does
+    /// and decide dominance as `key_def_dominates` does, for every pair of
+    /// universe values of generated functions of three shapes. Each function
+    /// also gets a value with no definition and an unreachable block that
+    /// defines two values: the corner cases of the dominance test.
+    #[test]
+    fn packed_keys_match_def_order_keys_on_generated_functions() {
+        use ossa_cfggen::{generate_ssa_function, GenConfig};
+
+        let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
+        let shapes = [
+            ("small", GenConfig::small(), 24),
+            ("default", GenConfig::default(), 12),
+            ("deep", deep, 4),
+        ];
+        let (mut pairs, mut dominating) = (0usize, 0usize);
+        let mut classes = CongruenceClasses::default();
+        for (prefix, config, seeds) in shapes {
+            for seed in 0..seeds {
+                let (mut func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+                let universe = crate::interference::copy_related_universe(&func);
+                let unreachable = func.add_block();
+                let extra = [func.new_value(), func.new_value(), func.new_value()];
+                for (imm, &dst) in extra[..2].iter().enumerate() {
+                    func.append_inst(unreachable, InstData::Const { dst, imm: imm as i64 });
+                }
+                func.append_inst(unreachable, InstData::Return { value: None });
+                let cfg = ControlFlowGraph::compute(&func);
+                let domtree = DominatorTree::compute(&func, &cfg);
+                let info = LiveRangeInfo::compute(&func);
+                classes.reset_for(&func, &domtree, &info, &universe);
+                let keyed: Vec<(Option<DefOrderKey>, DefKey)> = universe
+                    .iter()
+                    .chain(&extra)
+                    .map(|&v| {
+                        let key = DefOrderKey::of(v, &info, &domtree);
+                        (key, DefKey::new(key))
+                    })
+                    .collect();
+                for (&v, &(_, packed)) in universe.iter().zip(&keyed) {
+                    assert_eq!(classes.key(v), packed, "{prefix}{seed}: stored key of {v}");
+                }
+                let [dead_a, dead_b, undefined] = [0, 1, 2].map(|i| keyed[universe.len() + i].0);
+                assert!(dead_a.zip(dead_b).is_some_and(|(a, b)| a.block_preorder == u32::MAX
+                    && b.block_preorder == u32::MAX
+                    && a.pos < b.pos));
+                assert_eq!(undefined, None);
+                for &(a, packed_a) in &keyed {
+                    for &(b, packed_b) in &keyed {
+                        let ctx = format!("{prefix}{seed}: {a:?} vs {b:?}");
+                        assert_eq!(packed_a.cmp(&packed_b), a.cmp(&b), "{ctx}: order");
+                        let dominates = key_def_dominates(a, b);
+                        assert_eq!(packed_a.dominates(packed_b), dominates, "{ctx}: dominance");
+                        pairs += 1;
+                        dominating += dominates as usize;
+                    }
+                }
+            }
+        }
+        assert!(dominating * 10 > pairs, "{dominating} of {pairs} pairs dominate");
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub struct EngineWorker {
     pub verify: VerifyScratch,
     /// Retired `Function` storage, for pooled sources and pristine snapshots.
     pub pool: FunctionPool,
+    /// Length of the last stream this worker drained: the next stream's
+    /// per-function results are reserved at it, so a warm pass allocates
+    /// its results once instead of growing them.
+    last_stream_len: usize,
 }
 
 impl EngineWorker {
@@ -265,13 +269,14 @@ impl Engine {
         worker: &mut EngineWorker,
         mut consumer: impl FnMut(usize, &Function, &OutOfSsaStats),
     ) -> CorpusStats {
-        let mut per_function = Vec::new();
+        let mut per_function = Vec::with_capacity(worker.last_stream_len);
         while let Some(mut func) = source.next_into(&mut worker.pool) {
             let stats = worker.translate(&mut func, self.options());
             consumer(per_function.len(), &func, &stats);
             worker.pool.retire(func);
             per_function.push(stats);
         }
+        worker.last_stream_len = per_function.len();
         CorpusStats { per_function, threads: 1 }
     }
 
@@ -284,7 +289,7 @@ impl Engine {
         worker: &mut EngineWorker,
         mut consumer: impl FnMut(usize, Result<&Function, &TranslateError>),
     ) -> IsolatedCorpusStats {
-        let mut results = Vec::new();
+        let mut results = Vec::with_capacity(worker.last_stream_len);
         while let Some(mut func) = source.next_into(&mut worker.pool) {
             let result = worker.try_translate(&mut func, self);
             consumer(results.len(), result.as_ref().map(|_| &func));
@@ -294,6 +299,7 @@ impl Engine {
             }
             results.push(result);
         }
+        worker.last_stream_len = results.len();
         IsolatedCorpusStats { results, threads: 1 }
     }
 

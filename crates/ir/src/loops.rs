@@ -181,6 +181,21 @@ impl BlockFrequencies {
     pub fn frequency(&self, block: Block) -> f64 {
         self.freq[block]
     }
+
+    /// A small integer that orders blocks exactly as their frequencies do,
+    /// so the coalescer can counting-sort its affinities on it.
+    pub fn weight_rank(&self, block: Block) -> u32 {
+        weight_rank_of(self.freq[block])
+    }
+}
+
+/// The binary exponent of `freq` above that of 1. Every frequency is
+/// `LOOP_WEIGHT^depth` with a weight of at least 2, so each loop level
+/// raises the exponent and the exponents order frequencies exactly; the
+/// infinity of a depth past `f64`'s range has the largest one.
+fn weight_rank_of(freq: f64) -> u32 {
+    debug_assert!(freq >= 1.0, "block frequencies are at least 1");
+    ((freq.to_bits() >> 52) as u32).saturating_sub(1023)
 }
 
 #[cfg(test)]
@@ -259,6 +274,26 @@ mod tests {
         assert_eq!(freqs.frequency(entry), 1.0);
         assert_eq!(freqs.frequency(outer), LOOP_WEIGHT);
         assert_eq!(freqs.frequency(inner), LOOP_WEIGHT * LOOP_WEIGHT);
+    }
+
+    #[test]
+    fn weight_ranks_order_blocks_as_frequencies_do() {
+        // Every depth up to twice the one whose frequency overflows.
+        let freq = |depth: u32| LOOP_WEIGHT.powi(depth as i32);
+        assert!(freq(400).is_infinite());
+        for a in 0..800u32 {
+            for b in [a.saturating_sub(1), a, a + 1] {
+                let (fa, fb) = (freq(a), freq(b));
+                let ranks = weight_rank_of(fa).cmp(&weight_rank_of(fb));
+                assert_eq!(ranks, fa.total_cmp(&fb), "depths {a}, {b}");
+            }
+        }
+        let (f, blocks) = nested_loops();
+        let freqs = BlockFrequencies::compute(&f);
+        let ranks: Vec<u32> = blocks.iter().map(|&b| freqs.weight_rank(b)).collect();
+        assert_eq!(ranks[0], 0, "a block outside loops");
+        assert!(ranks[0] < ranks[1] && ranks[1] < ranks[2], "entry, outer, inner: {ranks:?}");
+        assert_eq!((ranks[1], ranks[2]), (ranks[4], ranks[3]), "same depth, same rank");
     }
 
     #[test]

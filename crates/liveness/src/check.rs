@@ -136,14 +136,13 @@ impl FastLiveness {
         &self,
         domtree: &DominatorTree,
         q: Block,
-        def_block: Block,
+        def_pre: u32,
         uses: &[UseSite],
     ) -> bool {
         // The definition and every enclosing header of q dominate q, so they
         // lie on one dominator-tree path: a header is strictly dominated by
         // the definition iff its preorder number is larger. The outermost
         // such header has the smallest number.
-        let def_pre = domtree.preorder_number(def_block);
         let (mut source, mut source_pre) = (q, u32::MAX);
         for t in self.back_targets[q].iter() {
             let pre = domtree.preorder_number(t);
@@ -165,14 +164,10 @@ impl FastLiveness {
         value: Value,
     ) -> bool {
         let Some(def) = info.def(value) else { return false };
-        if def.block == block || !domtree.strictly_dominates(def.block, block) {
-            return false;
-        }
         let uses = info.uses().uses_of(value);
-        if uses.is_empty() {
-            return false;
-        }
-        self.use_reachable_from(domtree, block, def.block, uses)
+        domtree.strictly_dominates(def.block, block)
+            && !uses.is_empty()
+            && self.use_reachable_from(domtree, block, domtree.preorder_number(def.block), uses)
     }
 
     /// Returns `true` if `value` is live at the exit of `block`.
@@ -187,17 +182,34 @@ impl FastLiveness {
         // φ uses on outgoing edges make the value live-out directly; the use
         // index records them at the end of the predecessor block, so no walk
         // over the successors' φs (and no per-query allocation) is needed.
-        if info.uses().uses_of(value).iter().any(|s| s.block == block && s.is_phi_edge_use()) {
+        let uses = info.uses().uses_of(value);
+        if uses.iter().any(|s| s.block == block && s.is_phi_edge_use()) {
             return true;
         }
-        for &succ in cfg.succs(block) {
-            if self.is_live_in_query(domtree, info, succ, value) {
-                return true;
-            }
+        let Some(def) = info.def(value) else { return false };
+        self.is_live_in_at_a_successor(cfg, domtree, block, def.block, uses)
+    }
+
+    /// Returns `true` if a value defined in `def_block` and used at `uses`
+    /// is live at the entry of some successor of `block`: the live-out
+    /// query past the φ-edge uses, which callers holding the definition and
+    /// the use slice ask directly ([`BlockLiveness::is_live_out_past_uses`]).
+    fn is_live_in_at_a_successor(
+        &self,
+        cfg: &ControlFlowGraph,
+        domtree: &DominatorTree,
+        block: Block,
+        def_block: Block,
+        uses: &[UseSite],
+    ) -> bool {
+        if uses.is_empty() {
+            return false;
         }
-        // A value defined in `block` (or live-through) is live-out only via
-        // successors, handled above.
-        false
+        let def_pre = domtree.preorder_number(def_block);
+        cfg.succs(block).iter().any(|&succ| {
+            domtree.strictly_dominates(def_block, succ)
+                && self.use_reachable_from(domtree, succ, def_pre, uses)
+        })
     }
 
     /// Bundles this checker with the analyses its queries need, yielding a
@@ -281,6 +293,17 @@ impl BlockLiveness for FastLivenessQuery<'_> {
     #[inline]
     fn is_live_out(&self, block: Block, value: Value) -> bool {
         self.checker.is_live_out_query(self.cfg, self.domtree, self.info, block, value)
+    }
+
+    #[inline]
+    fn is_live_out_past_uses(
+        &self,
+        block: Block,
+        _value: Value,
+        def_block: Block,
+        uses: &[UseSite],
+    ) -> bool {
+        self.checker.is_live_in_at_a_successor(self.cfg, self.domtree, block, def_block, uses)
     }
 }
 

@@ -115,10 +115,11 @@ impl<'a, L: BlockLiveness> IntersectionTest<'a, L> {
     /// This sits in the innermost loops of the sharing rule and of
     /// `virtual_copy_conflict`, so the block-local position test is inlined
     /// (one comparison instead of a dominance-point call) and the whole
-    /// query reduces to at most one use-site scan plus one word-indexed
-    /// bit-set read in the liveness backend.
+    /// query reduces to one use-site scan plus the successor part of the
+    /// live-out query, which reuses the definition and uses read here.
     #[inline]
     pub fn is_live_after(&self, block: Block, pos: usize, value: Value) -> bool {
+        debug_assert!(pos < usize::MAX, "a program point, not the φ-edge position");
         let Some(def) = self.info.def(value) else { return false };
         // Not yet defined at this point: definitely not live (SSA dominance).
         if def.block == block {
@@ -129,10 +130,11 @@ impl<'a, L: BlockLiveness> IntersectionTest<'a, L> {
             return false;
         }
         // Used later in the same block (φ edge-uses count as "end of block")?
-        if self.info.uses().used_after_in_block(value, block, pos) {
+        let uses = self.info.uses().uses_of(value);
+        if uses.iter().any(|site| site.block == block && site.pos > pos) {
             return true;
         }
-        self.liveness.is_live_out(block, value)
+        self.liveness.is_live_out_past_uses(block, value, def.block, uses)
     }
 
     /// Returns `true` if `value` is live just *before* the program point
@@ -224,7 +226,7 @@ impl<'a, L: BlockLiveness> IntersectionTest<'a, L> {
         if uses_a.iter().any(|site| site.block == def_b.block && site.pos > def_b.pos) {
             return true;
         }
-        self.liveness.is_live_out(def_b.block, dominating)
+        self.liveness.is_live_out_past_uses(def_b.block, dominating, def_a.block, uses_a)
     }
 
     /// Chaitin-style conservative interference: `a` and `b` interfere if one

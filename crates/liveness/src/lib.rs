@@ -61,4 +61,20 @@ pub trait BlockLiveness {
     fn is_live_in(&self, block: Block, value: Value) -> bool;
     /// Returns `true` if `value` is live at the exit of `block`.
     fn is_live_out(&self, block: Block, value: Value) -> bool;
+    /// [`BlockLiveness::is_live_out`] for a caller that holds `value`'s
+    /// definition block and use sites and has found no use in `block`
+    /// after some instruction: no φ-edge use there either, since those sit
+    /// at the end of the block. Only a successor can then make `value`
+    /// live-out, and the fast checker answers that from the arguments
+    /// instead of looking them up again.
+    #[inline]
+    fn is_live_out_past_uses(
+        &self,
+        block: Block,
+        value: Value,
+        _def_block: Block,
+        _uses: &[UseSite],
+    ) -> bool {
+        self.is_live_out(block, value)
+    }
 }

@@ -521,6 +521,54 @@ fn warm_checked_steps_allocate_as_often_as_unchecked_ones() {
     }
 }
 
+/// A warm pass of a pooled stream allocates once, for the per-function
+/// results it returns: `Engine::run_stream` and `Engine::try_run_stream`
+/// reserve them at the length of the worker's previous stream instead of
+/// growing them from empty. Forty functions would take five doublings.
+#[test]
+fn warm_stream_passes_allocate_only_their_results() {
+    use ossa_bench::alloc::allocation_count;
+    use out_of_ssa::destruct::{Engine, EngineWorker};
+    use out_of_ssa::ir::FunctionPool;
+
+    let engine = Engine::new(OutOfSsaOptions::default());
+    let inputs: Vec<Function> = (0..40u64)
+        .map(|seed| {
+            let (mut func, _) =
+                generate_ssa_function(format!("stream{seed}"), &GenConfig::small(), seed);
+            pin_call_conventions(&mut func);
+            func
+        })
+        .collect();
+    let mut worker = EngineWorker::new();
+    let mut pass = |checked: bool| {
+        let mut next = inputs.iter();
+        let mut source = |pool: &mut FunctionPool| next.next().map(|f| pool.checkout_clone_of(f));
+        let before = allocation_count();
+        let translated = if checked {
+            engine.try_run_stream(&mut source, &mut worker, |_, _| {}).results.len()
+        } else {
+            engine.run_stream(&mut source, &mut worker, |_, _, _| {}).per_function.len()
+        };
+        assert_eq!(translated, inputs.len());
+        allocation_count() - before
+    };
+    for checked in [false, true, false, true] {
+        pass(checked);
+    }
+    let [unchecked, checked, unchecked_again, checked_again] = [false, true, false, true].map(pass);
+    assert_eq!((unchecked, checked), (unchecked_again, checked_again), "warm passes drifted");
+    // Debug builds also allocate in `debug_assert!`-only verification.
+    #[cfg(not(debug_assertions))]
+    assert_eq!(
+        (unchecked, checked),
+        (1, 1),
+        "warm stream passes of {} functions allocated {unchecked} (unchecked) and {checked} \
+         (checked) times",
+        inputs.len()
+    );
+}
+
 /// The pristine-snapshot half of the same claim: `checkout_clone_of` into a
 /// retired pool slot rebuilds every block inside the slot's own block
 /// storage, so once the slot has seen each shape a snapshot allocates

@@ -211,6 +211,69 @@ fn fast_liveness_matches_reference_dataflow_on_random_cfgs() {
     }
 }
 
+/// The live-out query the intersection tests now make in one use-list
+/// pass: a scan of the block's uses past its last instruction (which finds
+/// the φ-edge uses), then the successor part from the definition block and
+/// use slice in hand ([`BlockLiveness::is_live_out_past_uses`]). It equals
+/// [`FastLiveness::is_live_out_query`] and the data-flow sets for every
+/// reachable block and value, after copy insertion, on generated functions
+/// of three shapes; so does `is_live_after` at every instruction of the
+/// block on both backends.
+#[test]
+fn single_pass_live_out_matches_both_backends_after_copy_insertion() {
+    let deep = GenConfig { num_stmts: 200, num_vars: 16, max_depth: 5, ..GenConfig::default() };
+    let shapes = [
+        ("small", GenConfig::small(), 40),
+        ("default", GenConfig::default(), 24),
+        ("deep", deep, 8),
+    ];
+    let (mut checked, mut live) = (0usize, 0usize);
+    for (prefix, config, seeds) in shapes {
+        for seed in 0..seeds {
+            let (mut func, _) = generate_ssa_function(format!("{prefix}{seed}"), &config, seed);
+            insert_phi_copies(&mut func);
+            let cfg = ControlFlowGraph::compute(&func);
+            let domtree = DominatorTree::compute(&func, &cfg);
+            if !is_reducible(&func, &cfg, &domtree) {
+                continue;
+            }
+            let sets = LivenessSets::compute(&func, &cfg);
+            let info = LiveRangeInfo::compute(&func);
+            let checker = FastLiveness::compute(&func, &cfg, &domtree);
+            let fast = checker.query(&cfg, &domtree, &info);
+            let by_sets = IntersectionTest::new(&func, &domtree, &sets, &info);
+            let by_fast = IntersectionTest::new(&func, &domtree, &fast, &info);
+            for block in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+                let last = func.block_len(block) - 1;
+                for value in func.values() {
+                    let uses = info.uses().uses_of(value);
+                    let single_pass = uses.iter().any(|s| s.block == block && s.pos > last)
+                        || info.def(value).is_some_and(|def| {
+                            fast.is_live_out_past_uses(block, value, def.block, uses)
+                        });
+                    let context = format!("{prefix}{seed}: live-out of {value} at {block}");
+                    assert_eq!(
+                        single_pass,
+                        checker.is_live_out_query(&cfg, &domtree, &info, block, value),
+                        "{context}: single pass vs fast checker"
+                    );
+                    assert_eq!(single_pass, sets.is_live_out(block, value), "{context}: vs sets");
+                    for pos in 0..=last {
+                        assert_eq!(
+                            by_fast.is_live_after(block, pos, value),
+                            by_sets.is_live_after(block, pos, value),
+                            "{context}: live after position {pos}"
+                        );
+                    }
+                    checked += 1;
+                    live += single_pass as usize;
+                }
+            }
+        }
+    }
+    assert!(live * 100 > checked, "only {live} of {checked} block-value pairs are live-out");
+}
+
 /// Checks [`LiveRangeInfo`] against a value-by-value scan of `func`: each
 /// value's first definition in layout order, and every use in
 /// block-traversal order, a φ argument at the end of its predecessor
