@@ -8,31 +8,23 @@
 //! through the public pipeline entry points, so the split is approximate at
 //! the boundaries but pins down where an allocation regression lives.
 //!
-//! Usage: `alloc_profile [scale] [--phase coalesce] [--streaming] [--json PATH]`
+//! Usage: `alloc_profile [scale] [--phase coalesce] [--json PATH]`
 //! (default scale 1.0).
 //!
-//! With `--phase coalesce` the run additionally splits the coalesce phase by
-//! sub-stage (setup / affinity build / decide / sharing / snapshot /
-//! rewrite) through the [`ossa_destruct::set_coalesce_probe`] hook, counting
-//! allocations and wall-clock per sub-stage; `--json PATH` writes that
-//! drill-down as a JSON report (uploaded as a CI artifact next to
-//! `BENCH_fig6.json`).
-//!
-//! With `--streaming` the run instead profiles the *pooled streaming
-//! engine*: several passes over the corpus through one persistent
-//! [`ossa_destruct::EngineWorker`] and corpus source, reporting the warm-up
-//! pass (cold pools and caches growing to their high-water marks) against
-//! the steady-state passes (recycled storage only) as allocations per
-//! translated function, plus the function-pool traffic. `--json PATH`
-//! writes the profile for the CI artifact (`ALLOC_streaming.json`).
+//! With `--phase coalesce` the run instead splits the coalesce phase of a
+//! warm serial pass by sub-stage (setup / affinity build / decide / sharing
+//! / snapshot / rewrite) through the [`ossa_destruct::set_coalesce_probe`]
+//! hook, counting allocations and wall-clock per sub-stage; `--json PATH`
+//! writes that drill-down as a JSON report (uploaded as a CI artifact next
+//! to `BENCH_fig6.json`).
 
 use std::cell::RefCell;
 use std::time::Instant;
 
 use ossa_bench::alloc::allocation_count;
 use ossa_destruct::{
-    insertion, set_coalesce_probe, translate_out_of_ssa_scratch, CoalesceStage, Engine, Ladder,
-    OutOfSsaOptions, TranslateScratch, ValidationMode,
+    insertion, set_coalesce_probe, translate_out_of_ssa_scratch, CoalesceStage, Engine,
+    OutOfSsaOptions, TranslateScratch,
 };
 use ossa_liveness::FunctionAnalyses;
 
@@ -93,17 +85,12 @@ fn main() {
     let mut scale = 1.0f64;
     let mut phase: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut streaming = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--phase" => {
                 phase = args.get(i + 1).cloned();
                 i += 2;
-            }
-            "--streaming" => {
-                streaming = true;
-                i += 1;
             }
             "--json" => {
                 json_path = args.get(i + 1).cloned();
@@ -114,10 +101,7 @@ fn main() {
                     scale = s;
                 } else {
                     eprintln!("unknown argument: {other}");
-                    eprintln!(
-                        "usage: alloc_profile [scale] [--phase coalesce] [--streaming] \
-                         [--json PATH]"
-                    );
+                    eprintln!("usage: alloc_profile [scale] [--phase coalesce] [--json PATH]");
                     std::process::exit(2);
                 }
                 i += 1;
@@ -131,21 +115,18 @@ fn main() {
         }
     }
     let options = OutOfSsaOptions::default();
-    let engine = Engine::new(options.clone()).with_threads(1);
-    if streaming {
-        streaming_report(scale, &options, json_path.as_deref());
-        return;
-    }
     let corpus = ossa_cfggen::spec_like_corpus(scale, true);
     let functions: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
 
     if phase.is_some() {
-        coalesce_drilldown(&functions, &engine, scale, json_path.as_deref());
+        coalesce_drilldown(&functions, &options, scale, json_path.as_deref());
         return;
     }
+    let engine = Engine::new(options.clone()).with_threads(1);
 
-    // Warm-up run so lazy statics and the first-growth costs of the recycled
-    // caches are out of the way (the steady-state numbers are the gated ones).
+    // Warm-up run so lazy statics are out of the way. `Engine::run` starts
+    // fresh workers on every call, so the counted run is a cold batch-serial
+    // pass, like `fig6_speed`'s batch-serial allocation count.
     {
         let mut work = functions.clone();
         let _ = engine.run(&mut work);
@@ -285,101 +266,32 @@ fn main() {
     println!("  per function (total)        {:.1}", total as f64 / functions.len() as f64);
 }
 
-/// The `--streaming` profile: warm-up vs steady-state allocation counts of
-/// the pooled streaming engine, per pass and per translated function, with
-/// the function-pool traffic. Four passes: pass 0 warms every pool, cache
-/// and scratch buffer; passes 1–3 are steady state (the gate's "1×" is pass
-/// 1, its "2×" passes 1+2 — the same corpus streamed twice through the warm
-/// worker).
-fn streaming_report(scale: f64, options: &OutOfSsaOptions, json_path: Option<&str>) {
-    let profile = ossa_bench::streaming_allocation_passes(scale, options, 4);
-    let functions = profile.functions_per_pass;
-    let warmup = profile.pass_allocations[0];
-    println!("pooled streaming allocation profile at scale {scale}, {functions} functions/pass");
-    println!("  warm-up pass            {warmup} allocations");
-    for (i, allocs) in profile.pass_allocations.iter().enumerate().skip(1) {
-        println!(
-            "  steady-state pass {i}     {allocs} allocations  ({:.3} per function)",
-            *allocs as f64 / functions.max(1) as f64
-        );
-    }
-    let steady_1x = profile.steady_state_per_function(1);
-    let steady_2x = profile.steady_state_per_function(2);
-    println!("  steady state per function: {steady_1x:.3} at 1x corpus, {steady_2x:.3} at 2x");
-    let pool = profile.pool;
-    println!(
-        "  pool traffic: {} checkouts ({} recycled), {} retired, {} discarded",
-        pool.checkouts, pool.recycled, pool.retired, pool.discarded
-    );
-
-    // One self-checking pass over the same corpus (Structural validation,
-    // serial): the recovery counters belong next to the pool traffic in the
-    // CI artifact — all zero on a healthy corpus, and a nonzero
-    // `validation_failures` in the artifact is the first place an injected
-    // or real miscompile would surface outside the test suite.
-    let (validation_failures, recovered_functions, liveness_fallbacks) = {
-        let corpus = ossa_cfggen::spec_like_corpus(scale, true);
-        let mut work: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
-        let ladder = Ladder::retrying(options.clone(), ValidationMode::Structural, 0);
-        let stats = Engine::new(ladder).with_threads(1).try_run(&mut work);
-        (stats.validation_failures(), stats.recovered_functions(), stats.total().liveness_fallbacks)
-    };
-    println!(
-        "  self-checking pass: {validation_failures} validation failures, \
-         {recovered_functions} recovered, {liveness_fallbacks} liveness fallbacks"
-    );
-
-    if let Some(path) = json_path {
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str(&format!("  \"scale\": {scale},\n"));
-        json.push_str("  \"mode\": \"streaming\",\n");
-        json.push_str(&format!("  \"functions_per_pass\": {functions},\n"));
-        json.push_str("  \"pass_allocations\": [");
-        for (i, allocs) in profile.pass_allocations.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&allocs.to_string());
-        }
-        json.push_str("],\n");
-        json.push_str(&format!("  \"warmup_allocations\": {warmup},\n"));
-        json.push_str(&format!("  \"steady_state_allocations\": {steady_1x:.4},\n"));
-        json.push_str(&format!("  \"steady_state_allocations_2x\": {steady_2x:.4},\n"));
-        json.push_str("  \"pool\": {\n");
-        json.push_str(&format!("    \"checkouts\": {},\n", pool.checkouts));
-        json.push_str(&format!("    \"recycled\": {},\n", pool.recycled));
-        json.push_str(&format!("    \"retired\": {},\n", pool.retired));
-        json.push_str(&format!("    \"discarded\": {}\n", pool.discarded));
-        json.push_str("  },\n");
-        json.push_str(&format!("  \"validation_failures\": {validation_failures},\n"));
-        json.push_str(&format!("  \"recovered_functions\": {recovered_functions},\n"));
-        json.push_str(&format!("  \"liveness_fallbacks\": {liveness_fallbacks}\n"));
-        json.push_str("}\n");
-        std::fs::write(path, json).expect("write streaming profile JSON");
-        println!("wrote {path}");
-    }
-}
-
-/// The `--phase coalesce` drill-down: one warmed batch-serial pass with the
-/// sub-stage probe installed, reporting allocations and wall-clock per
-/// coalesce sub-stage, optionally as JSON.
+/// The `--phase coalesce` drill-down: a warm serial pass of the unchecked
+/// step with the sub-stage probe installed, reporting allocations and
+/// wall-clock per coalesce sub-stage, optionally as JSON.
 fn coalesce_drilldown(
     functions: &[ossa_ir::Function],
-    engine: &Engine,
+    options: &OutOfSsaOptions,
     scale: f64,
     json_path: Option<&str>,
 ) {
-    // Warm-up pass (no probe) so recycled caches reach steady state.
-    {
-        let mut work = functions.to_vec();
-        let _ = engine.run(&mut work);
-    }
+    // One analysis cache and one scratch for both passes: the warm-up pass
+    // (no probe) grows them to the corpus's high-water marks, so the probed
+    // pass sees the recycled storage a long-running worker translates in.
+    let mut analyses = FunctionAnalyses::new();
+    let mut scratch = TranslateScratch::new();
+    let mut pass = |work: &mut [ossa_ir::Function]| {
+        for func in work {
+            analyses.invalidate_cfg();
+            let _ = translate_out_of_ssa_scratch(func, options, &mut analyses, &mut scratch);
+        }
+    };
+    pass(&mut functions.to_vec());
     let mut work = functions.to_vec();
     set_coalesce_probe(Some(coalesce_stage_probe));
     let before = allocation_count();
-    let _ = engine.run(&mut work);
-    let total_allocs = allocation_count() - before;
+    pass(&mut work);
+    let warm_pass_allocs = allocation_count() - before;
     set_coalesce_probe(None);
     let (allocs, nanos) = PROBE_STATE.with(|state| (state.borrow().allocs, state.borrow().nanos));
 
@@ -394,7 +306,7 @@ fn coalesce_drilldown(
         "coalesce total",
         stage_nanos as f64 / 1e6
     );
-    println!("  batch serial total (all phases): {total_allocs} allocations");
+    println!("  warm serial pass total (all phases): {warm_pass_allocs} allocations");
 
     if let Some(path) = json_path {
         let mut json = String::new();
@@ -416,7 +328,7 @@ fn coalesce_drilldown(
             "  \"total\": {{ \"allocations\": {stage_allocs}, \"seconds\": {:.6} }},\n",
             stage_nanos as f64 / 1e9
         ));
-        json.push_str(&format!("  \"batch_serial_allocations\": {total_allocs}\n"));
+        json.push_str(&format!("  \"warm_pass_allocations\": {warm_pass_allocs}\n"));
         json.push_str("}\n");
         std::fs::write(path, json).expect("write drill-down JSON");
         println!("wrote {path}");

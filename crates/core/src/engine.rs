@@ -98,10 +98,10 @@ impl EngineWorker {
         })
     }
 
-    /// The fault boundary of one attempt: checks `limits`, runs `translate`
-    /// under the fixpoint fuel, validates against `pristine` at the rung's
-    /// [`ValidationMode`], and types any panic. On `Err` the worker is
-    /// quarantined: its caches may be mid-mutation, so they are rebuilt.
+    /// The fault boundary of one attempt: checks `limits`, runs `translate`,
+    /// validates against `pristine` at the rung's [`ValidationMode`], and
+    /// types any panic. On `Err` (an expired deadline included) the worker
+    /// is quarantined: its caches may be mid-mutation, so they are rebuilt.
     pub fn attempt<R>(
         &mut self,
         func: &mut Function,
@@ -110,7 +110,6 @@ impl EngineWorker {
         pristine: Option<&Function>,
         translate: impl FnOnce(&mut Self, &mut Function) -> Result<R, TranslateError>,
     ) -> Result<R, TranslateError> {
-        ossa_liveness::fuel::set_fixpoint_fuel(limits.max_fixpoint_iters);
         let result = fault::catch_translate(|| {
             fault::enter_phase(&func.name, TranslatePhase::Verify);
             limits.check_function(func)?;
@@ -123,7 +122,6 @@ impl EngineWorker {
             Ok(output)
         })
         .unwrap_or_else(Err);
-        ossa_liveness::fuel::set_fixpoint_fuel(None);
         if result.is_err() {
             // Everything but the pool of retired slots may be mid-mutation.
             *self = Self { pool: std::mem::take(&mut self.pool), ..Self::new() };
@@ -226,7 +224,7 @@ impl Engine {
     /// Translates with `ladder` (plain [`OutOfSsaOptions`] are one
     /// unvalidated rung), no limits, one worker per core.
     pub fn new(ladder: impl Into<Ladder>) -> Self {
-        Self { ladder: ladder.into(), limits: Limits::UNBOUNDED, threads: 0 }
+        Self { ladder: ladder.into(), limits: Limits::default(), threads: 0 }
     }
 
     /// Sets the bounds the checked entry points enforce.

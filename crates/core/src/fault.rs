@@ -7,12 +7,10 @@
 //! [`catch_translate`], which converts any unwind into a typed
 //! [`TranslateError`]:
 //!
-//! * a [`ossa_liveness::fuel::FuelExhausted`] payload (a fixpoint budget from
-//!   [`Limits::max_fixpoint_iters`] ran dry) becomes
-//!   [`TranslateError::ResourceExhausted`];
-//! * a [`ossa_liveness::fuel::Cancelled`] payload (the request's wall-clock
-//!   deadline passed — checked at every phase boundary and fixpoint tick)
-//!   becomes [`TranslateError::DeadlineExceeded`];
+//! * a [`ossa_liveness::deadline::Cancelled`] payload (the request's
+//!   wall-clock deadline passed — checked at every phase boundary and once
+//!   per pass of the liveness sets solver) becomes
+//!   [`TranslateError::DeadlineExceeded`];
 //! * anything else becomes [`TranslateError::Panicked`], tagged with the
 //!   [`TranslatePhase`] the pipeline had most recently entered (a
 //!   thread-local marker written by [`enter_phase`] at each phase boundary).
@@ -31,7 +29,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ossa_ir::Function;
-use ossa_liveness::fuel::{Cancelled, FuelExhausted};
+use ossa_liveness::deadline::Cancelled;
 
 /// The pipeline phase a fault was attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -95,8 +93,6 @@ pub enum Resource {
     Values,
     /// [`Limits::max_insts`].
     Instructions,
-    /// [`Limits::max_fixpoint_iters`].
-    FixpointIterations,
 }
 
 impl fmt::Display for Resource {
@@ -105,7 +101,6 @@ impl fmt::Display for Resource {
             Resource::Blocks => "blocks",
             Resource::Values => "values",
             Resource::Instructions => "instructions",
-            Resource::FixpointIterations => "fixpoint iterations",
         })
     }
 }
@@ -128,12 +123,11 @@ pub enum TranslateError {
         resource: Resource,
         /// The configured limit.
         limit: u64,
-        /// What the function actually needed (for the up-front size checks;
-        /// equals `limit` for fuel, which stops at the bound).
+        /// What the function actually needed.
         observed: u64,
     },
     /// The request's wall-clock deadline (a cancellation token installed via
-    /// [`ossa_liveness::fuel::set_deadline`]) passed mid-translation. Unlike
+    /// [`ossa_liveness::deadline::set_deadline`]) passed mid-translation. Unlike
     /// [`TranslateError::ResourceExhausted`] — a deterministic property of
     /// the function under the configured [`Limits`] — a deadline is a
     /// property of the *request*: the same function may well succeed when
@@ -216,25 +210,10 @@ pub struct Limits {
     pub max_values: Option<u64>,
     /// Maximum number of instructions of the input function.
     pub max_insts: Option<u64>,
-    /// Fixpoint-pass budget of the liveness sets solver — bounds the only
-    /// loops of the pipeline whose trip count is data-dependent rather than
-    /// structural, so a pathological input returns
-    /// [`TranslateError::ResourceExhausted`] instead of hanging a worker.
-    /// Only translations that compute liveness sets spend it: the default
-    /// `InterCheckLiveCheck` translation of a reducible function runs no
-    /// fixpoint, while the `Graph` and `InterCheck` modes, the fallback
-    /// rungs and the irreducible-CFG demotion do.
-    pub max_fixpoint_iters: Option<u64>,
 }
 
 impl Limits {
-    /// No bounds at all (the `Default`).
-    pub const UNBOUNDED: Limits =
-        Limits { max_blocks: None, max_values: None, max_insts: None, max_fixpoint_iters: None };
-
-    /// Checks the up-front size bounds against `func`. The fuel bound is not
-    /// checked here — it is installed around the pipeline run and trips
-    /// during execution.
+    /// Checks the size bounds against `func`, before anything translates.
     pub fn check_function(&self, func: &Function) -> Result<(), TranslateError> {
         let checks = [
             (Resource::Blocks, self.max_blocks, func.num_blocks() as u64),
@@ -261,14 +240,14 @@ thread_local! {
 
 /// Marks the current thread's pipeline as having entered `phase`, checks the
 /// request's cancellation token (so a deadline aborts at the next phase
-/// boundary even between fixpoint loops), and — with the `failpoints`
-/// feature — asks the injector whether to stall or fire here. Called at
-/// every phase boundary of the translation; the cost without failpoints and
-/// without an installed deadline is two thread-local reads.
+/// boundary), and — with the `failpoints` feature — asks the injector
+/// whether to stall or fire here. Called at every phase boundary of the
+/// translation; the cost without failpoints and without an installed
+/// deadline is two thread-local reads.
 #[inline]
 pub fn enter_phase(func_name: &str, phase: TranslatePhase) {
     PHASE.set(phase);
-    ossa_liveness::fuel::cancel_tick();
+    ossa_liveness::deadline::cancel_tick();
     #[cfg(feature = "failpoints")]
     failpoints::fire(func_name, phase);
     #[cfg(not(feature = "failpoints"))]
@@ -291,13 +270,6 @@ pub fn catch_translate<R>(f: impl FnOnce() -> R) -> Result<R, TranslateError> {
 
 /// Maps a caught panic payload to a [`TranslateError`].
 fn error_from_payload(payload: Box<dyn Any + Send>) -> TranslateError {
-    if let Some(fuel) = payload.downcast_ref::<FuelExhausted>() {
-        return TranslateError::ResourceExhausted {
-            resource: Resource::FixpointIterations,
-            limit: fuel.limit,
-            observed: fuel.limit,
-        };
-    }
     if payload.downcast_ref::<Cancelled>().is_some() {
         return TranslateError::DeadlineExceeded { phase: current_phase() };
     }
@@ -397,10 +369,10 @@ pub mod failpoints {
     fn stall_here(millis: u64) {
         let slice = std::time::Duration::from_millis(1);
         for _ in 0..millis {
-            ossa_liveness::fuel::cancel_tick();
+            ossa_liveness::deadline::cancel_tick();
             std::thread::sleep(slice);
         }
-        ossa_liveness::fuel::cancel_tick();
+        ossa_liveness::deadline::cancel_tick();
     }
 
     /// Pure site predicate: would the armed campaign fire at this
@@ -608,45 +580,13 @@ mod tests {
     #[test]
     fn expired_deadline_aborts_at_the_next_phase_boundary() {
         use std::time::{Duration, Instant};
-        ossa_liveness::fuel::set_deadline(Some(Instant::now() - Duration::from_millis(1)));
+        ossa_liveness::deadline::set_deadline(Some(Instant::now() - Duration::from_millis(1)));
         let err = catch_translate(|| {
             enter_phase("f", TranslatePhase::Coalesce);
         })
         .unwrap_err();
-        ossa_liveness::fuel::set_deadline(None);
+        ossa_liveness::deadline::set_deadline(None);
         assert_eq!(err, TranslateError::DeadlineExceeded { phase: TranslatePhase::Coalesce });
-    }
-
-    #[test]
-    fn deadline_and_fuel_exhaustion_are_distinguishable() {
-        // Satellite regression: the two time/resource budgets must map to
-        // distinct taxonomy variants — a service retries a deadline miss on
-        // another rung but treats fuel exhaustion as a property of the input.
-        use std::time::{Duration, Instant};
-        ossa_liveness::fuel::set_fixpoint_fuel(Some(0));
-        let fuel_err = catch_translate(ossa_liveness::fuel::fixpoint_tick).unwrap_err();
-        ossa_liveness::fuel::set_fixpoint_fuel(None);
-        ossa_liveness::fuel::set_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        let deadline_err = catch_translate(ossa_liveness::fuel::cancel_tick).unwrap_err();
-        ossa_liveness::fuel::set_deadline(None);
-        assert!(matches!(fuel_err, TranslateError::ResourceExhausted { .. }));
-        assert!(matches!(deadline_err, TranslateError::DeadlineExceeded { .. }));
-        assert_ne!(fuel_err, deadline_err);
-    }
-
-    #[test]
-    fn catch_maps_fuel_exhaustion_to_resource_exhausted() {
-        ossa_liveness::fuel::set_fixpoint_fuel(Some(0));
-        let err = catch_translate(ossa_liveness::fuel::fixpoint_tick).unwrap_err();
-        ossa_liveness::fuel::set_fixpoint_fuel(None);
-        assert_eq!(
-            err,
-            TranslateError::ResourceExhausted {
-                resource: Resource::FixpointIterations,
-                limit: 0,
-                observed: 0,
-            }
-        );
     }
 
     #[test]
@@ -659,7 +599,6 @@ mod tests {
         let func = b.finish();
 
         assert_eq!(Limits::default().check_function(&func), Ok(()));
-        assert_eq!(Limits::UNBOUNDED.check_function(&func), Ok(()));
         let limits = Limits { max_blocks: Some(0), ..Limits::default() };
         assert_eq!(
             limits.check_function(&func),

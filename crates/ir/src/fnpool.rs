@@ -92,23 +92,6 @@ impl FunctionPool {
         slot
     }
 
-    /// Pre-populates the free list with `count` empty shells whose arenas
-    /// are pre-reserved for roughly `est_insts` instructions, so the first
-    /// streaming pass serves its checkouts from recycled storage instead of
-    /// paying the warm-up allocations on the first requests. Values are
-    /// reserved at the same estimate (translation defines about one value
-    /// per instruction); sizing is a hint, not a cap — an underestimated
-    /// shell simply grows like a cold one.
-    pub fn prewarm(&mut self, count: usize, est_insts: usize) {
-        self.free.reserve(count);
-        for _ in 0..count {
-            let mut func = Function::new("", 0);
-            func.reserve_insts(est_insts);
-            func.reserve_values(est_insts);
-            self.free.push(func);
-        }
-    }
-
     /// Returns a slot to the free list, resetting it to the empty shell state
     /// while keeping its heap capacity for the next checkout.
     ///
@@ -183,22 +166,6 @@ mod tests {
         pool.retire(fresh);
         let recycled = build_into(&mut pool, 42);
         assert_eq!(recycled, again);
-    }
-
-    #[test]
-    fn prewarm_serves_first_checkouts_from_the_free_list() {
-        let mut pool = FunctionPool::new();
-        pool.prewarm(3, 64);
-        assert_eq!(pool.free_len(), 3);
-        for expected_recycled in 1..=3 {
-            let f = build_into(&mut pool, expected_recycled as i64);
-            assert_eq!(pool.stats().recycled, expected_recycled);
-            pool.retire(f);
-        }
-        // Prewarmed shells build bit-identically to fresh ones.
-        let warm = build_into(&mut pool, 7);
-        let fresh = build_into(&mut FunctionPool::new(), 7);
-        assert_eq!(warm, fresh);
     }
 
     #[test]

@@ -137,26 +137,6 @@ impl<'a, L: BlockLiveness> IntersectionTest<'a, L> {
         self.liveness.is_live_out_past_uses(block, value, def.block, uses)
     }
 
-    /// Returns `true` if `value` is live just *before* the program point
-    /// `(block, pos)`.
-    #[inline]
-    pub fn is_live_before(&self, block: Block, pos: usize, value: Value) -> bool {
-        let Some(def) = self.info.def(value) else { return false };
-        // Block-local position test inlined, folding the seed's separate
-        // same-block guard and dominance-point call into one comparison.
-        if def.block == block {
-            if def.pos >= pos {
-                return false;
-            }
-        } else if !self.domtree.strictly_dominates(def.block, block) {
-            return false;
-        }
-        if self.info.uses().used_after_in_block(value, block, pos.saturating_sub(1)) {
-            return true;
-        }
-        self.liveness.is_live_out(block, value)
-    }
-
     /// Returns `true` if the live ranges of `a` and `b` intersect
     /// (Budimlić-style dominance test).
     #[inline]
@@ -400,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn live_after_and_before_queries() {
+    fn live_after_queries() {
         let (f, vals) = copies_function();
         let fx = Fixture::new(f);
         let it = fx.test();
@@ -412,9 +392,6 @@ mod tests {
         // After inst 3 (s = a + b): a dead, s live.
         assert!(!it.is_live_after(entry, 3, a));
         assert!(it.is_live_after(entry, 3, s));
-        // Before inst 4 (t = s + c): s live; t not yet.
-        assert!(it.is_live_before(entry, 4, s));
-        assert!(!it.is_live_before(entry, 4, t));
         // After the return nothing is live.
         assert!(!it.is_live_after(entry, 5, t));
     }

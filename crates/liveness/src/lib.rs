@@ -40,8 +40,8 @@
 
 pub mod analysis;
 pub mod check;
+pub mod deadline;
 pub mod footprint;
-pub mod fuel;
 pub mod intersect;
 pub mod sets;
 pub mod uses;

@@ -108,6 +108,8 @@ impl LivenessSets {
         // gen/kill are the precomputed per-block transfer functions and the
         // `live_in ∪= live_out \ kill` step is a single word-level pass. The
         // only scratch is one reusable bit-set for the successor union.
+        // Growing finite sets bound the pass count; each pass checks the
+        // request deadline first.
         post_order.clear();
         post_order.extend(cfg.post_order());
         scratch_out.reset();
@@ -116,7 +118,7 @@ impl LivenessSets {
         }
         let mut changed = true;
         while changed {
-            crate::fuel::fixpoint_tick();
+            crate::deadline::cancel_tick();
             changed = false;
             for &block in &*post_order {
                 // live_out(B) ∪= ∪_succ S (live_in(S) \ phi_defs(S)) ∪ phi_uses_from(B in S)

@@ -4,9 +4,10 @@
 //! `usize::MAX`), matching the parallel-copy semantics of φ-functions used
 //! throughout the paper.
 //!
-//! The index is stored densely (one slot per value) because
-//! [`UseSites::used_after_in_block`] sits on the hot path of every
-//! live-range intersection query. It is built by
+//! The index is stored densely (one slot per value) because every
+//! live-range intersection query scans a value's [`UseSites::uses_of`]
+//! slice ([`crate::IntersectionTest::is_live_after`] and
+//! [`crate::IntersectionTest::intersect_dominating`]). It is built by
 //! [`crate::LiveRangeInfo::recompute`], in the same instruction walk that
 //! records the definition sites.
 
@@ -74,18 +75,6 @@ impl UseSites {
     pub fn is_used(&self, value: Value) -> bool {
         !self.uses_of(value).is_empty()
     }
-
-    /// Returns `true` if `value` is used in `block` strictly after position
-    /// `pos` (φ edge-uses at the end of the block count).
-    #[inline]
-    pub fn used_after_in_block(&self, value: Value, block: Block, pos: usize) -> bool {
-        self.uses_of(value).iter().any(|site| site.block == block && site.pos > pos)
-    }
-
-    /// Number of values with at least one use.
-    pub fn num_used_values(&self) -> usize {
-        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
-    }
 }
 
 #[cfg(test)]
@@ -121,9 +110,6 @@ mod tests {
         assert_eq!(y_uses[0].block, entry);
 
         assert!(uses.is_used(p));
-        assert!(uses.used_after_in_block(x, entry, 0));
-        assert!(!uses.used_after_in_block(x, entry, 1));
-        assert!(uses.used_after_in_block(y, entry, 2)); // φ edge use at end
     }
 
     #[test]
@@ -139,6 +125,5 @@ mod tests {
         let uses = info.uses();
         assert!(!uses.is_used(dead));
         assert!(uses.uses_of(dead).is_empty());
-        assert_eq!(uses.num_used_values(), 0);
     }
 }

@@ -19,10 +19,11 @@
 //! 2. **Deadline** — an optional per-request wall-clock budget spanning
 //!    queue wait *and* translation. Expiry in the queue is
 //!    [`ServiceError::ExpiredInQueue`]; expiry mid-translation trips the
-//!    cancellation token ([`ossa_liveness::fuel::set_deadline`]) at the
-//!    next phase boundary or fixpoint tick and surfaces as
-//!    [`TranslateError::DeadlineExceeded`]. The worker is recycled, never
-//!    quarantined: a deadline says nothing about the health of the worker.
+//!    cancellation token ([`ossa_liveness::deadline::set_deadline`]) at the
+//!    next phase boundary or liveness-solver pass and surfaces as
+//!    [`TranslateError::DeadlineExceeded`]. Like every failed attempt, it
+//!    quarantines the worker's analysis caches and scratch, which are
+//!    rebuilt fresh; the worker's function pool survives.
 //! 3. **Degradation ladder** — each request walks the engine's
 //!    [`Ladder::degrading`] until a rung succeeds: the configured options
 //!    and validation, then [`OutOfSsaOptions::conservative_fallback`] with
@@ -52,7 +53,7 @@ use ossa_destruct::{
     EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats, TranslateError, ValidationMode,
 };
 use ossa_ir::Function;
-use ossa_liveness::fuel;
+use ossa_liveness::deadline;
 
 mod queue;
 mod stats;
@@ -540,7 +541,7 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
 
     // The deadline is a property of the request: it spans every rung and
     // backoff, and is cleared before the worker touches the next request.
-    fuel::set_deadline(entry.deadline);
+    deadline::set_deadline(entry.deadline);
     let limits = &shared.config.limits;
     let walk = shared.ladder.walk(level, &mut func, Some(&pristine), |func, rung, tries| {
         if tries > 0 {
@@ -555,7 +556,7 @@ fn serve(shared: &Shared, engine: &mut EngineWorker, entry: QueueEntry) {
         }
         engine.try_rung(func, rung, limits, Some(&pristine))
     });
-    fuel::set_deadline(None);
+    deadline::set_deadline(None);
 
     let finished = Instant::now();
     let translate_seconds = finished.saturating_duration_since(dequeued).as_secs_f64();

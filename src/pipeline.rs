@@ -51,8 +51,6 @@
 //! assert!(report.allocation.is_some());
 //! ```
 
-use std::time::{Duration, Instant};
-
 use ossa_destruct::fault::{self, TranslatePhase};
 use ossa_destruct::{
     translate_out_of_ssa_scratch, EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats,
@@ -103,7 +101,6 @@ impl AsMut<OutOfSsaStats> for PipelineReport {
 pub struct Pipeline {
     ladder: Ladder,
     limits: Limits,
-    deadline: Option<Duration>,
     passes: Passes,
     worker: EngineWorker,
     /// Not rebuilt by a failed attempt's quarantine: every allocation
@@ -135,8 +132,7 @@ impl Pipeline {
     pub fn new(ladder: impl Into<Ladder>) -> Self {
         Self {
             ladder: ladder.into(),
-            limits: Limits::UNBOUNDED,
-            deadline: None,
+            limits: Limits::default(),
             passes: Passes { num_regs: None, check_conventional: true },
             worker: EngineWorker::new(),
             regalloc: RegallocScratch::new(),
@@ -164,19 +160,6 @@ impl Pipeline {
     /// irreducible one, the liveness sets.
     pub fn with_cssa_check(mut self, check: bool) -> Self {
         self.passes.check_conventional = check;
-        self
-    }
-
-    /// Sets a wall-clock budget for each `try_run*` call: a cancellation
-    /// token ([`ossa_liveness::fuel::set_deadline`]) spanning the *whole*
-    /// ladder — retries share the budget rather than resetting it.
-    /// Expiry surfaces as [`TranslateError::DeadlineExceeded`] at the next
-    /// phase boundary or fixpoint tick. An already-installed ambient
-    /// deadline (e.g. a service worker's per-request token) is narrowed,
-    /// never widened, and is restored on return. [`Pipeline::run`] is the
-    /// unchecked fast path and ignores this.
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
         self
     }
 
@@ -223,7 +206,9 @@ impl Pipeline {
     /// and checked against the configured [`Limits`] up front, and the whole
     /// pipeline runs under a panic boundary, so a malformed, oversized or
     /// panicking function returns a typed [`TranslateError`] instead of
-    /// unwinding into the caller.
+    /// unwinding into the caller. A deadline the caller installed with
+    /// [`ossa_liveness::deadline::set_deadline`] spans the whole ladder and
+    /// surfaces as [`TranslateError::DeadlineExceeded`].
     ///
     /// On `Err`, the pipeline's caches are quarantined (rebuilt fresh — an
     /// unwind can leave them mid-mutation) and `func` may have been
@@ -244,8 +229,7 @@ impl Pipeline {
         func: &mut Function,
         mut constrain: impl FnMut(&mut Function),
     ) -> Result<PipelineReport, TranslateError> {
-        let _deadline = self.deadline.map(DeadlineGuard::install);
-        let Self { ladder, limits, passes, worker, regalloc, .. } = self;
+        let Self { ladder, limits, passes, worker, regalloc } = self;
         let pristine = ladder.needs_snapshot().then(|| worker.pool.checkout_clone_of(func));
         let walk = ladder.walk(0, func, pristine.as_ref(), |func, rung, _| {
             // The differential reference is the pre-SSA *input*.
@@ -317,30 +301,6 @@ impl Passes {
             translation,
             allocation,
         }
-    }
-}
-
-/// RAII installation of a [`Pipeline::with_deadline`] budget: narrows any
-/// ambient deadline already on the thread (a tighter outer token — e.g. a
-/// service worker's per-request deadline — keeps winning) and restores it
-/// on drop, including on unwind.
-struct DeadlineGuard {
-    previous: Option<Instant>,
-}
-
-impl DeadlineGuard {
-    fn install(budget: Duration) -> Self {
-        let previous = ossa_liveness::fuel::current_deadline();
-        let target = Instant::now() + budget;
-        let effective = previous.map_or(target, |p| p.min(target));
-        ossa_liveness::fuel::set_deadline(Some(effective));
-        Self { previous }
-    }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        ossa_liveness::fuel::set_deadline(self.previous);
     }
 }
 
@@ -558,17 +518,25 @@ mod tests {
 
     #[test]
     fn deadline_aborts_try_run_with_a_typed_error_and_is_restored() {
-        let mut pipeline =
-            Pipeline::new(OutOfSsaOptions::default()).with_deadline(Some(Duration::ZERO));
+        use ossa_liveness::deadline::set_deadline;
+        use std::time::Instant;
+
+        let mut pipeline = Pipeline::new(OutOfSsaOptions::default());
         let mut func = generate_function("dl", &GenConfig::small(), 3);
-        let err = pipeline.try_run(&mut func).expect_err("zero budget expires immediately");
+        // A caller-installed deadline (as a service worker installs one per
+        // request) that has already passed.
+        set_deadline(Some(Instant::now()));
+        let result = pipeline.try_run(&mut func);
+        set_deadline(None);
+        let err = result.expect_err("an expired deadline aborts the run");
         assert!(matches!(err, TranslateError::DeadlineExceeded { .. }), "got {err:?}");
-        // The guard restored the thread's ambient deadline (none here).
-        assert_eq!(ossa_liveness::fuel::current_deadline(), None);
-        // Clearing the budget lets the same pipeline succeed.
-        let mut pipeline = pipeline.with_deadline(None);
+        // With the deadline cleared, the same (quarantined) pipeline
+        // translates the input like a fresh one.
+        let mut healed = generate_function("dl", &GenConfig::small(), 3);
+        pipeline.try_run(&mut healed).expect("no deadline");
         let mut fresh = generate_function("dl", &GenConfig::small(), 3);
-        pipeline.try_run(&mut fresh).expect("no deadline");
+        Pipeline::new(OutOfSsaOptions::default()).try_run(&mut fresh).unwrap();
+        assert_eq!(healed, fresh);
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Deadline vs. fuel distinguishability, and the regression contract of
-//! both: a request that runs out of *time* (`DeadlineExceeded`, a property
-//! of the request) and a function that runs out of *fuel*
-//! (`ResourceExhausted`, a deterministic property of the function under its
-//! `Limits`) must surface as different typed errors — and neither may
-//! poison the pristine-snapshot retry path: the same worker must translate
-//! the same input bit-identically once the budget pressure is lifted.
+//! Deadline regressions. A request that runs out of *time*
+//! (`DeadlineExceeded`, a property of the request) must surface as a typed
+//! error distinct from a size limit (`ResourceExhausted`, a deterministic
+//! property of the function under its `Limits`), and neither may poison the
+//! pristine-snapshot retry path: the same worker must translate the same
+//! input bit-identically once the pressure is lifted. The liveness sets
+//! solver, the one analysis that iterates, must stop on a deadline between
+//! its passes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    Engine, EngineWorker, InterferenceMode, Ladder, Limits, OutOfSsaOptions, Resource,
-    TranslateError, ValidationMode,
+    Engine, EngineWorker, Ladder, Limits, OutOfSsaOptions, Resource, TranslateError, ValidationMode,
 };
 use out_of_ssa::ir::Function;
-use out_of_ssa::liveness::fuel;
+use out_of_ssa::liveness::deadline::{self, Cancelled};
+use out_of_ssa::liveness::{FunctionAnalyses, LivenessSets};
 use out_of_ssa::service::{ServiceConfig, ServiceError, TranslationService};
 
 /// The failpoint configuration (used by the gated test below) is
@@ -24,12 +26,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn input(seed: u64) -> Function {
     generate_ssa_function(format!("dl_{seed}"), &GenConfig::default(), seed).0
-}
-
-/// Options whose liveness comes from the data-flow sets, the solver that
-/// still iterates and so spends fixpoint fuel.
-fn sets_options() -> OutOfSsaOptions {
-    OutOfSsaOptions::default().with_interference(InterferenceMode::InterCheck)
 }
 
 fn reference(seed: u64, validation: ValidationMode) -> Function {
@@ -41,45 +37,20 @@ fn reference(seed: u64, validation: ValidationMode) -> Function {
 }
 
 #[test]
-fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
+fn deadline_failure_is_typed_and_leaves_the_worker_clean() {
     let _guard = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
     let engine = Engine::new(OutOfSsaOptions::default());
     let mut worker = EngineWorker::new();
     let pristine = input(3);
 
-    // The default engine runs no fixpoint (its liveness checker's
-    // precomputation does not iterate), so even a zero budget translates.
-    let dry = Limits { max_fixpoint_iters: Some(0), ..Limits::UNBOUNDED };
-    let mut unfuelled = pristine.clone();
-    worker.try_translate(&mut unfuelled, &engine.clone().with_limits(dry)).unwrap();
-
-    // Fuel: a deterministic property of the function under its limits,
-    // spent by the liveness sets solver.
-    let sets = Engine::new(sets_options());
-    let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
+    // An already-expired cancellation token.
+    deadline::set_deadline(Some(Instant::now()));
     let mut victim = pristine.clone();
-    let fuel_err = worker.try_translate(&mut victim, &sets.with_limits(starved)).unwrap_err();
-    assert!(
-        matches!(
-            fuel_err,
-            TranslateError::ResourceExhausted { resource: Resource::FixpointIterations, .. }
-        ),
-        "got {fuel_err:?}"
-    );
+    let err = worker.try_translate(&mut victim, &engine).unwrap_err();
+    deadline::set_deadline(None);
+    assert!(matches!(err, TranslateError::DeadlineExceeded { .. }), "got {err:?}");
 
-    // Deadline: a property of the request — same function, same limits,
-    // but an already-expired cancellation token.
-    fuel::set_deadline(Some(Instant::now()));
-    let mut victim = pristine.clone();
-    let deadline_err = worker.try_translate(&mut victim, &engine).unwrap_err();
-    fuel::set_deadline(None);
-    assert!(
-        matches!(deadline_err, TranslateError::DeadlineExceeded { .. }),
-        "got {deadline_err:?}"
-    );
-    assert_ne!(fuel_err, deadline_err, "the two exhaustions must stay distinguishable");
-
-    // Neither failure mode wedged the worker: with pressure lifted, the
+    // The failure did not wedge the worker: with the deadline cleared, the
     // same (quarantined, rebuilt) state translates the same input
     // bit-identically to a fresh worker.
     let mut healed = pristine.clone();
@@ -90,17 +61,17 @@ fn fuel_and_deadline_failures_are_distinguishable_and_leave_the_worker_clean() {
 }
 
 #[test]
-fn fuel_exhaustion_through_the_service_is_typed_and_the_worker_is_recycled() {
+fn size_limit_exhaustion_through_the_service_is_typed_and_returns_the_input() {
     let _guard = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
     let validation = ValidationMode::Structural;
     let expected = reference(3, validation);
 
     let service = TranslationService::start(ServiceConfig {
         workers: 1,
-        options: sets_options(),
         validation,
         retries: 2,
-        limits: Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED },
+        // Rejects every function before it translates, on every rung.
+        limits: Limits { max_insts: Some(0), ..Limits::default() },
         ..ServiceConfig::default()
     });
     // Every ladder rung enforces the same limits, so the whole ladder
@@ -108,18 +79,18 @@ fn fuel_exhaustion_through_the_service_is_typed_and_the_worker_is_recycled() {
     let response = service.submit(input(3)).expect("admitted").wait();
     match &response.outcome {
         Err(ServiceError::Translate(TranslateError::ResourceExhausted {
-            resource: Resource::FixpointIterations,
+            resource: Resource::Instructions,
             ..
         })) => {}
-        other => panic!("expected fixpoint exhaustion, got {other:?}"),
+        other => panic!("expected instruction-limit exhaustion, got {other:?}"),
     }
     let returned = response.returned.expect("input handed back restored");
     assert_eq!(returned, input(3), "returned function must be the pristine input");
     let stats = service.shutdown();
     assert_eq!(stats.failed, 1);
-    assert_eq!(stats.deadline_exceeded, 0, "fuel exhaustion is not a deadline expiry");
+    assert_eq!(stats.deadline_exceeded, 0, "a size limit is not a deadline expiry");
 
-    // A second service without the starved limits — same story, healthy.
+    // A second service without the limits — same story, healthy.
     let service = TranslationService::start(ServiceConfig {
         workers: 1,
         validation,
@@ -130,11 +101,42 @@ fn fuel_exhaustion_through_the_service_is_typed_and_the_worker_is_recycled() {
     service.shutdown();
 }
 
-/// The satellite regression: a deadline expiring *mid-translation* (forced
-/// deterministically by a stall failpoint) fails typed through the whole
-/// retry ladder, the worker is recycled rather than quarantined, and the
-/// very same worker then translates the very same input bit-identically
-/// once the pressure is gone — the pristine-clone retry path is intact.
+#[test]
+fn an_expired_deadline_stops_the_liveness_sets_solver_between_passes() {
+    let _guard = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
+    let func = input(3);
+    let mut analyses = FunctionAnalyses::new();
+    assert!(analyses.loops(&func).num_loops() > 0, "the solver must have a loop to iterate");
+
+    // The CFG is built; the deadline can only trip inside the solver, the
+    // one analysis that checks it.
+    deadline::set_deadline(Some(Instant::now()));
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        analyses.liveness_sets(&func);
+    }));
+    deadline::set_deadline(None);
+    let payload = unwound.expect_err("an expired deadline stops the solver");
+    assert!(payload.downcast_ref::<Cancelled>().is_some(), "typed cancellation payload");
+    let counts = analyses.counts();
+    assert_eq!(counts.liveness_sets, 1, "the solver started");
+    assert_eq!(counts.ir.cfg, 1, "the CFG was not recomputed");
+
+    // The cache the unwind left behind serves correct sets once the
+    // deadline is cleared and the cache invalidated.
+    analyses.invalidate_cfg();
+    let sets = analyses.liveness_sets(&func);
+    let reference = LivenessSets::of(&func);
+    for block in func.blocks() {
+        assert_eq!(sets.ordered_live_in(block), reference.ordered_live_in(block), "{block}");
+        assert_eq!(sets.ordered_live_out(block), reference.ordered_live_out(block), "{block}");
+    }
+}
+
+/// A deadline expiring *mid-translation* (forced deterministically by a
+/// stall failpoint) fails typed through the whole retry ladder and
+/// quarantines the worker's caches like any failed attempt, and the very
+/// same worker then translates the very same input bit-identically once
+/// the pressure is gone — the pristine-clone retry path is intact.
 #[cfg(feature = "failpoints")]
 #[test]
 fn deadline_expiry_leaves_the_pristine_retry_path_intact() {
@@ -175,8 +177,8 @@ fn deadline_expiry_leaves_the_pristine_retry_path_intact() {
     }
     assert!(response.returned.is_some(), "input handed back restored");
 
-    // Same service, same (recycled, not quarantined) worker, same input,
-    // no stall, no deadline: completes bit-identically to a fresh engine.
+    // Same service, same (quarantined, rebuilt) worker, same input, no
+    // stall, no deadline: completes bit-identically to a fresh engine.
     let completed =
         service.submit(input(5)).expect("admitted").wait().outcome.expect("pressure lifted");
     assert_eq!(completed.rung, 0);

@@ -9,8 +9,7 @@
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    Engine, EngineWorker, InterferenceMode, Limits, OutOfSsaOptions, Resource, TranslateError,
-    TranslatePhase,
+    Engine, EngineWorker, Limits, OutOfSsaOptions, Resource, TranslateError, TranslatePhase,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
@@ -61,7 +60,7 @@ fn size_limits_reject_only_the_oversized_functions() {
     assert!(sizes.iter().any(|&s| s > limit) && sizes.iter().any(|&s| s <= limit));
 
     let mut bounded = corpus(8);
-    let limits = Limits { max_insts: Some(limit), ..Limits::UNBOUNDED };
+    let limits = Limits { max_insts: Some(limit), ..Limits::default() };
     let stats = engine.with_limits(limits).try_run(&mut bounded);
     for (i, (result, &size)) in stats.results.iter().zip(&sizes).enumerate() {
         if size > limit {
@@ -81,47 +80,6 @@ fn size_limits_reject_only_the_oversized_functions() {
             assert_eq!(bounded[i], plain[i], "healthy function {i} diverged");
         }
     }
-}
-
-#[test]
-fn fixpoint_fuel_returns_resource_exhausted_and_recovers() {
-    let _guard = serialised();
-    let engine = Engine::new(OutOfSsaOptions::default());
-    let mut worker = EngineWorker::new();
-
-    // The default engine answers liveness with the fast checker, whose
-    // precomputation runs no fixpoint: it translates under a zero budget.
-    let (func, _) = generate_ssa_function("fuel", &GenConfig::small(), 3);
-    let dry = Limits { max_fixpoint_iters: Some(0), ..Limits::UNBOUNDED };
-    let mut unfuelled = func.clone();
-    worker.try_translate(&mut unfuelled, &engine.clone().with_limits(dry)).unwrap();
-
-    // The liveness sets solver iterates: on a generated function with loops
-    // it needs more than one pass, so a one-pass budget trips
-    // mid-translation.
-    let sets =
-        Engine::new(OutOfSsaOptions::default().with_interference(InterferenceMode::InterCheck));
-    let starved = Limits { max_fixpoint_iters: Some(1), ..Limits::UNBOUNDED };
-    let mut victim = func.clone();
-    let err = worker.try_translate(&mut victim, &sets.with_limits(starved)).unwrap_err();
-    assert_eq!(
-        err,
-        TranslateError::ResourceExhausted {
-            resource: Resource::FixpointIterations,
-            limit: 1,
-            observed: 1,
-        }
-    );
-
-    // The same (quarantined, rebuilt) worker then translates the same
-    // function correctly once the budget is lifted: identical to a run
-    // through completely fresh state.
-    let mut retry = func.clone();
-    let stats = worker.try_translate(&mut retry, &engine).unwrap();
-    let mut fresh = func.clone();
-    let fresh_stats = EngineWorker::new().try_translate(&mut fresh, &engine).unwrap();
-    assert_eq!(retry, fresh);
-    assert_eq!(stats, fresh_stats);
 }
 
 #[test]
@@ -275,7 +233,7 @@ fn pipeline_try_run_matches_run_and_contains_failures() {
     // An oversized input trips the configured limit.
     let limit = func.num_insts() as u64 - 1;
     let mut pipeline = Pipeline::new(OutOfSsaOptions::default())
-        .with_limits(Limits { max_insts: Some(limit), ..Limits::UNBOUNDED });
+        .with_limits(Limits { max_insts: Some(limit), ..Limits::default() });
     let mut big = func.clone();
     let err = pipeline.try_run(&mut big).unwrap_err();
     assert_eq!(
