@@ -1,30 +1,23 @@
-//! Per-phase allocation profile of the serial batch engine.
+//! Allocation and wall-clock profile of the coalesce phase, by sub-stage.
 //!
-//! Splits the batch-serial allocation count of `fig6_speed` into its
-//! translation phases by driving them separately over the same corpus with
-//! the counting allocator: copy insertion (isolation + Method I), the
-//! analyses (CFG/domtree/frequencies + liveness backend + def/use index),
-//! the decision phase, and sequentialization. The phases are re-driven
-//! through the public pipeline entry points, so the split is approximate at
-//! the boundaries but pins down where an allocation regression lives.
+//! Runs a warm serial pass of the unchecked step over the SPEC-like corpus
+//! with the [`ossa_destruct::set_coalesce_probe`] hook installed, and splits
+//! the coalesce phase into its sub-stages (setup / affinity build / decide /
+//! sharing / snapshot / rewrite), counting allocations and wall-clock per
+//! sub-stage. "Warm" means one analysis cache and one scratch, grown by a
+//! first pass over the corpus, as a long-running worker sees them.
 //!
-//! Usage: `alloc_profile [scale] [--phase coalesce] [--json PATH]`
-//! (default scale 1.0).
-//!
-//! With `--phase coalesce` the run instead splits the coalesce phase of a
-//! warm serial pass by sub-stage (setup / affinity build / decide / sharing
-//! / snapshot / rewrite) through the [`ossa_destruct::set_coalesce_probe`]
-//! hook, counting allocations and wall-clock per sub-stage; `--json PATH`
-//! writes that drill-down as a JSON report (uploaded as a CI artifact next
-//! to `BENCH_fig6.json`).
+//! Usage: `alloc_profile [scale] [--json PATH]` (default scale 1.0).
+//! `--json PATH` writes the drill-down as a JSON report (uploaded as a CI
+//! artifact next to `BENCH_fig6.json`).
 
 use std::cell::RefCell;
 use std::time::Instant;
 
 use ossa_bench::alloc::allocation_count;
 use ossa_destruct::{
-    insertion, set_coalesce_probe, translate_out_of_ssa_scratch, CoalesceStage, Engine,
-    OutOfSsaOptions, TranslateScratch,
+    set_coalesce_probe, translate_out_of_ssa_scratch, CoalesceStage, OutOfSsaOptions,
+    TranslateScratch,
 };
 use ossa_liveness::FunctionAnalyses;
 
@@ -83,15 +76,10 @@ fn coalesce_stage_probe(stage: CoalesceStage) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
-    let mut phase: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--phase" => {
-                phase = args.get(i + 1).cloned();
-                i += 2;
-            }
             "--json" => {
                 json_path = args.get(i + 1).cloned();
                 i += 2;
@@ -101,174 +89,21 @@ fn main() {
                     scale = s;
                 } else {
                     eprintln!("unknown argument: {other}");
-                    eprintln!("usage: alloc_profile [scale] [--phase coalesce] [--json PATH]");
+                    eprintln!("usage: alloc_profile [scale] [--json PATH]");
                     std::process::exit(2);
                 }
                 i += 1;
             }
         }
     }
-    if let Some(name) = &phase {
-        if name != "coalesce" {
-            eprintln!("unknown --phase {name}; only `coalesce` is supported");
-            std::process::exit(2);
-        }
-    }
-    let options = OutOfSsaOptions::default();
     let corpus = ossa_cfggen::spec_like_corpus(scale, true);
     let functions: Vec<_> = corpus.iter().flat_map(|w| w.functions.iter().cloned()).collect();
-
-    if phase.is_some() {
-        coalesce_drilldown(&functions, &options, scale, json_path.as_deref());
-        return;
-    }
-    let engine = Engine::new(options.clone()).with_threads(1);
-
-    // Warm-up run so lazy statics are out of the way. `Engine::run` starts
-    // fresh workers on every call, so the counted run is a cold batch-serial
-    // pass, like `fig6_speed`'s batch-serial allocation count.
-    {
-        let mut work = functions.clone();
-        let _ = engine.run(&mut work);
-    }
-
-    // Whole batch-serial translation.
-    let total = {
-        let mut work = functions.clone();
-        let before = allocation_count();
-        let _ = engine.run(&mut work);
-        allocation_count() - before
-    };
-
-    // Copy insertion alone (isolation + Method I) with recycled storage.
-    let (insert_only, isolate_only) = {
-        let mut work = functions.clone();
-        let mut iso_work = functions.clone();
-        let mut result = insertion::CopyInsertion::default();
-        // Warm the recycled insertion storage.
-        {
-            let mut warm = functions[0].clone();
-            result.reset();
-            insertion::isolate_pinned_values(&mut warm, &mut result);
-            insertion::insert_phi_copies_into(&mut warm, &mut result);
-        }
-        let before = allocation_count();
-        for func in &mut iso_work {
-            result.reset();
-            insertion::isolate_pinned_values(func, &mut result);
-        }
-        let isolate_only = allocation_count() - before;
-        let before = allocation_count();
-        for func in &mut work {
-            result.reset();
-            insertion::isolate_pinned_values(func, &mut result);
-            insertion::insert_phi_copies_into(func, &mut result);
-        }
-        (allocation_count() - before, isolate_only)
-    };
-
-    // Translation with sequentialization disabled: total minus this is the
-    // sequentialization share.
-    let no_seq = {
-        let mut work = functions.clone();
-        let opts = options.clone().with_sequentialize(false);
-        let mut analyses = FunctionAnalyses::new();
-        let mut scratch = TranslateScratch::new();
-        {
-            let mut warm = functions[0].clone();
-            analyses.invalidate_cfg();
-            let _ = translate_out_of_ssa_scratch(&mut warm, &opts, &mut analyses, &mut scratch);
-        }
-        let before = allocation_count();
-        for func in &mut work {
-            analyses.invalidate_cfg();
-            let _ = translate_out_of_ssa_scratch(func, &opts, &mut analyses, &mut scratch);
-        }
-        allocation_count() - before
-    };
-
-    // Analyses alone over one recycled cache (pre-insertion shapes, so a
-    // lower bound on the in-pipeline analysis share).
-    let analyses_only = {
-        let work = functions.clone();
-        let mut analyses = FunctionAnalyses::new();
-        {
-            let warm = &functions[0];
-            analyses.invalidate_cfg();
-            let _ = analyses.frequencies(warm);
-            let _ = analyses.live_range_info(warm);
-            let _ = analyses.fast_liveness(warm);
-        }
-        let before = allocation_count();
-        for func in &work {
-            analyses.invalidate_cfg();
-            let _ = analyses.frequencies(func);
-            let _ = analyses.live_range_info(func);
-            let _ = analyses.fast_liveness(func);
-        }
-        allocation_count() - before
-    };
-
-    // Sub-analysis increments (each loop adds one analysis to the forced
-    // set; the delta is that analysis's share).
-    let analysis_steps = {
-        let work = functions.clone();
-        let mut analyses = FunctionAnalyses::new();
-        let force = |upto: usize, analyses: &mut FunctionAnalyses| -> u64 {
-            {
-                let warm = &functions[0];
-                analyses.invalidate_cfg();
-                let _ = analyses.domtree(warm);
-                if upto >= 1 {
-                    let _ = analyses.frequencies(warm);
-                }
-                if upto >= 2 {
-                    let _ = analyses.live_range_info(warm);
-                }
-                if upto >= 3 {
-                    let _ = analyses.fast_liveness(warm);
-                }
-            }
-            let before = allocation_count();
-            for func in &work {
-                analyses.invalidate_cfg();
-                let _ = analyses.domtree(func);
-                if upto >= 1 {
-                    let _ = analyses.frequencies(func);
-                }
-                if upto >= 2 {
-                    let _ = analyses.live_range_info(func);
-                }
-                if upto >= 3 {
-                    let _ = analyses.fast_liveness(func);
-                }
-            }
-            allocation_count() - before
-        };
-        let domtree = force(0, &mut analyses);
-        let freqs = force(1, &mut analyses);
-        let info = force(2, &mut analyses);
-        let fast = force(3, &mut analyses);
-        (domtree, freqs, info, fast)
-    };
-
-    println!("allocation profile at scale {scale} over {} functions", functions.len());
-    println!("  analyses alone (pre-insertion shapes) {analyses_only}");
-    println!(
-        "    cfg+domtree {}  +freqs {}  +def/use {}  +fastliveness {}",
-        analysis_steps.0, analysis_steps.1, analysis_steps.2, analysis_steps.3
-    );
-    println!("  batch serial total          {total}");
-    println!("  copy insertion alone        {insert_only}");
-    println!("  isolation alone             {isolate_only}");
-    println!("  without sequentialization   {no_seq}");
-    println!("  sequentialization share     {}", total.saturating_sub(no_seq));
-    println!("  per function (total)        {:.1}", total as f64 / functions.len() as f64);
+    coalesce_drilldown(&functions, &OutOfSsaOptions::default(), scale, json_path.as_deref());
 }
 
-/// The `--phase coalesce` drill-down: a warm serial pass of the unchecked
-/// step with the sub-stage probe installed, reporting allocations and
-/// wall-clock per coalesce sub-stage, optionally as JSON.
+/// A warm serial pass of the unchecked step with the sub-stage probe
+/// installed, reporting allocations and wall-clock per coalesce sub-stage,
+/// optionally as JSON.
 fn coalesce_drilldown(
     functions: &[ossa_ir::Function],
     options: &OutOfSsaOptions,

@@ -1,8 +1,8 @@
 //! Bit-identity fingerprint of the translated corpus.
 //!
 //! For every Figure 5 variant, and for the two fallback rungs of the retry
-//! ladder (`conservative_fallback()` and `minimal_coalescing()` of the
-//! default options), translates the full corpus through the serial batch
+//! ladder (`OutOfSsaOptions::conservative_fallback()` and
+//! `OutOfSsaOptions::minimal_coalescing()`), translates the full corpus through the serial batch
 //! engine and prints an FNV-1a hash of the printed form of every translated
 //! function together with the behavioural counters (interference queries,
 //! remaining copies). Two builds producing the same fingerprints make
@@ -125,8 +125,8 @@ fn main() -> ExitCode {
     let mut report = String::new();
     let mut per_workload: Vec<(&str, Vec<u64>)> = Vec::new();
     let rungs = [
-        ("Conservative", OutOfSsaOptions::default().conservative_fallback()),
-        ("Minimal", OutOfSsaOptions::default().minimal_coalescing()),
+        ("Conservative", OutOfSsaOptions::conservative_fallback()),
+        ("Minimal", OutOfSsaOptions::minimal_coalescing()),
     ];
     for (name, options) in OutOfSsaOptions::figure5_variants().into_iter().chain(rungs) {
         let mut work = functions.clone();

@@ -215,8 +215,6 @@ pub struct OutOfSsaOptions {
     pub interference: InterferenceMode,
     /// Class-to-class interference check.
     pub class_check: ClassCheck,
-    /// Sequentialize the remaining parallel copies at the end.
-    pub sequentialize: bool,
     /// Skip the profitability-ordered affinity loop entirely; set only by
     /// [`OutOfSsaOptions::minimal_coalescing`].
     minimal: bool,
@@ -230,7 +228,6 @@ impl Default for OutOfSsaOptions {
             sharing: true,
             interference: InterferenceMode::InterCheckLiveCheck,
             class_check: ClassCheck::Linear,
-            sequentialize: true,
             minimal: false,
         }
     }
@@ -343,26 +340,19 @@ impl OutOfSsaOptions {
         self.class_check = check;
         self
     }
-    /// Enables or disables sequentialization of the final parallel copies.
-    pub fn with_sequentialize(mut self, sequentialize: bool) -> Self {
-        self.sequentialize = sequentialize;
-        self
-    }
     /// The conservative configuration the retry ladder falls back to: the
     /// coalescing-minimal `Intersect` variant on the sets-based
     /// [`InterferenceMode::InterCheck`] backend with the quadratic class
     /// check — the simplest, most battle-tested path through the engine,
     /// avoiding the fast liveness checker, the value table and copy
-    /// sharing. Sequentialization is preserved from `self` so the retry
-    /// produces output of the shape the caller asked for.
-    pub fn conservative_fallback(&self) -> Self {
+    /// sharing.
+    pub fn conservative_fallback() -> Self {
         Self {
             strategy: Strategy::Intersect,
             phi_processing: PhiProcessing::Eager,
             sharing: false,
             interference: InterferenceMode::InterCheck,
             class_check: ClassCheck::Quadratic,
-            sequentialize: self.sequentialize,
             minimal: false,
         }
     }
@@ -373,8 +363,8 @@ impl OutOfSsaOptions {
     /// φ-isolation, the least work the translation can do while still
     /// emitting correct (copy-heavy) output. Used when a shedding service
     /// values latency over copy quality.
-    pub fn minimal_coalescing(&self) -> Self {
-        Self { minimal: true, ..self.conservative_fallback() }
+    pub fn minimal_coalescing() -> Self {
+        Self { minimal: true, ..Self::conservative_fallback() }
     }
 }
 
@@ -541,7 +531,7 @@ impl OutOfSsaStats {
 /// analysis cache.
 ///
 /// The input must be in SSA form; the output contains no φ-function and no
-/// parallel copy when [`OutOfSsaOptions::sequentialize`] is set.
+/// parallel copy.
 ///
 /// # Panics
 /// Panics if `func` fails SSA verification in debug builds (the translation
@@ -743,9 +733,7 @@ pub fn translate_out_of_ssa_scratch(
     stats.phase_seconds.coalesce = phase_start.elapsed().as_secs_f64();
     crate::fault::enter_phase(&func.name, crate::fault::TranslatePhase::Sequentialize);
     let phase_start = Instant::now();
-    if options.sequentialize {
-        sequentialize_function_with(func, &mut scratch.seq);
-    }
+    sequentialize_function_with(func, &mut scratch.seq);
     stats.phase_seconds.sequentialize = phase_start.elapsed().as_secs_f64();
     analyses.invalidate_instructions();
     let (remaining, weighted) = count_copies(func, analyses);

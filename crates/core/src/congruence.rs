@@ -286,10 +286,9 @@ pub struct CongruenceClasses {
     /// Number of interference queries performed (statistics).
     queries: u64,
     /// The slots written since the last [`CongruenceClasses::reset_for`]
-    /// (its universe plus [`CongruenceClasses::add_value`] registrations):
-    /// every union-find, member, label, key and chain write lands on a class
-    /// member or affinity endpoint, all of which the universe covers.
-    /// The next `reset_for` only has to scrub these slots.
+    /// (its universe): every union-find, member, label, key and chain write
+    /// lands on a class member or affinity endpoint, all of which the
+    /// universe covers. The next `reset_for` only has to scrub these slots.
     dirty: Vec<Value>,
 }
 
@@ -319,9 +318,9 @@ impl CongruenceClasses {
     /// functions of a corpus.
     ///
     /// The scrub is equally restricted: between two `reset_for` calls every
-    /// write lands on a slot of the `dirty` list (the previous universe plus
-    /// `add_value` registrations), so only those slots need to be returned
-    /// to their default — the rest never left it.
+    /// write lands on a slot of the `dirty` list (the previous universe), so
+    /// only those slots need to be returned to their default — the rest
+    /// never left it.
     ///
     /// [`TranslateScratch`]: crate::coalesce::TranslateScratch
     pub fn reset_for(
@@ -384,20 +383,6 @@ impl CongruenceClasses {
             while self.pool.len() < num_values {
                 self.pool.push(Value::from_index(self.pool.len()));
             }
-        }
-    }
-
-    /// Registers a value created after construction (e.g. a materialized
-    /// copy), giving it a singleton class.
-    pub fn add_value(&mut self, value: Value, key: DefOrderKey, label: Option<u32>) {
-        self.dirty.push(value);
-        self.keys[value] = DefKey::new(Some(key));
-        self.parent[value] = Cell::new(None);
-        self.equal_anc_in[value] = None;
-        self.members[value].clear();
-        self.labels[value] = label;
-        while self.pool.len() <= value.index() {
-            self.pool.push(Value::from_index(self.pool.len()));
         }
     }
 
@@ -466,12 +451,6 @@ impl CongruenceClasses {
     /// Number of variable-to-variable interference queries performed so far.
     pub fn queries(&self) -> u64 {
         self.queries
-    }
-
-    /// The nearest same-class, same-value, intersecting dominating ancestor
-    /// recorded for `value`.
-    pub fn equal_anc_in(&self, value: Value) -> Option<Value> {
-        self.equal_anc_in[value]
     }
 
     /// Returns `true` if the labels of the classes rooted at `ra` and `rb`
@@ -956,14 +935,6 @@ impl CongruenceClasses {
         self.queries += queries;
         found
     }
-
-    /// Number of distinct classes among the values of `universe`.
-    pub fn num_classes(&self, universe: impl IntoIterator<Item = Value>) -> usize {
-        let mut roots: Vec<Value> = universe.into_iter().map(|v| self.find(v)).collect();
-        roots.sort();
-        roots.dedup();
-        roots.len()
-    }
 }
 
 #[cfg(test)]
@@ -1030,7 +1001,6 @@ mod tests {
         assert_eq!(classes.members(a), &[a, b1]);
         classes.merge(c1, a, &none);
         assert_eq!(classes.members(a), &[a, b1, c1]);
-        assert_eq!(classes.num_classes(vals.iter().copied()), vals.len() - 2);
     }
 
     #[test]
@@ -1130,28 +1100,6 @@ mod tests {
         // After the merge the {a, b1} class (label 3) conflicts with c1
         // (label 4).
         assert!(classes.labels_conflict(a, c1));
-    }
-
-    #[test]
-    fn add_value_registers_new_singletons() {
-        let (f, vals) = copies_function();
-        let fx = Fixture::new(f);
-        let mut f2 = fx.func.clone();
-        let mut classes = fx.classes();
-        let fresh = f2.new_value();
-        classes.add_value(
-            fresh,
-            DefOrderKey {
-                block_preorder: 0,
-                pos: 99,
-                value_index: fresh.index() as u32,
-                block_postorder: 0,
-            },
-            Some(7),
-        );
-        assert_eq!(classes.members(fresh), &[fresh]);
-        assert_eq!(classes.label(fresh), Some(7));
-        assert!(!classes.same_class(fresh, vals[0]));
     }
 
     #[test]

@@ -98,10 +98,12 @@ impl EngineWorker {
         })
     }
 
-    /// The fault boundary of one attempt: checks `limits`, runs `translate`,
-    /// validates against `pristine` at the rung's [`ValidationMode`], and
-    /// types any panic. On `Err` (an expired deadline included) the worker
-    /// is quarantined: its caches may be mid-mutation, so they are rebuilt.
+    /// The fault boundary of one attempt: checks `limits`, then runs
+    /// `translate`, validates against `pristine` at the rung's
+    /// [`ValidationMode`], and types any panic. A limit rejection returns
+    /// before the boundary and leaves the worker as it was; on any other
+    /// `Err` (an expired deadline included) the worker is quarantined: its
+    /// caches may be mid-mutation, so they are rebuilt.
     pub fn attempt<R>(
         &mut self,
         func: &mut Function,
@@ -110,14 +112,16 @@ impl EngineWorker {
         pristine: Option<&Function>,
         translate: impl FnOnce(&mut Self, &mut Function) -> Result<R, TranslateError>,
     ) -> Result<R, TranslateError> {
+        // The size check reads three counts and touches no cache, so a
+        // rejection leaves the worker warm.
+        limits.check_function(func)?;
         let result = fault::catch_translate(|| {
             fault::enter_phase(&func.name, TranslatePhase::Verify);
-            limits.check_function(func)?;
             let output = translate(self, func)?;
             if rung.validation != ValidationMode::Off {
                 fault::enter_phase(&func.name, TranslatePhase::Validate);
                 let pristine = pristine.expect("validation compares against the pristine input");
-                validate_translation(pristine, func, &rung.options, rung.validation)?;
+                validate_translation(pristine, func, rung.validation)?;
             }
             Ok(output)
         })

@@ -7,7 +7,7 @@
 //! quadratic — which is exactly what Figures 6 and 7 measure.
 
 use ossa_ir::entity::Value;
-use ossa_ir::{DominatorTree, Function};
+use ossa_ir::Function;
 use ossa_liveness::{BlockLiveness, IntersectionTest};
 
 use crate::congruence::dominance_walk;
@@ -215,25 +215,11 @@ pub fn copy_related_universe_and_sites_into(
     }
 }
 
-/// Helper bundling the dominator tree needed to build an
-/// [`InterferenceGraph`] from scratch for a function.
-pub fn build_graph_with_sets(
-    func: &Function,
-    domtree: &DominatorTree,
-    liveness: &ossa_liveness::LivenessSets,
-    info: &ossa_liveness::LiveRangeInfo,
-    values: Option<&ValueTable>,
-) -> InterferenceGraph {
-    let universe = copy_related_universe(func);
-    let intersect = IntersectionTest::new(func, domtree, liveness, info);
-    InterferenceGraph::build(func, &universe, &intersect, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ossa_ir::builder::FunctionBuilder;
-    use ossa_ir::{BinaryOp, ControlFlowGraph};
+    use ossa_ir::{BinaryOp, ControlFlowGraph, DominatorTree};
     use ossa_liveness::{LiveRangeInfo, LivenessSets};
 
     fn analyses(func: &Function) -> (ControlFlowGraph, DominatorTree, LivenessSets, LiveRangeInfo) {
@@ -360,7 +346,8 @@ mod tests {
         b.ret(Some(s));
         let f = b.finish();
         let (_, domtree, liveness, info) = analyses(&f);
-        let graph = build_graph_with_sets(&f, &domtree, &liveness, &info, None);
+        let intersect = IntersectionTest::new(&f, &domtree, &liveness, &info);
+        let graph = InterferenceGraph::build(&f, &copy_related_universe(&f), &intersect, None);
         assert!(graph.num_values() >= 3);
         assert!(graph.footprint_bytes() >= graph.evaluated_bytes());
     }

@@ -20,13 +20,12 @@ pub struct Rung {
     pub validation: ValidationMode,
 }
 
-/// An ordered list of [`Rung`]s — the first for healthy functions, the rest
-/// fallbacks tried in order — plus how many of them one walk may try.
+/// An ordered list of [`Rung`]s: the first for healthy functions, the rest
+/// fallbacks tried in order.
 #[derive(Clone, Debug)]
 pub struct Ladder {
     first: Rung,
     fallbacks: Vec<Rung>,
-    attempts: usize,
 }
 
 impl Ladder {
@@ -34,26 +33,28 @@ impl Ladder {
     /// then `retries` attempts on [`OutOfSsaOptions::conservative_fallback`]
     /// at the same validation.
     pub fn retrying(options: OutOfSsaOptions, validation: ValidationMode, retries: u32) -> Self {
-        let fallback = Rung { options: options.conservative_fallback(), validation };
+        let fallback = Rung { options: OutOfSsaOptions::conservative_fallback(), validation };
         let fallbacks = vec![fallback; retries as usize];
-        Self { first: Rung { options, validation }, fallbacks, attempts: 1 + retries as usize }
+        Self { first: Rung { options, validation }, fallbacks }
     }
 
     /// The translation service's ladder: `options` at `validation`, then
     /// [`OutOfSsaOptions::conservative_fallback`] with validation one tier
     /// down (Differential → Structural → Off), then
-    /// [`OutOfSsaOptions::minimal_coalescing`] unvalidated. A walk tries at
-    /// most `1 + retries` rungs from where it starts.
-    pub fn degrading(options: OutOfSsaOptions, validation: ValidationMode, retries: u32) -> Self {
+    /// [`OutOfSsaOptions::minimal_coalescing`] unvalidated.
+    pub fn degrading(options: OutOfSsaOptions, validation: ValidationMode) -> Self {
         let lowered = match validation {
             ValidationMode::Differential => ValidationMode::Structural,
             ValidationMode::Structural | ValidationMode::Off => ValidationMode::Off,
         };
         let fallbacks = vec![
-            Rung { options: options.conservative_fallback(), validation: lowered },
-            Rung { options: options.minimal_coalescing(), validation: ValidationMode::Off },
+            Rung { options: OutOfSsaOptions::conservative_fallback(), validation: lowered },
+            Rung {
+                options: OutOfSsaOptions::minimal_coalescing(),
+                validation: ValidationMode::Off,
+            },
         ];
-        Self { first: Rung { options, validation }, fallbacks, attempts: 1 + retries as usize }
+        Self { first: Rung { options, validation }, fallbacks }
     }
 
     /// The options of the first rung.
@@ -64,7 +65,7 @@ impl Ladder {
     /// Whether a walk needs a pristine snapshot of its input: to restore it
     /// for a retry, or to validate against it.
     pub fn needs_snapshot(&self) -> bool {
-        self.attempts > 1 || self.first.validation != ValidationMode::Off
+        !self.fallbacks.is_empty() || self.first.validation != ValidationMode::Off
     }
 
     fn rung(&self, index: usize) -> &Rung {
@@ -72,7 +73,7 @@ impl Ladder {
     }
 
     /// Calls `attempt(func, rung, tries)` on successive rungs from `start`
-    /// until one succeeds or the walk runs out of rungs, restoring `func`
+    /// until one succeeds or the last rung fails, restoring `func`
     /// from `pristine` before every retry. `attempt` must quarantine its
     /// worker state on `Err`. A successful output's stats record the walk's
     /// validation failures and, after a retry, [`RecoveryOutcome::Recovered`].
@@ -88,7 +89,7 @@ impl Ladder {
         pristine: Option<&Function>,
         mut attempt: impl FnMut(&mut Function, &Rung, usize) -> Result<R, TranslateError>,
     ) -> Walk<R> {
-        let end = (1 + self.fallbacks.len()).min(start + self.attempts);
+        let end = 1 + self.fallbacks.len();
         assert!(start < end, "a walk starts on a rung of the ladder");
         let mut validation_failures = 0;
         let mut rung = start;
@@ -180,9 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn degrading_walk_starts_at_its_rung_and_climbs_at_most_its_retries() {
+    fn degrading_walk_climbs_from_its_start_to_the_last_rung() {
         use ValidationMode::{Differential, Off, Structural};
-        let ladder = Ladder::degrading(OutOfSsaOptions::default(), Differential, 1);
+        let ladder = Ladder::degrading(OutOfSsaOptions::default(), Differential);
         let pristine = generate_ssa_function("walk", &GenConfig::small(), 2).0;
         let deadline = TranslateError::DeadlineExceeded { phase: TranslatePhase::Coalesce };
         let climb = |start: usize| {
@@ -192,11 +193,12 @@ mod tests {
                 Err::<OutOfSsaStats, _>(deadline.clone())
             });
             assert_eq!((walk.result.unwrap_err(), walk.validation_failures), (deadline.clone(), 0));
-            (walk.rung, validations)
+            assert_eq!(walk.rung, 2, "a failing walk ends on the last rung");
+            validations
         };
-        // One retry, one tier down per rung; the last rung has nowhere to go.
-        assert_eq!(climb(0), (1, vec![Differential, Structural]));
-        assert_eq!(climb(1), (2, vec![Structural, Off]));
-        assert_eq!(climb(2), (2, vec![Off]));
+        // One tier down per rung, from wherever the walk starts.
+        assert_eq!(climb(0), [Differential, Structural, Off]);
+        assert_eq!(climb(1), [Structural, Off]);
+        assert_eq!(climb(2), [Off]);
     }
 }

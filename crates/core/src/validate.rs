@@ -9,12 +9,11 @@
 //!
 //! * [`ValidationMode::Structural`] re-runs the CFG verifier on the output
 //!   and asserts the translation's postconditions: no φ-function survives,
-//!   no parallel copy survives (when sequentialization was requested), and
-//!   every use is *must-defined* — reached by a write on every path from
-//!   entry (the dominance-aware def-use check adapted to non-SSA output,
-//!   where values may have many defs). This catches most dropped-copy
-//!   corruptions statically, at bit-set data-flow cost instead of the
-//!   interpreter's.
+//!   no parallel copy survives, and every use is *must-defined* — reached
+//!   by a write on every path from entry (the dominance-aware def-use check
+//!   adapted to non-SSA output, where values may have many defs). This
+//!   catches most dropped-copy corruptions statically, at bit-set data-flow
+//!   cost instead of the interpreter's.
 //! * [`ValidationMode::Differential`] additionally promotes the test-only
 //!   interpreter oracle into a runtime check: it executes the
 //!   pre-translation function and the translated output on deterministic
@@ -33,7 +32,6 @@ use std::fmt::Write as _;
 use ossa_interp::{argument_sets, same_behaviour, InterpError, Interpreter, Observation};
 use ossa_ir::{verify_cfg, Block, EntitySet, Function, Inst, SecondaryMap, Value};
 
-use crate::coalesce::OutOfSsaOptions;
 use crate::fault::{TranslateError, TranslatePhase};
 
 /// How much checking an engine performs on each translated function.
@@ -61,8 +59,7 @@ pub const DIFFERENTIAL_SETS: usize = 4;
 pub const DIFFERENTIAL_FUEL: u64 = ossa_interp::DEFAULT_FUEL;
 
 /// Validates `translated` (the out-of-SSA output) against `original` (a
-/// pristine pre-translation snapshot) under `mode`. `options` tells the
-/// validator which postconditions the run promised (sequentialization).
+/// pristine pre-translation snapshot) under `mode`.
 ///
 /// # Errors
 /// [`TranslateError::ValidationFailed`] describing the first structural
@@ -70,14 +67,13 @@ pub const DIFFERENTIAL_FUEL: u64 = ossa_interp::DEFAULT_FUEL;
 pub fn validate_translation(
     original: &Function,
     translated: &Function,
-    options: &OutOfSsaOptions,
     mode: ValidationMode,
 ) -> Result<(), TranslateError> {
     match mode {
         ValidationMode::Off => Ok(()),
-        ValidationMode::Structural => validate_structural(translated, options),
+        ValidationMode::Structural => validate_structural(translated),
         ValidationMode::Differential => {
-            validate_structural(translated, options)?;
+            validate_structural(translated)?;
             validate_differential(original, translated)
         }
     }
@@ -88,10 +84,7 @@ fn validation_error(detail: String) -> TranslateError {
 }
 
 /// The structural half: CFG verifier plus translation postconditions.
-pub fn validate_structural(
-    translated: &Function,
-    options: &OutOfSsaOptions,
-) -> Result<(), TranslateError> {
+pub fn validate_structural(translated: &Function) -> Result<(), TranslateError> {
     if let Err(errors) = verify_cfg(translated) {
         return Err(validation_error(format!("output failed CFG verification: {errors}")));
     }
@@ -99,14 +92,12 @@ pub fn validate_structural(
     if phis != 0 {
         return Err(validation_error(format!("{phis} phi-function(s) survived translation")));
     }
-    if options.sequentialize {
-        for block in translated.blocks() {
-            for &inst in translated.block_insts(block) {
-                if translated.inst_copy_pairs(inst).is_some() {
-                    return Err(validation_error(format!(
-                        "parallel copy survived sequentialization in {block}"
-                    )));
-                }
+    for block in translated.blocks() {
+        for &inst in translated.block_insts(block) {
+            if translated.inst_copy_pairs(inst).is_some() {
+                return Err(validation_error(format!(
+                    "parallel copy survived sequentialization in {block}"
+                )));
             }
         }
     }
@@ -270,9 +261,9 @@ fn describe(outcome: &Result<Observation, InterpError>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::translate_out_of_ssa;
+    use crate::coalesce::{translate_out_of_ssa, OutOfSsaOptions};
     use ossa_ir::builder::FunctionBuilder;
-    use ossa_ir::{BinaryOp, InstData};
+    use ossa_ir::{BinaryOp, CopyPair, InstData};
 
     /// A diamond with a φ-join: `f(a, b) = (a < b ? a+b : a*b) + a`.
     fn diamond() -> Function {
@@ -308,58 +299,25 @@ mod tests {
         translate_out_of_ssa(&mut translated, &options);
         for mode in [ValidationMode::Off, ValidationMode::Structural, ValidationMode::Differential]
         {
-            assert_eq!(validate_translation(&original, &translated, &options, mode), Ok(()));
+            assert_eq!(validate_translation(&original, &translated, mode), Ok(()));
         }
-    }
-
-    /// The paper's swap pattern: two φs exchanging values every iteration.
-    /// The exchange is a genuine copy cycle, so coalescing can never remove
-    /// the copies — translated output always contains them.
-    fn swap_loop() -> Function {
-        let mut b = FunctionBuilder::new("swap_loop", 3);
-        let entry = b.create_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        let a0 = b.param(0);
-        let b0 = b.param(1);
-        let n0 = b.param(2);
-        b.jump(header);
-        b.switch_to_block(header);
-        // Declare the φ destinations up front so the swap can be expressed
-        // as mutually recursive arguments along the back edge.
-        let a1 = b.declare_value();
-        let b1 = b.declare_value();
-        let n1 = b.declare_value();
-        let n2 = b.declare_value();
-        b.phi_to(a1, vec![(entry, a0), (body, b1)]);
-        b.phi_to(b1, vec![(entry, b0), (body, a1)]);
-        b.phi_to(n1, vec![(entry, n0), (body, n2)]);
-        let c = b.cmp(ossa_ir::CmpOp::Gt, n1, a0);
-        b.branch(c, body, exit);
-        b.switch_to_block(body);
-        b.binary_to(BinaryOp::Sub, n2, n1, b0);
-        b.jump(header);
-        b.switch_to_block(exit);
-        let r = b.binary(BinaryOp::Sub, a1, b1);
-        b.ret(Some(r));
-        b.finish()
     }
 
     #[test]
     fn structural_mode_rejects_surviving_parallel_copies() {
-        let original = swap_loop();
-        let mut translated = original.clone();
-        // Translate without sequentialization, then validate against options
-        // that promised it: the surviving parallel copy must be reported.
-        let unsequenced = OutOfSsaOptions::default().with_sequentialize(false);
-        translate_out_of_ssa(&mut translated, &unsequenced);
-        let promised = OutOfSsaOptions::default();
-        let err =
-            validate_translation(&original, &translated, &promised, ValidationMode::Structural)
-                .unwrap_err();
+        // A swap left as one parallel copy: every value is defined before
+        // it is read, but the copy was never sequentialized.
+        let mut b = FunctionBuilder::new("unsequenced", 2);
+        let entry = b.create_block();
+        b.set_entry(entry);
+        b.switch_to_block(entry);
+        let x = b.param(0);
+        let y = b.param(1);
+        b.parallel_copy(vec![CopyPair { dst: x, src: y }, CopyPair { dst: y, src: x }]);
+        let r = b.binary(BinaryOp::Sub, x, y);
+        b.ret(Some(r));
+        let translated = b.finish();
+        let err = validate_structural(&translated).unwrap_err();
         assert_eq!(err.phase(), Some(TranslatePhase::Validate));
         assert!(err.to_string().contains("parallel copy survived"), "{err}");
     }
@@ -380,8 +338,7 @@ mod tests {
             .expect("diamond returns a value");
         translated.map_inst_uses(ret, |_| ghost);
         let err =
-            validate_translation(&original, &translated, &options, ValidationMode::Structural)
-                .unwrap_err();
+            validate_translation(&original, &translated, ValidationMode::Structural).unwrap_err();
         assert!(err.to_string().contains("defined nowhere"), "{err}");
     }
 
@@ -421,12 +378,11 @@ mod tests {
         // One def on one arm: def-counting sees a healthy value, the
         // must-define data flow sees the undefined path.
         let broken = partially_defined(false);
-        let options = OutOfSsaOptions::default();
-        let err = validate_structural(&broken, &options).unwrap_err();
+        let err = validate_structural(&broken).unwrap_err();
         assert!(err.to_string().contains("not defined on every path"), "{err}");
         // Defs on both arms: ordinary multi-def non-SSA output, accepted.
         let healthy = partially_defined(true);
-        assert_eq!(validate_structural(&healthy, &options), Ok(()));
+        assert_eq!(validate_structural(&healthy), Ok(()));
     }
 
     #[test]
@@ -444,13 +400,12 @@ mod tests {
         let InstData::Binary { dst, args, .. } = *translated.inst(target) else { unreachable!() };
         *translated.inst_mut(target) = InstData::Binary { op: BinaryOp::Sub, dst, args };
         assert_eq!(
-            validate_translation(&original, &translated, &options, ValidationMode::Structural),
+            validate_translation(&original, &translated, ValidationMode::Structural),
             Ok(()),
             "the mangled output must still be structurally healthy"
         );
         let err =
-            validate_translation(&original, &translated, &options, ValidationMode::Differential)
-                .unwrap_err();
+            validate_translation(&original, &translated, ValidationMode::Differential).unwrap_err();
         assert_eq!(err.phase(), Some(TranslatePhase::Validate));
         assert!(err.to_string().contains("behaviour diverged"), "{err}");
     }

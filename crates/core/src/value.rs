@@ -88,19 +88,6 @@ impl ValueTable {
     pub fn same_value(&self, a: Value, b: Value) -> bool {
         self.value_of(a) == self.value_of(b)
     }
-
-    /// Registers a fresh value `new` that is a copy of `of` (used when the
-    /// translation materializes copies after the table was built).
-    pub fn record_copy(&mut self, new: Value, of: Value) {
-        let root = self.value_of(of);
-        self.value_of[new] = Some(root);
-    }
-
-    /// Registers a fresh value as having its own value (a new definition that
-    /// is not a copy).
-    pub fn record_fresh(&mut self, new: Value) {
-        self.value_of[new] = Some(new);
-    }
 }
 
 #[cfg(test)]
@@ -174,27 +161,5 @@ mod tests {
         // (the paper deliberately does not propagate through φs).
         assert_eq!(values.value_of(m), m);
         assert_eq!(values.value_of(y), x);
-    }
-
-    #[test]
-    fn record_copy_and_fresh_extend_the_table() {
-        let mut b = FunctionBuilder::new("extend", 1);
-        let entry = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        let x = b.param(0);
-        b.ret(Some(x));
-        let mut f = b.finish();
-        let mut values = ValueTable::of(&f);
-        let copy_of_x = f.new_value();
-        let fresh = f.new_value();
-        values.record_copy(copy_of_x, x);
-        values.record_fresh(fresh);
-        assert!(values.same_value(copy_of_x, x));
-        assert!(!values.same_value(fresh, x));
-        // Chained recording resolves to the root.
-        let copy_of_copy = f.new_value();
-        values.record_copy(copy_of_copy, copy_of_x);
-        assert_eq!(values.value_of(copy_of_copy), x);
     }
 }

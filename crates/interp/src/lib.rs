@@ -313,20 +313,6 @@ fn model_call(callee: u32, args: &[i64]) -> i64 {
     acc
 }
 
-/// Runs `func` on each argument vector of `inputs` and collects the
-/// observations. Convenience for equivalence tests.
-///
-/// # Errors
-/// Propagates the first execution error.
-pub fn run_on_inputs(
-    func: &Function,
-    inputs: &[Vec<i64>],
-    fuel: u64,
-) -> Result<Vec<Observation>, ExecError> {
-    let interp = Interpreter::new().with_fuel(fuel);
-    inputs.iter().map(|args| interp.run(func, args)).collect()
-}
-
 /// Compares the observable behaviour (return value and event trace, not step
 /// counts) of two observations.
 pub fn same_behaviour(a: &Observation, b: &Observation) -> bool {
@@ -612,18 +598,5 @@ mod tests {
         assert!(same_behaviour(&a, &b));
         let c = Observation { returned: Some(2), trace: vec![], steps: 10 };
         assert!(!same_behaviour(&a, &c));
-    }
-
-    #[test]
-    fn run_on_inputs_collects_observations() {
-        let mut b = FunctionBuilder::new("id", 1);
-        let entry = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        let x = b.param(0);
-        b.ret(Some(x));
-        let f = b.finish();
-        let obs = run_on_inputs(&f, &[vec![1], vec![2], vec![3]], 1000).unwrap();
-        assert_eq!(obs.iter().map(|o| o.returned.unwrap()).collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 }

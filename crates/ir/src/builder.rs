@@ -38,11 +38,6 @@ impl FunctionBuilder {
         Self { func: Function::new(name, num_params), current: None }
     }
 
-    /// Wraps an existing function for further editing.
-    pub fn from_function(func: Function) -> Self {
-        Self { func, current: None }
-    }
-
     /// Recycles `func`'s storage (blocks, instructions, values, operand
     /// arenas) for a fresh build: the function is [`Function::reset`] and the
     /// builder starts from the empty state, reusing every heap allocation.
@@ -189,12 +184,6 @@ impl FunctionBuilder {
         let args = self.func.make_value_list(&args);
         self.emit(InstData::Call { dst: Some(dst), callee, args });
         dst
-    }
-
-    /// Emits a call whose result is discarded.
-    pub fn call_void(&mut self, callee: u32, args: Vec<Value>) -> Inst {
-        let args = self.func.make_value_list(&args);
-        self.emit(InstData::Call { dst: None, callee, args })
     }
 
     /// Emits `dst = load addr` and returns `dst`.

@@ -170,12 +170,6 @@ impl ControlFlowGraph {
         self.rpo.len()
     }
 
-    /// Returns `true` if the edge `pred -> succ` is critical, i.e. `pred` has
-    /// several successors and `succ` has several predecessors.
-    pub fn is_critical_edge(&self, pred: Block, succ: Block) -> bool {
-        self.succs(pred).len() > 1 && self.preds(succ).len() > 1
-    }
-
     /// Iterates over all edges `(pred, succ)` of reachable blocks.
     pub fn edges(&self) -> impl Iterator<Item = (Block, Block)> + '_ {
         self.rpo.iter().flat_map(move |&b| self.succs(b).iter().map(move |&s| (b, s)))
@@ -264,29 +258,6 @@ mod tests {
         for (i, &b) in rpo.iter().enumerate().skip(1) {
             assert!(cfg.preds(b).iter().any(|p| rpo[..i].contains(p)));
         }
-    }
-
-    #[test]
-    fn critical_edge_detection() {
-        // entry branches to {a, join}; a jumps to join. The edge entry->join
-        // is critical.
-        let mut b = FunctionBuilder::new("crit", 1);
-        let entry = b.create_block();
-        let a = b.create_block();
-        let join = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        let x = b.param(0);
-        b.branch(x, a, join);
-        b.switch_to_block(a);
-        b.jump(join);
-        b.switch_to_block(join);
-        b.ret(None);
-        let f = b.finish();
-        let cfg = ControlFlowGraph::compute(&f);
-        assert!(cfg.is_critical_edge(entry, join));
-        assert!(!cfg.is_critical_edge(entry, a));
-        assert!(!cfg.is_critical_edge(a, join));
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl<K: EntityRef, V> PrimaryMap<K, V> {
         self.elems.iter()
     }
 
-    /// The key that the next call to [`PrimaryMap::push`] will return.
-    pub fn next_key(&self) -> K {
-        K::new(self.elems.len())
-    }
-
     /// Iterates mutably over the values in allocation order (the reset walk
     /// of the recycling paths).
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {

@@ -420,11 +420,6 @@ impl Function {
         self.blocks[block].insts.len()
     }
 
-    /// Position of `inst` within `block`, if attached there.
-    pub fn position_in_block(&self, block: Block, inst: Inst) -> Option<usize> {
-        self.blocks[block].insts.iter().position(|&i| i == inst)
-    }
-
     /// The terminator of `block`, if the block ends with one.
     pub fn terminator(&self, block: Block) -> Option<Inst> {
         self.blocks[block].insts.last().copied().filter(|&inst| self.insts[inst].is_terminator())
@@ -777,7 +772,7 @@ mod tests {
         let (mut f, bb0, _, _) = sample_function();
         let v = f.new_value();
         let inst = f.insert_inst(bb0, 2, InstData::Const { dst: v, imm: 9 });
-        assert_eq!(f.position_in_block(bb0, inst), Some(2));
+        assert_eq!(f.block_insts(bb0)[2], inst);
         assert_eq!(f.block_len(bb0), 4);
         assert!(f.remove_inst(bb0, inst));
         assert!(!f.remove_inst(bb0, inst));

@@ -13,22 +13,25 @@
 //!
 //! 1. **Admission** — a bounded queue with a pick-one [`AdmissionPolicy`]:
 //!    reject new work ([`SubmitError::QueueFull`]), shed the oldest queued
-//!    request ([`ServiceError::Shed`]), or block the submitter with a
-//!    bounded wait ([`SubmitError::AdmissionTimeout`]). The function is
-//!    returned in every refusal — nothing is lost.
+//!    request ([`ServiceError::Shed`]), or block the submitter until space
+//!    opens or the request's deadline passes
+//!    ([`SubmitError::AdmissionTimeout`]). The function is returned in every
+//!    refusal — nothing is lost.
 //! 2. **Deadline** — an optional per-request wall-clock budget spanning
 //!    queue wait *and* translation. Expiry in the queue is
 //!    [`ServiceError::ExpiredInQueue`]; expiry mid-translation trips the
 //!    cancellation token ([`ossa_liveness::deadline::set_deadline`]) at the
 //!    next phase boundary or liveness-solver pass and surfaces as
-//!    [`TranslateError::DeadlineExceeded`]. Like every failed attempt, it
-//!    quarantines the worker's analysis caches and scratch, which are
-//!    rebuilt fresh; the worker's function pool survives.
+//!    [`TranslateError::DeadlineExceeded`]. Like every attempt that fails
+//!    past the size-limit check, it quarantines the worker's analysis
+//!    caches and scratch, which are rebuilt fresh; the worker's function
+//!    pool survives.
 //! 3. **Degradation ladder** — each request walks the engine's
-//!    [`Ladder::degrading`] until a rung succeeds: the configured options
-//!    and validation, then [`OutOfSsaOptions::conservative_fallback`] with
-//!    validation dropped one tier, then
-//!    [`OutOfSsaOptions::minimal_coalescing`] with validation off.
+//!    [`Ladder::degrading`] until a rung succeeds or the last rung fails:
+//!    the default options at the configured validation, then
+//!    [`OutOfSsaOptions::conservative_fallback`] with validation dropped one
+//!    tier, then [`OutOfSsaOptions::minimal_coalescing`] with validation
+//!    off.
 //!    Exponential backoff (bounded by the deadline) separates rungs. Under
 //!    sustained overload a global degradation level *starts* requests
 //!    further up the ladder, trading copy quality for throughput;
@@ -72,9 +75,10 @@ pub enum AdmissionPolicy {
     /// [`ServiceError::Shed`]) and admit the new one. Prefers fresh work —
     /// the oldest request has burned the most of its deadline already.
     ShedOldest,
-    /// Block the submitter until space opens, bounded by the request
-    /// deadline and [`ServiceConfig::max_admission_wait`]; on expiry,
-    /// [`SubmitError::AdmissionTimeout`].
+    /// Block the submitter until space opens, bounded by the request's
+    /// deadline alone; on expiry, [`SubmitError::AdmissionTimeout`]. A
+    /// request without a deadline waits until space opens or the service
+    /// shuts down.
     Block,
 }
 
@@ -122,20 +126,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What `submit` does at capacity.
     pub admission: AdmissionPolicy,
-    /// Deadline applied to requests submitted without an explicit one.
-    pub default_deadline: Option<Duration>,
-    /// Upper bound on a [`AdmissionPolicy::Block`] wait, independent of the
-    /// request deadline. `None`: bounded by the deadline alone (and
-    /// unbounded when the request has none).
-    pub max_admission_wait: Option<Duration>,
-    /// Translation options of ladder rung 0.
-    pub options: OutOfSsaOptions,
-    /// Output validation of ladder rung 0; rung 1 drops it one tier
-    /// (Differential → Structural → Off), rung 2 turns it off.
+    /// Output validation of ladder rung 0, which translates with the default
+    /// options; rung 1 drops it one tier (Differential → Structural → Off),
+    /// rung 2 turns it off.
     pub validation: ValidationMode,
-    /// Extra ladder rungs a failed request may climb (0–2 are meaningful;
-    /// the ladder tops out at rung 2).
-    pub retries: u32,
     /// Per-function resource limits, enforced on every rung.
     pub limits: Limits,
     /// Global degradation thresholds.
@@ -148,11 +142,7 @@ impl Default for ServiceConfig {
             workers: 1,
             queue_capacity: 64,
             admission: AdmissionPolicy::Reject,
-            default_deadline: None,
-            max_admission_wait: None,
-            options: OutOfSsaOptions::default(),
             validation: ValidationMode::Off,
-            retries: 2,
             limits: Limits::default(),
             degradation: DegradationConfig::default(),
         }
@@ -165,8 +155,8 @@ impl Default for ServiceConfig {
 pub enum SubmitError {
     /// The queue was full under [`AdmissionPolicy::Reject`].
     QueueFull(Function),
-    /// The bounded [`AdmissionPolicy::Block`] wait expired with the queue
-    /// still full.
+    /// The request's deadline passed while [`AdmissionPolicy::Block`]
+    /// waited for space.
     AdmissionTimeout(Function),
     /// The service is shutting down.
     ShuttingDown(Function),
@@ -231,7 +221,7 @@ pub struct Completed {
     pub stats: OutOfSsaStats,
     /// Global degradation level the request started at (its first rung).
     pub level: u8,
-    /// Ladder rung that produced the output (0 = configured options, 1 =
+    /// Ladder rung that produced the output (0 = default options, 1 =
     /// conservative, 2 = minimal coalescing).
     pub rung: u8,
     /// Wall-clock seconds spent in the ladder (all rungs and backoffs).
@@ -355,7 +345,7 @@ impl TranslationService {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: SharedQueue::new(config.queue_capacity),
-            ladder: Ladder::degrading(config.options.clone(), config.validation, config.retries),
+            ladder: Ladder::degrading(OutOfSsaOptions::default(), config.validation),
             config,
             level: AtomicU8::new(0),
             stats: Mutex::new(ServiceStats::default()),
@@ -372,13 +362,13 @@ impl TranslationService {
         Self { shared, workers: handles, next_id: AtomicU64::new(0) }
     }
 
-    /// Submits a function under the configured default deadline.
+    /// Submits a function without a deadline.
     // The refused submission is handed back by value so the caller keeps
     // ownership of the function; the variants are as large as `Function`
     // by design and the path is cold.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, func: Function) -> Result<Ticket, SubmitError> {
-        self.submit_with_deadline(func, self.shared.config.default_deadline)
+        self.submit_with_deadline(func, None)
     }
 
     /// Submits a function with an explicit deadline budget (`None`:
@@ -403,15 +393,7 @@ impl TranslationService {
         let pushed = match self.shared.config.admission {
             AdmissionPolicy::Reject => self.shared.queue.push_reject(entry),
             AdmissionPolicy::ShedOldest => self.shared.queue.push_shed_oldest(entry),
-            AdmissionPolicy::Block => {
-                let wait_until = match (absolute, self.shared.config.max_admission_wait) {
-                    (Some(d), Some(w)) => Some(d.min(now + w)),
-                    (Some(d), None) => Some(d),
-                    (None, Some(w)) => Some(now + w),
-                    (None, None) => None,
-                };
-                self.shared.queue.push_block(entry, wait_until)
-            }
+            AdmissionPolicy::Block => self.shared.queue.push_block(entry),
         };
 
         match pushed {
@@ -457,11 +439,6 @@ impl TranslationService {
                 Err(SubmitError::ShuttingDown(entry.func))
             }
         }
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
     }
 
     /// Parks the workers without affecting admission — a deterministic

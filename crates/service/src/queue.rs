@@ -116,17 +116,13 @@ impl SharedQueue {
         Ok(self.admit(&mut inner, entry, shed))
     }
 
-    /// Blocking push: waits for space until `wait_until` (forever if
-    /// `None`), then refuses with `Full`.
+    /// Blocking push: waits for space until the entry's deadline (forever
+    /// if it has none), then refuses with `Full`.
     // The refused submission is handed back by value so the caller keeps
     // ownership of the function; the variants are as large as `Function`
     // by design and the path is cold.
     #[allow(clippy::result_large_err)]
-    pub fn push_block(
-        &self,
-        entry: QueueEntry,
-        wait_until: Option<Instant>,
-    ) -> Result<Admitted, PushRefusal> {
+    pub fn push_block(&self, entry: QueueEntry) -> Result<Admitted, PushRefusal> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if inner.closed {
@@ -135,7 +131,7 @@ impl SharedQueue {
             if inner.entries.len() < self.capacity {
                 return Ok(self.admit(&mut inner, entry, None));
             }
-            match wait_until {
+            match entry.deadline {
                 None => inner = self.not_full.wait(inner).unwrap(),
                 Some(limit) => {
                     let now = Instant::now();
@@ -180,11 +176,6 @@ impl SharedQueue {
             }
             inner = self.not_empty.wait(inner).unwrap();
         }
-    }
-
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
     }
 
     /// Parks (or releases) consumers without affecting producers.

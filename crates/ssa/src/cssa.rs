@@ -119,17 +119,11 @@ impl PhiCongruence {
     }
 }
 
-/// Checks whether `func` (in SSA form) is conventional, owning a fresh
-/// analysis cache. Returns the list of intersecting same-class pairs; an
-/// empty list means the function is CSSA.
-pub fn cssa_violations(func: &Function) -> Vec<CssaViolation> {
-    cssa_violations_cached(func, &FunctionAnalyses::new())
-}
-
-/// Like [`cssa_violations`], reading the dominator tree, liveness and
-/// def/use index from a shared analysis cache instead of recomputing them.
-/// The check is read-only: nothing is invalidated, and whatever it computes
-/// stays cached for the next pass.
+/// Checks whether `func` (in SSA form) is conventional, reading the
+/// dominator tree, liveness and def/use index from a shared analysis cache.
+/// Returns the list of intersecting same-class pairs; an empty list means
+/// the function is CSSA. The check is read-only: nothing is invalidated,
+/// and whatever it computes stays cached for the next pass.
 ///
 /// On a reducible CFG the intersection tests query the fast liveness
 /// checker, which depends only on the CFG and so survives later
@@ -254,13 +248,13 @@ mod tests {
     fn freshly_built_phi_web_is_conventional() {
         let f = lost_copy(true);
         assert!(is_conventional(&f));
-        assert!(cssa_violations(&f).is_empty());
+        assert!(cssa_violations_cached(&f, &FunctionAnalyses::new()).is_empty());
     }
 
     #[test]
     fn copy_propagation_breaks_conventionality() {
         let f = lost_copy(false);
-        let violations = cssa_violations(&f);
+        let violations = cssa_violations_cached(&f, &FunctionAnalyses::new());
         assert!(!violations.is_empty());
         assert!(!is_conventional(&f));
     }

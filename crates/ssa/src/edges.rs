@@ -6,11 +6,10 @@
 //! out-of-SSA schemes either split these edges or (as the paper's approach
 //! does) handle them with the extra φ-entry copy of Sreedhar's Method I.
 //! Edge splitting is still needed for the branch-with-decrement corner case
-//! (Figure 2), so this module provides both a single-edge splitter and a
-//! whole-function pass.
+//! (Figure 2), so this module provides a single-edge splitter.
 
 use ossa_ir::entity::Block;
-use ossa_ir::{ControlFlowGraph, Function, InstData};
+use ossa_ir::{Function, InstData};
 
 /// Splits the edge `pred -> succ` by inserting a fresh block containing a
 /// single jump to `succ`. φ-functions of `succ` are redirected to the new
@@ -28,23 +27,11 @@ pub fn split_edge(func: &mut Function, pred: Block, succ: Block) -> Block {
     middle
 }
 
-/// Splits every critical edge of `func`. Returns the number of edges split.
-pub fn split_critical_edges(func: &mut Function) -> usize {
-    let cfg = ControlFlowGraph::compute(func);
-    let critical: Vec<(Block, Block)> =
-        cfg.edges().filter(|&(pred, succ)| cfg.is_critical_edge(pred, succ)).collect();
-    let count = critical.len();
-    for (pred, succ) in critical {
-        split_edge(func, pred, succ);
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ossa_ir::builder::FunctionBuilder;
-    use ossa_ir::{verify_ssa, ControlFlowGraph};
+    use ossa_ir::verify_ssa;
 
     /// entry branches to {left, join}; left jumps to join: entry->join is
     /// critical.
@@ -77,34 +64,6 @@ mod tests {
         // The φ argument previously coming from entry now comes from middle.
         assert!(f.phi_inputs_from(join, entry).is_empty());
         assert_eq!(f.phi_inputs_from(join, middle).len(), 1);
-    }
-
-    #[test]
-    fn split_critical_edges_splits_only_critical_ones() {
-        let (mut f, ..) = critical_cfg();
-        let blocks_before = f.num_blocks();
-        let split = split_critical_edges(&mut f);
-        assert_eq!(split, 1);
-        assert_eq!(f.num_blocks(), blocks_before + 1);
-        verify_ssa(&f).expect("still valid SSA");
-        // After splitting, no critical edge remains.
-        let cfg = ControlFlowGraph::compute(&f);
-        assert!(cfg.edges().all(|(p, s)| !cfg.is_critical_edge(p, s)));
-    }
-
-    #[test]
-    fn function_without_critical_edges_is_unchanged() {
-        let mut b = FunctionBuilder::new("simple", 1);
-        let entry = b.create_block();
-        let exit = b.create_block();
-        b.set_entry(entry);
-        b.switch_to_block(entry);
-        b.jump(exit);
-        b.switch_to_block(exit);
-        b.ret(None);
-        let mut f = b.finish();
-        assert_eq!(split_critical_edges(&mut f), 0);
-        assert_eq!(f.num_blocks(), 2);
     }
 
     #[test]

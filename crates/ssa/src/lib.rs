@@ -67,12 +67,12 @@ pub use copyprop::{
     propagate_copies_keeping_scratch, CopyPropagation,
 };
 pub use cssa::{
-    cssa_violations, cssa_violations_cached, is_conventional, is_conventional_cached,
-    is_conventional_scratch, CssaViolation, PhiCongruence,
+    cssa_violations_cached, is_conventional, is_conventional_cached, is_conventional_scratch,
+    CssaViolation, PhiCongruence,
 };
 pub use dce::{
     eliminate_dead_code, eliminate_dead_code_cached, eliminate_dead_code_scratch,
     DeadCodeElimination,
 };
-pub use edges::{split_critical_edges, split_edge};
+pub use edges::split_edge;
 pub use scratch::SsaScratch;

@@ -210,9 +210,9 @@ impl Pipeline {
     /// [`ossa_liveness::deadline::set_deadline`] spans the whole ladder and
     /// surfaces as [`TranslateError::DeadlineExceeded`].
     ///
-    /// On `Err`, the pipeline's caches are quarantined (rebuilt fresh — an
-    /// unwind can leave them mid-mutation) and `func` may have been
-    /// partially rewritten; the pipeline itself stays usable and later
+    /// On `Err` past the limit check, the pipeline's caches are quarantined
+    /// (rebuilt fresh — an unwind can leave them mid-mutation) and `func`
+    /// may have been partially rewritten; the pipeline itself stays usable and later
     /// functions translate bit-identically to a fault-free run. The happy
     /// path of [`Pipeline::run`] is untouched: it performs no catching, no
     /// release-mode verification and no limit checks.

@@ -13,7 +13,7 @@
 use out_of_ssa::cfggen::{
     generate_ssa_function, generate_ssa_function_into, pin_call_conventions, GenConfig,
 };
-use out_of_ssa::destruct::{translate_out_of_ssa, OutOfSsaOptions};
+use out_of_ssa::destruct::{insert_phi_copies, translate_out_of_ssa, OutOfSsaOptions};
 use out_of_ssa::interp::{same_behaviour, Interpreter};
 use out_of_ssa::ir::{Function, InstData};
 
@@ -107,13 +107,23 @@ fn recycled_function_storage_is_bit_identical_to_fresh_across_variants() {
 
 #[test]
 fn pool_ranges_stay_disjoint_through_the_pipeline() {
+    let mut live_copies = 0;
     for seed in 0..12u64 {
         let config = GenConfig::small();
         let (mut func, _) = generate_ssa_function(format!("ranges{seed}"), &config, seed);
         assert_pool_ranges_disjoint(&func, &format!("seed {seed}, pre-translation"));
         let original = func.clone();
-        let options = OutOfSsaOptions::sharing().with_sequentialize(false);
-        translate_out_of_ssa(&mut func, &options);
+        // Copy insertion alone: the φs and the parallel copies that isolate
+        // them share the function's pools.
+        let mut inserted = func.clone();
+        insert_phi_copies(&mut inserted);
+        live_copies += inserted
+            .blocks()
+            .flat_map(|block| inserted.block_insts(block))
+            .filter(|&&inst| inserted.inst_copy_pairs(inst).is_some_and(|pairs| !pairs.is_empty()))
+            .count();
+        assert_pool_ranges_disjoint(&inserted, &format!("seed {seed}, after copy insertion"));
+        translate_out_of_ssa(&mut func, &OutOfSsaOptions::sharing());
         assert_pool_ranges_disjoint(&func, &format!("seed {seed}, post-translation"));
         // The translated function still behaves like the original.
         for args in [[0, 1, 2], [7, -3, 5]] {
@@ -122,6 +132,7 @@ fn pool_ranges_stay_disjoint_through_the_pipeline() {
             assert!(same_behaviour(&a, &b), "seed {seed}: behaviour differs");
         }
     }
+    assert!(live_copies > 0, "copy insertion left no parallel copy to check");
 }
 
 #[test]

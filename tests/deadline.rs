@@ -69,7 +69,6 @@ fn size_limit_exhaustion_through_the_service_is_typed_and_returns_the_input() {
     let service = TranslationService::start(ServiceConfig {
         workers: 1,
         validation,
-        retries: 2,
         // Rejects every function before it translates, on every rung.
         limits: Limits { max_insts: Some(0), ..Limits::default() },
         ..ServiceConfig::default()
@@ -152,7 +151,6 @@ fn deadline_expiry_leaves_the_pristine_retry_path_intact() {
     let service = TranslationService::start(ServiceConfig {
         workers: 1,
         validation,
-        retries: 2,
         ..ServiceConfig::default()
     });
 

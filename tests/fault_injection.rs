@@ -9,7 +9,8 @@
 
 use out_of_ssa::cfggen::{generate_function, generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
-    Engine, EngineWorker, Limits, OutOfSsaOptions, Resource, TranslateError, TranslatePhase,
+    Engine, EngineWorker, Limits, OutOfSsaOptions, Resource, Rung, TranslateError, TranslatePhase,
+    ValidationMode,
 };
 use out_of_ssa::ir::Function;
 use out_of_ssa::Pipeline;
@@ -80,6 +81,26 @@ fn size_limits_reject_only_the_oversized_functions() {
             assert_eq!(bounded[i], plain[i], "healthy function {i} diverged");
         }
     }
+}
+
+#[test]
+fn a_size_limit_rejection_leaves_the_worker_warm() {
+    let _guard = serialised();
+    let mut functions = corpus(8);
+    functions.sort_by_key(Function::num_insts);
+    let (small, large) = (&functions[0], &functions[7]);
+    assert!(small.num_insts() < large.num_insts());
+    let limits = Limits { max_insts: Some(small.num_insts() as u64), ..Limits::default() };
+    let rung = Rung { options: OutOfSsaOptions::default(), validation: ValidationMode::Off };
+
+    let mut worker = EngineWorker::new();
+    worker.try_rung(&mut small.clone(), &rung, &limits, None).expect("within the limit");
+    let warm = worker.analyses.counts();
+    let error = worker.try_rung(&mut large.clone(), &rung, &limits, None).unwrap_err();
+    assert!(matches!(error, TranslateError::ResourceExhausted { .. }), "{error}");
+    // The check reads three counts before the fault boundary: the cache the
+    // small function warmed was not quarantined.
+    assert_eq!(worker.analyses.counts(), warm, "a size-limit rejection rebuilt the worker");
 }
 
 #[test]

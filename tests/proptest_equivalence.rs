@@ -439,13 +439,10 @@ fn minimal_coalescing_is_sound_and_never_coalesces_more() {
         let oracle = Interpreter::new().run(&original, &args).expect("original runs");
 
         let mut exhaustive = original.clone();
-        let exhaustive_stats = translate_out_of_ssa(
-            &mut exhaustive,
-            &OutOfSsaOptions::default().conservative_fallback(),
-        );
+        let exhaustive_stats =
+            translate_out_of_ssa(&mut exhaustive, &OutOfSsaOptions::conservative_fallback());
         let mut out = original.clone();
-        let stats =
-            translate_out_of_ssa(&mut out, &OutOfSsaOptions::default().minimal_coalescing());
+        let stats = translate_out_of_ssa(&mut out, &OutOfSsaOptions::minimal_coalescing());
         assert_eq!(stats.interference_queries, 0, "seed {seed}: minimal coalescing queried");
         assert!(
             stats.moves_coalesced <= exhaustive_stats.moves_coalesced,

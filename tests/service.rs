@@ -108,12 +108,12 @@ fn block_admission_times_out_typed_when_no_space_opens() {
         workers: 1,
         queue_capacity: 1,
         admission: AdmissionPolicy::Block,
-        max_admission_wait: Some(Duration::from_millis(30)),
         ..ServiceConfig::default()
     });
     service.pause();
     let ticket = service.submit(input(0)).expect("first fits");
-    match service.submit(input(1)) {
+    // The request's own deadline is the only bound on the wait.
+    match service.submit_with_deadline(input(1), Some(Duration::from_millis(30))) {
         Err(SubmitError::AdmissionTimeout(func)) => assert_eq!(func.name, "req_1"),
         other => panic!("expected admission timeout, got {:?}", other.map(|t| t.id())),
     }
@@ -122,6 +122,38 @@ fn block_admission_times_out_typed_when_no_space_opens() {
     let stats = service.shutdown();
     assert_eq!(stats.admission_timeouts, 1);
     assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn block_admission_without_a_deadline_waits_for_space() {
+    let service = TranslationService::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 1,
+        admission: AdmissionPolicy::Block,
+        ..ServiceConfig::default()
+    });
+    service.pause();
+    let first = service.submit(input(0)).expect("first fits");
+    std::thread::scope(|scope| {
+        // The queue is full and the workers are parked: the second submit
+        // blocks in admission until the first request is dequeued.
+        let blocked = scope.spawn(|| service.submit(input(1)).expect("admitted once space opens"));
+        while service.stats().submitted < 2 {
+            std::thread::yield_now();
+        }
+        // The second request counts as submitted just before it takes the
+        // queue lock. The pause makes its wait on the full queue likely; the
+        // assertions below hold whether it parked or found space at once.
+        std::thread::sleep(Duration::from_millis(20));
+        service.resume();
+        let second = blocked.join().unwrap();
+        assert!(first.wait().outcome.is_ok());
+        let response = second.wait();
+        assert_eq!(response.outcome.expect("translates").func.name, "req_1");
+    });
+    let stats = service.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (2, 2));
+    assert_eq!(stats.admission_timeouts, 0);
 }
 
 #[test]

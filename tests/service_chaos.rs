@@ -72,12 +72,12 @@ fn stalls_with_tight_deadlines_fail_typed_and_never_corrupt_survivors() {
         workers: 2,
         queue_capacity: CORPUS as usize,
         validation,
-        retries: 2,
-        default_deadline: Some(Duration::from_millis(40)),
         ..ServiceConfig::default()
     });
-    let tickets: Vec<_> =
-        (0..CORPUS).map(|seed| service.submit(input(seed)).expect("admitted")).collect();
+    let deadline = Some(Duration::from_millis(40));
+    let tickets: Vec<_> = (0..CORPUS)
+        .map(|seed| service.submit_with_deadline(input(seed), deadline).expect("admitted"))
+        .collect();
     let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     failpoints::clear_stall();
 
@@ -142,12 +142,12 @@ fn stalls_with_generous_deadlines_only_delay_and_every_output_is_identical() {
         workers: 2,
         queue_capacity: CORPUS as usize,
         validation,
-        retries: 2,
-        default_deadline: Some(Duration::from_secs(30)),
         ..ServiceConfig::default()
     });
-    let tickets: Vec<_> =
-        (0..CORPUS).map(|seed| service.submit(input(seed)).expect("admitted")).collect();
+    let deadline = Some(Duration::from_secs(30));
+    let tickets: Vec<_> = (0..CORPUS)
+        .map(|seed| service.submit_with_deadline(input(seed), deadline).expect("admitted"))
+        .collect();
     let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     failpoints::clear_stall();
 
@@ -173,7 +173,7 @@ fn injected_panics_are_healed_by_the_ladder_and_recoveries_are_conservative() {
     // Rung 1 of the service ladder: conservative options, validation
     // dropped a tier (Structural → Off).
     let conservative: Vec<_> = (0..CORPUS)
-        .map(|s| reference(s, &options.conservative_fallback(), ValidationMode::Off))
+        .map(|s| reference(s, &OutOfSsaOptions::conservative_fallback(), ValidationMode::Off))
         .collect();
 
     failpoints::configure(failpoints::FailpointConfig {
@@ -191,7 +191,6 @@ fn injected_panics_are_healed_by_the_ladder_and_recoveries_are_conservative() {
         workers: 2,
         queue_capacity: CORPUS as usize,
         validation,
-        retries: 2,
         ..ServiceConfig::default()
     });
     let tickets: Vec<_> =

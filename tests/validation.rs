@@ -197,7 +197,7 @@ mod failpoints {
         let expected_caught: Vec<usize> = corrupted
             .iter()
             .copied()
-            .filter(|&i| validate_structural(&victims[i], &options).is_err())
+            .filter(|&i| validate_structural(&victims[i]).is_err())
             .collect();
         assert!(
             !expected_caught.is_empty(),
@@ -235,7 +235,7 @@ mod failpoints {
         clear();
         clear_corruption();
         let reference = fault_free(&options);
-        let conservative = fault_free(&options.conservative_fallback());
+        let conservative = fault_free(&OutOfSsaOptions::conservative_fallback());
 
         for config in campaigns() {
             let kind = config.kind;
@@ -288,7 +288,7 @@ mod failpoints {
         clear();
         clear_corruption();
         let reference = fault_free(&options);
-        let conservative = fault_free(&options.conservative_fallback());
+        let conservative = fault_free(&OutOfSsaOptions::conservative_fallback());
 
         // The recovery ladder fires on *any* TranslateError: the same panic
         // campaign the fault-injection suite runs, now with one retry.
@@ -364,7 +364,7 @@ mod failpoints {
         let mut healthy = victim.clone();
         Pipeline::new(options.clone()).run(&mut healthy);
         let mut conservative = victim.clone();
-        Pipeline::new(options.conservative_fallback()).run(&mut conservative);
+        Pipeline::new(OutOfSsaOptions::conservative_fallback()).run(&mut conservative);
 
         configure_corruption(CorruptionConfig {
             seed: 1,
