@@ -21,7 +21,6 @@ use std::time::Instant;
 
 #[allow(unsafe_code)]
 pub mod alloc;
-pub mod service_load;
 
 use ossa_cfggen::{
     generate_ssa_function_into_cached, pin_call_conventions, spec_config, spec_like_corpus,
@@ -29,10 +28,11 @@ use ossa_cfggen::{
 };
 use ossa_destruct::{
     translate_out_of_ssa, translate_stream_pooled_serial, ClassCheck, Engine, EngineWorker,
-    InterferenceMode, OutOfSsaOptions, OutOfSsaStats, PooledSource,
+    InterferenceMode, OutOfSsaOptions, OutOfSsaStats, PooledSource, ValidationMode,
 };
 use ossa_ir::{Function, FunctionPool, PoolStats};
 use ossa_liveness::FunctionAnalyses;
+use ossa_service::{ServiceConfig, ServiceResponse, ServiceStats, TranslationService};
 
 /// The Figure 5 coalescing variants, in the paper's order.
 ///
@@ -254,6 +254,44 @@ pub fn run_variant_seed_style(
         total.absorb(&stats);
     }
     (total, start.elapsed().as_secs_f64())
+}
+
+/// Warm-up requests per worker that [`saturated_service_pass`] translates
+/// before its timed window.
+pub const SERVICE_WARMUP_PER_WORKER: usize = 4;
+
+/// One closed-loop saturated pass of a [`TranslationService`]: `workers`
+/// workers and a queue sized to `functions`, all of which are admitted at
+/// once and drained. The workers first translate
+/// [`SERVICE_WARMUP_PER_WORKER`] requests each, so the timed window sees a
+/// persistent service in its steady state rather than the one-off pool and
+/// cache growth of cold workers, which would own the p99 of a small corpus.
+/// Returns the seconds from the first timed submission to the last reply,
+/// the timed responses in submission order, and the final statistics,
+/// warm-ups included.
+pub fn saturated_service_pass(
+    functions: &[Function],
+    workers: usize,
+    validation: ValidationMode,
+) -> (f64, Vec<ServiceResponse>, ServiceStats) {
+    let service = TranslationService::start(ServiceConfig {
+        workers,
+        queue_capacity: functions.len().max(1),
+        validation,
+        ..ServiceConfig::default()
+    });
+    let submit = |func: Function| service.submit(func).expect("queue sized to the input");
+    let warmups: Vec<_> =
+        functions.iter().take(SERVICE_WARMUP_PER_WORKER * workers).cloned().map(submit).collect();
+    for ticket in warmups {
+        let _ = ticket.wait();
+    }
+    let work = functions.to_vec();
+    let start = Instant::now();
+    let tickets: Vec<_> = work.into_iter().map(submit).collect();
+    let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    let seconds = start.elapsed().as_secs_f64();
+    (seconds, responses, service.shutdown())
 }
 
 /// One row of the Figure 5 report: remaining copies per benchmark and the

@@ -38,11 +38,11 @@ impl Ladder {
         Self { first: Rung { options, validation }, fallbacks }
     }
 
-    /// The translation service's ladder: `options` at `validation`, then
-    /// [`OutOfSsaOptions::conservative_fallback`] with validation one tier
-    /// down (Differential → Structural → Off), then
+    /// The translation service's ladder: the default options at
+    /// `validation`, then [`OutOfSsaOptions::conservative_fallback`] with
+    /// validation one tier down (Differential → Structural → Off), then
     /// [`OutOfSsaOptions::minimal_coalescing`] unvalidated.
-    pub fn degrading(options: OutOfSsaOptions, validation: ValidationMode) -> Self {
+    pub fn degrading(validation: ValidationMode) -> Self {
         let lowered = match validation {
             ValidationMode::Differential => ValidationMode::Structural,
             ValidationMode::Structural | ValidationMode::Off => ValidationMode::Off,
@@ -54,7 +54,7 @@ impl Ladder {
                 validation: ValidationMode::Off,
             },
         ];
-        Self { first: Rung { options, validation }, fallbacks }
+        Self { first: Rung { options: OutOfSsaOptions::default(), validation }, fallbacks }
     }
 
     /// The options of the first rung.
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn degrading_walk_climbs_from_its_start_to_the_last_rung() {
         use ValidationMode::{Differential, Off, Structural};
-        let ladder = Ladder::degrading(OutOfSsaOptions::default(), Differential);
+        let ladder = Ladder::degrading(Differential);
         let pristine = generate_ssa_function("walk", &GenConfig::small(), 2).0;
         let deadline = TranslateError::DeadlineExceeded { phase: TranslatePhase::Coalesce };
         let climb = |start: usize| {

@@ -29,9 +29,10 @@
 //! 3. **Degradation ladder** — each request walks the engine's
 //!    [`Ladder::degrading`] until a rung succeeds or the last rung fails:
 //!    the default options at the configured validation, then
-//!    [`OutOfSsaOptions::conservative_fallback`] with validation dropped one
-//!    tier, then [`OutOfSsaOptions::minimal_coalescing`] with validation
-//!    off.
+//!    [`OutOfSsaOptions::conservative_fallback`](ossa_destruct::OutOfSsaOptions::conservative_fallback)
+//!    with validation dropped one tier, then
+//!    [`OutOfSsaOptions::minimal_coalescing`](ossa_destruct::OutOfSsaOptions::minimal_coalescing)
+//!    with validation off.
 //!    Exponential backoff (bounded by the deadline) separates rungs. Under
 //!    sustained overload a global degradation level *starts* requests
 //!    further up the ladder, trading copy quality for throughput;
@@ -52,9 +53,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ossa_destruct::{
-    EngineWorker, Ladder, Limits, OutOfSsaOptions, OutOfSsaStats, TranslateError, ValidationMode,
-};
+use ossa_destruct::{EngineWorker, Ladder, Limits, OutOfSsaStats, TranslateError, ValidationMode};
 use ossa_ir::Function;
 use ossa_liveness::deadline;
 
@@ -345,7 +344,7 @@ impl TranslationService {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             queue: SharedQueue::new(config.queue_capacity),
-            ladder: Ladder::degrading(OutOfSsaOptions::default(), config.validation),
+            ladder: Ladder::degrading(config.validation),
             config,
             level: AtomicU8::new(0),
             stats: Mutex::new(ServiceStats::default()),

@@ -1,6 +1,7 @@
 //! Queue-edge behaviour of the translation service: full queues under each
 //! admission policy, deadlines expiring in the queue, shutdown with work in
-//! flight, and bit-identity of service outputs with the direct engine.
+//! flight, a scripted overload with exact counters, and bit-identity of
+//! service outputs with the direct engine.
 //!
 //! Every test here drives the service into an edge deliberately (usually by
 //! pausing the workers so queue depth is scripted, not scheduled) and
@@ -11,6 +12,7 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use ossa_bench::{corpus, saturated_service_pass, SERVICE_WARMUP_PER_WORKER};
 use out_of_ssa::cfggen::{generate_ssa_function, GenConfig};
 use out_of_ssa::destruct::{
     Engine, EngineWorker, Ladder, OutOfSsaOptions, TranslateError, TranslatePhase, ValidationMode,
@@ -18,7 +20,7 @@ use out_of_ssa::destruct::{
 use out_of_ssa::ir::builder::FunctionBuilder;
 use out_of_ssa::ir::{BinaryOp, Function};
 use out_of_ssa::service::{
-    AdmissionPolicy, DegradationConfig, ServiceConfig, ServiceError, SubmitError,
+    AdmissionPolicy, DegradationConfig, ServiceConfig, ServiceError, ServiceStats, SubmitError,
     TranslationService,
 };
 
@@ -26,12 +28,16 @@ fn input(seed: u64) -> Function {
     generate_ssa_function(format!("req_{seed}"), &GenConfig::default(), seed).0
 }
 
-/// The reference output: the same input through the checked engine step
-/// on a fresh worker, rung-0 configuration.
-fn reference(seed: u64, validation: ValidationMode) -> Function {
+/// The benchmark corpus at `scale`, flattened.
+fn corpus_functions(scale: f64) -> Vec<Function> {
+    corpus(scale).into_iter().flat_map(|w| w.functions).collect()
+}
+
+/// The reference output: `func` through the checked engine step on a fresh
+/// worker, rung-0 configuration.
+fn reference(mut func: Function, validation: ValidationMode) -> Function {
     let options = OutOfSsaOptions::default();
     let engine = Engine::new(Ladder::retrying(options, validation, 0));
-    let mut func = input(seed);
     EngineWorker::new().try_translate(&mut func, &engine).expect("healthy input translates");
     func
 }
@@ -239,10 +245,75 @@ fn shutdown_drains_in_flight_requests_with_typed_outcomes() {
     assert_eq!(ids.len(), 10);
 }
 
+/// Drives a one-worker service through every gate of its overload model
+/// with the workers paused, so queue depth is scripted rather than
+/// scheduled: shed-oldest eviction past a queue of half the input, two
+/// deadlines expiring in the queue, and the degradation level walking
+/// 0 → 1 → 2 as the depth crosses its thresholds and back to 0 during the
+/// drain. No translation races the submissions, so every counter is a fixed
+/// function of the input count.
+fn scripted_overload(functions: &[Function]) -> ServiceStats {
+    let capacity = functions.len() / 2;
+    let service = TranslationService::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: capacity,
+        admission: AdmissionPolicy::ShedOldest,
+        degradation: DegradationConfig {
+            degrade_depth: capacity / 2,
+            severe_depth: capacity - 1,
+            recover_depth: 1,
+        },
+        ..ServiceConfig::default()
+    });
+    service.pause();
+    let mut tickets: Vec<_> = functions
+        .iter()
+        .map(|func| service.submit(func.clone()).expect("shed-oldest admission never refuses"))
+        .collect();
+    // Two requests whose deadline has already passed, submitted last so the
+    // oldest-first shed cannot evict them: they expire at dequeue instead of
+    // translating.
+    for func in &functions[..2] {
+        let ticket = service.submit_with_deadline(func.clone(), Some(Duration::ZERO));
+        tickets.push(ticket.expect("shed-oldest admission never refuses"));
+    }
+    service.resume();
+    for ticket in tickets {
+        let _ = ticket.wait();
+    }
+    service.shutdown()
+}
+
+#[test]
+fn scripted_overload_counters_are_exact() {
+    // (accepted, completed, shed, expired in queue, degraded transitions,
+    // recovered transitions, final level) for n inputs and 2 expired
+    // requests: n + 2 accepted, n + 2 - n/2 shed, the other n/2 - 2 complete.
+    let cases = [
+        (corpus_functions(1.0)[..16].to_vec(), (18, 6, 10, 2, 2, 2, 0)),
+        (corpus_functions(0.05)[..12].to_vec(), (14, 4, 8, 2, 2, 2, 0)),
+    ];
+    for (functions, expected) in cases {
+        let n = functions.len();
+        let stats = scripted_overload(&functions);
+        let counters = (
+            stats.accepted,
+            stats.completed,
+            stats.shed,
+            stats.expired_in_queue,
+            stats.degraded_transitions,
+            stats.recovered_transitions,
+            stats.level,
+        );
+        assert_eq!(counters, expected, "{n} inputs");
+        assert_eq!(stats.resolved(), stats.accepted, "{n} inputs");
+    }
+}
+
 #[test]
 fn service_outputs_are_bit_identical_to_the_direct_engine() {
     let validation = ValidationMode::Structural;
-    let expected: Vec<_> = (0..12u64).map(|seed| reference(seed, validation)).collect();
+    let expected: Vec<_> = (0..12u64).map(|seed| reference(input(seed), validation)).collect();
 
     let service = TranslationService::start(ServiceConfig {
         workers: 3,
@@ -262,6 +333,29 @@ fn service_outputs_are_bit_identical_to_the_direct_engine() {
         );
     }
     service.shutdown();
+
+    // The scale-0.1 corpus saturating two warmed workers, as the timed
+    // service pass of `fig6_speed` runs it.
+    let functions = corpus_functions(0.1);
+    assert_eq!(functions.len(), 24);
+    let (_, responses, stats) = saturated_service_pass(&functions, 2, validation);
+    let mut ids = BTreeSet::new();
+    for (response, func) in responses.into_iter().zip(&functions) {
+        assert!(ids.insert(response.id), "duplicate reply for request {}", response.id);
+        let completed = response.outcome.expect("healthy corpus function translates");
+        assert_eq!(completed.rung, 0, "no overload: every request served at full fidelity");
+        assert_eq!(
+            completed.func,
+            reference(func.clone(), validation),
+            "service output diverged from the direct engine for {}",
+            func.name
+        );
+    }
+    let warmups = 2 * SERVICE_WARMUP_PER_WORKER as u64;
+    assert_eq!(stats.completed, functions.len() as u64 + warmups);
+    let losses = (stats.failed, stats.shed, stats.expired_in_queue, stats.deadline_exceeded);
+    assert_eq!(losses, (0, 0, 0, 0));
+    assert_eq!(stats.resolved(), stats.accepted);
 }
 
 #[test]
